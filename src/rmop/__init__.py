@@ -9,14 +9,12 @@ seeded benchmark harness.
 
 from .graph import (AREA_SIDE, GaussianBump, MetricGraph, MetricReport, Path, Scenario,
                     ScenarioError, Vertex, dump_scenario, generate_scenario, load_scenario,
-                    metric_report_from_document, path_cost, resample_starts,
-                    scenario_from_document, scenario_to_document, verify_metric)
+                    path_cost, resample_starts, scenario_from_document, scenario_to_document,
+                    verify_metric)
 from .reward import (CurvatureEstimate, IncrementalEval, RewardError, RewardModel,
-                     curvature, eval_team, eval_vertex_set, marginal, team_curvature,
-                     vertex_curvature)
-from .orienteering import (EXACT_SIZE_LIMIT, GCB_ETA, OpSolverConfig, RouteEstimate,
-                           SizeGuardError, cheapest_insertion, solve_op, solve_op_exact,
-                           solve_op_gcb)
+                     curvature, eval_team, eval_vertex_set, team_curvature, vertex_curvature)
+from .orienteering import (EXACT_SIZE_LIMIT, GCB_ETA, OpSolverConfig, SizeGuardError,
+                           solve_op, solve_op_exact, solve_op_gcb)
 from .planner import (PlannerLoopError, SgaTrace, Solution, check_solution, sga,
                       solve_rmop, solve_sga)
 from .attack import (AttackOutcome, greedy_attack, partial_worst_attack, random_attack,

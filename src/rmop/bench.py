@@ -20,8 +20,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph import MetricGraph, Path, Scenario, generate_scenario, load_scenario, resample_starts
-from .reward import RewardModel, eval_team, eval_vertex_set, team_curvature, vertex_curvature
+from .graph import (MetricGraph, Path, Scenario, ScenarioError, check_keys, generate_scenario,
+                    load_scenario, read_field, read_ints, resample_starts)
+from .reward import RewardModel, eval_vertex_set, team_curvature, vertex_curvature
 from .orienteering import OpSolverConfig, SizeGuardError
 from .planner import Solution, solve_rmop, solve_sga
 from .attack import (AttackOutcome, greedy_attack, partial_worst_attack, random_attack,
@@ -271,68 +272,75 @@ class ExperimentSpec:
     trials: int
     seed: int
     subroutine: str = "gcb"
-    scenario_params: Optional[dict] = None
+    scenario_params: Optional[dict] = None  # generate_scenario keyword arguments
     scenario_path: Optional[str] = None
 
     @classmethod
     def from_document(cls, doc: dict) -> "ExperimentSpec":
-        allowed = {"scenario", "planners", "attacks", "trials", "seed", "subroutine"}
-        unknown = set(doc) - allowed
-        if unknown:
-            raise ValueError(f"unknown experiment keys {sorted(unknown)}")
-        for key in ("scenario", "planners", "attacks", "trials", "seed"):
-            if key not in doc:
-                raise ValueError(f"experiment spec is missing key '{key}'")
-        planners = tuple(doc["planners"])
+        if not isinstance(doc, dict):
+            raise ScenarioError("experiment spec must be a JSON object")
+        check_keys(doc, {"scenario", "planners", "attacks", "trials", "seed", "subroutine"},
+                   "experiment keys")
+        raw_planners = read_field(doc, "planners", list)
+        planners = tuple(read_field(raw_planners, i, str, "planners")
+                         for i in range(len(raw_planners)))
         for p in planners:
             if p not in PLANNER_NAMES:
-                raise ValueError(f"unknown planner {p!r}; expected one of {PLANNER_NAMES}")
-        subroutine = doc.get("subroutine", "gcb")
+                raise ScenarioError(f"unknown planner {p!r}; expected one of {PLANNER_NAMES}")
+        subroutine = read_field(doc, "subroutine", str, default="gcb")
         if subroutine not in ("exact", "gcb"):
-            raise ValueError(f"unknown subroutine {subroutine!r}")
+            raise ScenarioError(f"unknown subroutine {subroutine!r}")
+        raw_attacks = read_field(doc, "attacks", list)
         attacks = []
-        for entry in doc["attacks"]:
-            extra = set(entry) - {"model", "sizes", "planned_alpha"}
-            if extra:
-                raise ValueError(f"unknown attack keys {sorted(extra)}")
-            attack_model = entry["model"]
+        for i in range(len(raw_attacks)):
+            where = f"attacks[{i}]"
+            entry = read_field(raw_attacks, i, dict, "attacks")
+            check_keys(entry, {"model", "sizes", "planned_alpha"}, f"keys in {where}")
+            attack_model = read_field(entry, "model", str, where)
             if attack_model not in ATTACK_MODELS:
-                raise ValueError(f"unknown attack model {attack_model!r}")
-            planned = entry.get("planned_alpha")
+                raise ScenarioError(f"unknown attack model {attack_model!r}")
+            planned = None
+            if entry.get("planned_alpha") is not None:
+                planned = read_field(entry, "planned_alpha", int, where)
             if attack_model == "partial" and planned is None:
-                raise ValueError("partial attacks require 'planned_alpha'")
+                raise ScenarioError("partial attacks require 'planned_alpha'")
             attacks.append(AttackSpec(model=attack_model,
-                                      sizes=tuple(int(s) for s in entry["sizes"]),
+                                      sizes=tuple(read_ints(entry, "sizes", where)),
                                       planned_alpha=planned))
-        scenario = doc["scenario"]
+        scenario = read_field(doc, "scenario", dict)
+        params, path = None, None
         if "path" in scenario:
             if set(scenario) != {"path"}:
-                raise ValueError("scenario with 'path' must contain only 'path'")
-            params, path = None, scenario["path"]
+                raise ScenarioError("scenario with 'path' must contain only 'path'")
+            path = read_field(scenario, "path", str, "scenario")
         else:
-            params, path = dict(scenario), None
-        trials = int(doc["trials"])
+            check_keys(scenario, {"vertices", "robots", "alpha", "budget", "layout", "bumps",
+                                  "seed", "reward_kind"}, "scenario params")
+            params = dict(
+                n_vertices=read_field(scenario, "vertices", int, "scenario"),
+                n_robots=read_field(scenario, "robots", int, "scenario"),
+                alpha=read_field(scenario, "alpha", int, "scenario", default=0),
+                budget=read_field(scenario, "budget", float, "scenario"),
+                layout=read_field(scenario, "layout", str, "scenario", default="grid"),
+                bumps=read_field(scenario, "bumps", int, "scenario", default=3),
+                seed=read_field(scenario, "seed", int, "scenario", default=0),
+                reward_kind=read_field(scenario, "reward_kind", str, "scenario", default="modular"))
+        trials = read_field(doc, "trials", int)
         if trials < 0:
-            raise ValueError("trials must be >= 0")
+            raise ScenarioError("trials must be >= 0")
         return cls(planners=planners, attacks=tuple(attacks), trials=trials,
-                   seed=int(doc["seed"]), subroutine=subroutine,
+                   seed=read_field(doc, "seed", int), subroutine=subroutine,
                    scenario_params=params, scenario_path=path)
 
     def base_scenario(self) -> Scenario:
         if self.scenario_path is not None:
-            with open(self.scenario_path, "rb") as fh:
-                return load_scenario(fh.read())
-        p = dict(self.scenario_params)
-        allowed = {"vertices", "robots", "alpha", "budget", "layout", "bumps", "seed",
-                   "reward_kind"}
-        unknown = set(p) - allowed
-        if unknown:
-            raise ValueError(f"unknown scenario params {sorted(unknown)}")
-        return generate_scenario(
-            n_vertices=int(p["vertices"]), n_robots=int(p["robots"]),
-            alpha=int(p.get("alpha", 0)), budget=float(p["budget"]),
-            layout=p.get("layout", "grid"), bumps=p.get("bumps", 3),
-            seed=int(p.get("seed", 0)), reward_kind=p.get("reward_kind", "modular"))
+            try:
+                with open(self.scenario_path, "rb") as fh:
+                    data = fh.read()
+            except OSError as exc:
+                raise ScenarioError(f"cannot read scenario {self.scenario_path}: {exc}") from exc
+            return load_scenario(data)
+        return generate_scenario(**self.scenario_params)
 
 
 @dataclass(frozen=True)
@@ -351,18 +359,6 @@ def _derived_seed(*entropy: int) -> int:
     return int(np.random.SeedSequence(list(entropy)).generate_state(1)[0])
 
 
-def _ng_solution(scenario: Scenario, model: RewardModel) -> Solution:
-    paths = tuple(naive_greedy_baseline(scenario))
-    return Solution(
-        paths=paths,
-        s1_robots=frozenset(),
-        s2_robots=frozenset(range(len(paths))),
-        team_reward=eval_team(model, paths),
-        loop_iterations=0,
-        per_path_rewards=tuple(eval_vertex_set(model, p.vertices) for p in paths),
-    )
-
-
 def plan(planner: str, scenario: Scenario, solver: OpSolverConfig) -> Solution:
     """Run one named planner on a scenario."""
     if planner == "rmop":
@@ -370,7 +366,8 @@ def plan(planner: str, scenario: Scenario, solver: OpSolverConfig) -> Solution:
     if planner == "sga":
         return solve_sga(scenario, solver)
     if planner == "ng":
-        return _ng_solution(scenario, RewardModel.from_scenario(scenario))
+        return Solution.from_paths(RewardModel.from_scenario(scenario),
+                                   naive_greedy_baseline(scenario))
     raise ValueError(f"unknown planner {planner!r}")
 
 

@@ -17,7 +17,7 @@ import sys
 from typing import Optional, Sequence
 
 from .graph import (Path, Scenario, ScenarioError, dump_scenario, generate_scenario,
-                    load_scenario, metric_report_from_document, verify_metric)
+                    load_scenario, read_field, read_ints)
 from .reward import RewardModel
 from .orienteering import OpSolverConfig, SizeGuardError
 from .planner import PlannerLoopError, Solution, check_solution, solve_rmop, solve_sga
@@ -43,6 +43,13 @@ def _write_text(path: str, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}") from exc
+
+
+def _read_json(path: str):
+    try:
+        return json.loads(_read_bytes(path).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CliError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def _dump_json(doc: dict) -> str:
@@ -84,23 +91,32 @@ def solution_to_document(solution: Solution, planner: str, solver: OpSolverConfi
 
 
 def solution_from_document(doc: dict) -> tuple[Solution, str, str]:
-    """Rebuild (solution, planner name, scenario digest) from a document."""
+    """Rebuild (solution, planner name, scenario digest) from a document.
+
+    Only types are checked here; check_solution judges the paths against a scenario.
+    """
     try:
-        paths = tuple(
-            Path(robot=int(p["robot"]), vertices=tuple(int(v) for v in p["vertices"]),
-                 cost=float(p["cost"]))
-            for p in doc["paths"]
-        )
+        if not isinstance(doc, dict):
+            raise ScenarioError("expected a JSON object")
+        raw_paths = read_field(doc, "paths", list)
+        paths, rewards = [], []
+        for i in range(len(raw_paths)):
+            where = f"paths[{i}]"
+            entry = read_field(raw_paths, i, dict, "paths")
+            paths.append(Path(robot=read_field(entry, "robot", int, where),
+                              vertices=tuple(read_ints(entry, "vertices", where)),
+                              cost=read_field(entry, "cost", float, where)))
+            rewards.append(read_field(entry, "reward", float, where))
         solution = Solution(
-            paths=paths,
-            s1_robots=frozenset(int(r) for r in doc["s1_robots"]),
-            s2_robots=frozenset(int(r) for r in doc["s2_robots"]),
-            team_reward=float(doc["team_reward"]),
-            loop_iterations=int(doc["loop_iterations"]),
-            per_path_rewards=tuple(float(p["reward"]) for p in doc["paths"]),
+            paths=tuple(paths),
+            s1_robots=frozenset(read_ints(doc, "s1_robots")),
+            s2_robots=frozenset(read_ints(doc, "s2_robots")),
+            team_reward=read_field(doc, "team_reward", float),
+            loop_iterations=read_field(doc, "loop_iterations", int),
+            per_path_rewards=tuple(rewards),
         )
-        return solution, str(doc["planner"]), str(doc["scenario_sha256"])
-    except (KeyError, TypeError, ValueError) as exc:
+        return solution, read_field(doc, "planner", str), read_field(doc, "scenario_sha256", str)
+    except ScenarioError as exc:
         raise CliError(f"malformed solution document: {exc}") from exc
 
 
@@ -167,12 +183,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
-    raw = _read_bytes(args.solution)
-    try:
-        doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CliError(f"{args.solution}: not valid JSON: {exc}") from exc
-    solution, _, digest = solution_from_document(doc)
+    solution, _, digest = solution_from_document(_read_json(args.solution))
     scenario, actual_digest = _load_scenario_file(args.scenario)
     if digest != actual_digest:
         raise CliError(
@@ -211,15 +222,11 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    raw = _read_bytes(args.spec)
-    try:
-        doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CliError(f"{args.spec}: not valid JSON: {exc}") from exc
+    doc = _read_json(args.spec)
     try:
         spec = bench.ExperimentSpec.from_document(doc)
         records = bench.run_experiment(spec, measure_time=not args.no_timing)
-    except (ValueError, ScenarioError, SizeGuardError) as exc:
+    except (ValueError, SizeGuardError) as exc:
         raise CliError(str(exc)) from exc
     _write_text(args.out_csv, bench.records_to_csv(records))
     if args.out_summary:
@@ -229,31 +236,27 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    scenario, digest = _load_scenario_file_lenient(args.scenario)
-    report: dict = {"scenario": {"path": args.scenario}, "ok": True}
+    data = _read_bytes(args.scenario)
+    report: dict = {"scenario": {"path": args.scenario, "metric_violations": []}, "ok": True}
     problems: list[str] = []
-    if scenario is None:
-        problems.append(digest)  # digest carries the parse error message here
-        report["scenario"]["error"] = digest
-        metric = _metric_report_despite_errors(args.scenario)
-        if metric is not None and not metric.ok:
-            report["scenario"]["metric_violations"] = metric.entries()
-            problems.extend(metric.entries())
+    try:
+        scenario = load_scenario(data)
+    except ScenarioError as exc:
+        problems.append(str(exc))
+        report["scenario"]["error"] = str(exc)
+        if exc.report is not None:
+            report["scenario"]["metric_violations"] = exc.report.entries()
+            problems.extend(exc.report.entries())
     else:
-        metric = verify_metric(scenario.graph)
-        report["scenario"]["metric_violations"] = metric.entries()
-        problems.extend(metric.entries())
         if args.solution:
-            raw = _read_bytes(args.solution)
             try:
-                doc = json.loads(raw.decode("utf-8"))
-                solution, _, sol_digest = solution_from_document(doc)
-            except (UnicodeDecodeError, json.JSONDecodeError, CliError) as exc:
+                solution, _, sol_digest = solution_from_document(_read_json(args.solution))
+            except CliError as exc:
                 problems.append(f"solution: {exc}")
                 report["solution"] = {"path": args.solution, "error": str(exc)}
             else:
                 sol_problems = []
-                if sol_digest != digest:
+                if sol_digest != scenario_digest(data):
                     sol_problems.append("scenario digest mismatch")
                 sol_problems.extend(check_solution(scenario, solution))
                 report["solution"] = {"path": args.solution, "violations": sol_problems}
@@ -268,22 +271,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         else:
             print("OK: all checks passed")
     return 0 if not problems else 1
-
-
-def _load_scenario_file_lenient(path: str):
-    data = _read_bytes(path)
-    try:
-        return load_scenario(data), scenario_digest(data)
-    except ScenarioError as exc:
-        return None, str(exc)
-
-
-def _metric_report_despite_errors(path: str):
-    try:
-        doc = json.loads(_read_bytes(path).decode("utf-8"))
-    except (CliError, UnicodeDecodeError, json.JSONDecodeError):
-        return None
-    return metric_report_from_document(doc)
 
 
 def build_parser() -> argparse.ArgumentParser:

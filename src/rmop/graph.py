@@ -15,8 +15,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import reprlib
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,7 +30,14 @@ _REWARD_KINDS = ("modular", "coverage")
 
 
 class ScenarioError(ValueError):
-    """A scenario document is malformed or violates a type invariant."""
+    """A scenario, solution or experiment document is malformed or violates an invariant.
+
+    A graph that is not metric carries its full MetricReport in `report`.
+    """
+
+    def __init__(self, message: str, report: Optional["MetricReport"] = None):
+        super().__init__(message)
+        self.report = report
 
 
 @dataclass(frozen=True)
@@ -142,14 +150,16 @@ def verify_metric(graph: MetricGraph, tol: float = METRIC_TOL) -> MetricReport:
     diagonal = tuple(int(i) for i in np.flatnonzero(np.abs(np.diagonal(d)) > tol))
     asym = np.argwhere(np.abs(d - d.T) > tol)
     asymmetry = tuple((int(i), int(j)) for i, j in asym if i < j)
-    # d[i,k] <= d[i,j] + d[j,k] for all i, j, k
-    via = d[:, :, None] + d[None, :, :]
-    direct = d[:, None, :]
-    bad = np.argwhere(direct > via + tol)
-    triangle = tuple(
-        (int(i), int(j), int(k)) for i, j, k in bad if i != j and j != k and i != k
-    )
-    return MetricReport(negative=negative, diagonal=diagonal, asymmetry=asymmetry, triangle=triangle)
+    # d[i,k] <= d[i,j] + d[j,k] for all i, j, k, one row i at a time so that
+    # memory stays O(|V|^2); violations come out in (i, j, k) order.
+    triangle = []
+    for i in range(graph.n):
+        bad = d[i][None, :] > d[i][:, None] + d + tol
+        if bad.any():  # argwhere costs as much as the comparison; most rows are clean
+            triangle.extend((i, int(j), int(k)) for j, k in np.argwhere(bad)
+                            if i != j and j != k and i != k)
+    return MetricReport(negative=negative, diagonal=diagonal, asymmetry=asymmetry,
+                        triangle=tuple(triangle))
 
 
 def path_cost(graph: MetricGraph, vertices: Sequence[int]) -> float:
@@ -169,42 +179,123 @@ def path_cost(graph: MetricGraph, vertices: Sequence[int]) -> float:
     return total
 
 
-def _validate_vertices(raw: list) -> list[Vertex]:
+_REQUIRED = object()
+_KIND_NAMES = {int: "an integer", str: "a string", list: "an array", dict: "an object"}
+
+
+def _field_name(where: str, key: Union[str, int]) -> str:
+    if isinstance(key, int):
+        return f"{where}[{key}]"
+    return f"{where}.{key}" if where else key
+
+
+def _number(value, where: str, key: Union[str, int]) -> float:
+    """A JSON number as a float; integers too large for a float become inf."""
+    if type(value) is not int and type(value) is not float:
+        raise ScenarioError(
+            f"{_field_name(where, key)} must be a number, got {reprlib.repr(value)}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
+def read_field(obj: Union[dict, list], key: Union[str, int], kind: type, where: str = "",
+               default=_REQUIRED):
+    """obj[key] (a dict key or a list index), of exactly the JSON type `kind`.
+
+    The document reader behind every loader. `int` accepts only a JSON
+    integer; `float` accepts any finite JSON number and returns a float; a
+    bool is neither. `kind` may also be str, list or dict. A missing key
+    returns `default` if one is given. Problems raise ScenarioError naming
+    the field, such as `vertices[3].x` or `attacks[0].sizes[1]`.
+    """
+    if isinstance(obj, list) or key in obj:
+        value = obj[key]
+    elif default is _REQUIRED:
+        raise ScenarioError(f"missing field {_field_name(where, key)}")
+    else:
+        return default
+    if kind is float:
+        value = _number(value, where, key)
+        if not math.isfinite(value):
+            what = key if isinstance(key, str) else "value"
+            raise ScenarioError(f"non-finite {what}: {_field_name(where, key)} is {value!r}")
+    elif type(value) is not kind:
+        raise ScenarioError(f"{_field_name(where, key)} must be {_KIND_NAMES[kind]}, "
+                            f"got {reprlib.repr(value)}")
+    return value
+
+
+def read_ints(obj: Union[dict, list], key: Union[str, int], where: str = "") -> list[int]:
+    """A JSON array of integers, read with read_field."""
+    items = read_field(obj, key, list, where)
+    name = _field_name(where, key)
+    return [read_field(items, i, int, name) for i in range(len(items))]
+
+
+def check_keys(obj: dict, allowed: set, what: str) -> None:
+    """Reject keys outside `allowed`; the error reads "unknown <what> [...]"."""
+    unknown = set(obj) - allowed
+    if unknown:
+        raise ScenarioError(f"unknown {what} {sorted(unknown)}")
+
+
+def _read_vertices(doc: dict) -> list[Vertex]:
+    raw = read_field(doc, "vertices", list)
     if not raw:
         raise ScenarioError("scenario must contain at least one vertex")
     vertices = []
-    for idx, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise ScenarioError(f"vertex {idx} is not an object")
-        unknown = set(entry) - _VERTEX_KEYS
-        if unknown:
-            raise ScenarioError(f"vertex {idx} has unknown keys {sorted(unknown)}")
-        for key in ("id", "x", "y", "reward"):
-            if key not in entry:
-                raise ScenarioError(f"vertex {idx} is missing key '{key}'")
-        for key in ("x", "y", "reward"):
-            if not math.isfinite(float(entry[key])):
-                raise ScenarioError(f"vertex {idx} has non-finite {key}")
-        reward = float(entry["reward"])
+    cell_weights: dict[int, float] = {}
+    for idx in range(len(raw)):
+        where = f"vertices[{idx}]"
+        entry = read_field(raw, idx, dict, "vertices")
+        check_keys(entry, _VERTEX_KEYS, f"keys in {where}")
+        reward = read_field(entry, "reward", float, where)
         if reward < 0:
-            raise ScenarioError(f"vertex {idx} has negative reward {reward}")
+            raise ScenarioError(f"{where} has negative reward {reward}")
+        pairs = read_field(entry, "coverage", list, where, default=[])
         coverage = []
-        for pair in entry.get("coverage", []):
-            cell, weight = pair
-            if not math.isfinite(float(weight)):
-                raise ScenarioError(f"vertex {idx} has non-finite coverage weight for cell {cell}")
-            if float(weight) < 0:
-                raise ScenarioError(f"vertex {idx} has negative coverage weight for cell {cell}")
-            coverage.append((int(cell), float(weight)))
-        vertices.append(
-            Vertex(id=int(entry["id"]), x=float(entry["x"]), y=float(entry["y"]),
-                   reward=reward, coverage=tuple(coverage))
-        )
+        for c in range(len(pairs)):
+            pair_name = f"{where}.coverage[{c}]"
+            pair = read_field(pairs, c, list, f"{where}.coverage")
+            if len(pair) != 2:
+                raise ScenarioError(f"{pair_name} must be a [cell, weight] pair")
+            cell = read_field(pair, 0, int, pair_name)
+            weight = read_field(pair, 1, float, pair_name)
+            if weight < 0:
+                raise ScenarioError(f"{where} has negative coverage weight for cell {cell}")
+            if cell_weights.setdefault(cell, weight) != weight:
+                raise ScenarioError(f"{pair_name} gives cell {cell} weight {weight}, "
+                                    f"another vertex gives it {cell_weights[cell]}")
+            coverage.append((cell, weight))
+        vertices.append(Vertex(id=read_field(entry, "id", int, where),
+                               x=read_field(entry, "x", float, where),
+                               y=read_field(entry, "y", float, where), reward=reward,
+                               coverage=tuple(coverage)))
     vertices.sort(key=lambda v: v.id)
     for pos, v in enumerate(vertices):
         if v.id != pos:
             raise ScenarioError(f"vertex ids must be dense 0..{len(vertices) - 1}; found {v.id} at position {pos}")
     return vertices
+
+
+def _read_distance_matrix(doc: dict, n: int) -> np.ndarray:
+    rows = read_field(doc, "distance_matrix", list)
+    if len(rows) != n:
+        raise ScenarioError(f"distance_matrix must be {n}x{n}, got {len(rows)} rows")
+    values = []
+    for i in range(n):
+        where = f"distance_matrix[{i}]"
+        row = read_field(rows, i, list, "distance_matrix")
+        if len(row) != n:
+            raise ScenarioError(f"distance_matrix must be {n}x{n}, {where} has {len(row)} entries")
+        values.append([_number(x, where, j) for j, x in enumerate(row)])
+    mat = np.array(values, dtype=float)
+    if not np.isfinite(mat).all():
+        bad = np.argwhere(~np.isfinite(mat))[0]
+        raise ScenarioError(f"distance_matrix must be finite, violated at ({bad[0]},{bad[1]})")
+    return mat
 
 
 def _validate_scenario(graph: MetricGraph, starts: Sequence[int], budget: float,
@@ -223,7 +314,8 @@ def _validate_scenario(graph: MetricGraph, starts: Sequence[int], budget: float,
         raise ScenarioError(f"alpha must be < {n_robots} (number of robots), got {alpha}")
     report = verify_metric(graph)
     if not report.ok:
-        raise ScenarioError("graph is not metric: " + "; ".join(report.entries()[:5]))
+        raise ScenarioError("graph is not metric: " + "; ".join(report.entries()[:5]),
+                            report=report)
     return Scenario(graph=graph, starts=tuple(int(s) for s in starts), budget=float(budget),
                     alpha=int(alpha), reward_kind=reward_kind)
 
@@ -232,71 +324,22 @@ def scenario_from_document(doc: dict) -> Scenario:
     """Build and fully validate a Scenario from a parsed document."""
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
-    unknown = set(doc) - _SCENARIO_KEYS
-    if unknown:
-        raise ScenarioError(f"unknown scenario keys {sorted(unknown)}")
-    for key in ("vertices", "starts", "budget", "alpha", "reward_kind"):
-        if key not in doc:
-            raise ScenarioError(f"scenario document is missing key '{key}'")
-    vertices = _validate_vertices(doc["vertices"])
-    n = len(vertices)
+    check_keys(doc, _SCENARIO_KEYS, "scenario keys")
+    vertices = _read_vertices(doc)
     if "distance_matrix" in doc:
-        mat = np.asarray(doc["distance_matrix"], dtype=float)
-        if mat.shape != (n, n):
-            raise ScenarioError(f"distance_matrix must be {n}x{n}, got {mat.shape}")
-        if not np.isfinite(mat).all():
-            bad = np.argwhere(~np.isfinite(mat))[0]
-            raise ScenarioError(
-                f"distance_matrix must be finite, violated at ({bad[0]},{bad[1]})")
-        probe = MetricGraph(vertices=tuple(vertices), distance=mat, euclidean=False)
-        report = verify_metric(probe)
-        if report.diagonal:
-            raise ScenarioError(f"distance_matrix diagonal must be zero, violated at {report.diagonal[0]}")
-        if report.asymmetry:
-            i, j = report.asymmetry[0]
-            raise ScenarioError(f"distance_matrix must be symmetric, violated at ({i},{j})")
-        if report.negative:
-            i, j = report.negative[0]
-            raise ScenarioError(f"distance_matrix must be non-negative, violated at ({i},{j})")
-        if report.triangle:
-            i, j, k = report.triangle[0]
-            raise ScenarioError(f"distance_matrix violates the triangle inequality at ({i},{j},{k})")
-        graph = probe
+        graph = MetricGraph(tuple(vertices), _read_distance_matrix(doc, len(vertices)),
+                            euclidean=False)
     else:
         graph = MetricGraph.from_positions(vertices)
-    return _validate_scenario(graph, [int(s) for s in doc["starts"]], float(doc["budget"]),
-                              int(doc["alpha"]), str(doc["reward_kind"]))
-
-
-def metric_report_from_document(doc: dict) -> Union[MetricReport, None]:
-    """Best-effort metric diagnosis of a possibly invalid document.
-
-    Strict loading stops at the first violation; verification tooling wants
-    them all. Returns None when the document is too malformed to build a
-    distance matrix at all.
-    """
-    try:
-        vertices = _validate_vertices(doc["vertices"])
-        n = len(vertices)
-        if "distance_matrix" in doc:
-            mat = np.asarray(doc["distance_matrix"], dtype=float)
-            if mat.shape != (n, n) or not np.isfinite(mat).all():
-                return None
-            graph = MetricGraph(tuple(vertices), mat, euclidean=False)
-        else:
-            graph = MetricGraph.from_positions(vertices)
-        return verify_metric(graph)
-    except (ScenarioError, KeyError, TypeError, ValueError):
-        return None
+    return _validate_scenario(graph, read_ints(doc, "starts"), read_field(doc, "budget", float),
+                              read_field(doc, "alpha", int), read_field(doc, "reward_kind", str))
 
 
 def load_scenario(data: Union[bytes, str]) -> Scenario:
     """Parse a UTF-8 JSON scenario document and validate every invariant."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"scenario document is not valid JSON: {exc}") from exc
     return scenario_from_document(doc)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .graph import MetricGraph, Path
 from .reward import IncrementalEval, RewardModel, eval_vertex_set
@@ -49,14 +49,6 @@ class OpSolverConfig:
     @property
     def eta_note(self) -> Optional[str]:
         return GCB_ETA_NOTE if self.method == "gcb" else None
-
-
-@dataclass(frozen=True)
-class RouteEstimate:
-    """An ordering of a requested vertex set, rooted at the start, plus its cost."""
-
-    ordering: tuple[int, ...]
-    cost: float
 
 
 def _check_start(graph: MetricGraph, start: int) -> None:
@@ -129,32 +121,6 @@ def solve_op_exact(graph: MetricGraph, model: RewardModel, start: int, budget: f
 
     dfs(0.0)
     return Path(robot=robot, vertices=tuple(best_seq), cost=best_cost)
-
-
-def cheapest_insertion(graph: MetricGraph, start: int, ids: Iterable[int]) -> RouteEstimate:
-    """Open route over the given vertices, grown by cheapest insertion.
-
-    Each round inserts the vertex whose best insertion position raises the
-    route cost least; ties prefer the smaller vertex id, then the earliest
-    position. The start is prepended implicitly and stays fixed at index 0.
-    """
-    _check_start(graph, start)
-    todo = sorted(set(int(v) for v in ids) - {start})
-    for v in todo:
-        if not 0 <= v < graph.n:
-            raise ValueError(f"vertex id {v} out of range 0..{graph.n - 1}")
-    dist = graph.distance.tolist()
-    route = [start]
-    while todo:
-        best = None  # (delta, vertex, position)
-        for v in todo:
-            delta, pos = _best_insertion(dist, route, v)
-            if best is None or delta < best[0]:
-                best = (delta, v, pos)
-        _, v, pos = best
-        route.insert(pos, v)
-        todo.remove(v)
-    return RouteEstimate(ordering=tuple(route), cost=_fold_cost(dist, route))
 
 
 def _best_insertion(dist: list[list[float]], route: list[int], v: int) -> tuple[float, int]:

@@ -57,6 +57,23 @@ class Solution:
     def path_of(self, robot: int) -> Path:
         return self.paths[robot]
 
+    @classmethod
+    def from_paths(cls, model: RewardModel, paths: Sequence[Path], s1: Sequence[int] = (),
+                   loop_iterations: int = 0,
+                   loop_history: Sequence[tuple[float, ...]] = ()) -> "Solution":
+        """Score `paths` under `model`; robots outside the redundancy set `s1` cover."""
+        paths = tuple(paths)
+        s1_robots = frozenset(s1)
+        return cls(
+            paths=paths,
+            s1_robots=s1_robots,
+            s2_robots=frozenset(p.robot for p in paths) - s1_robots,
+            team_reward=eval_team(model, paths),
+            loop_iterations=loop_iterations,
+            per_path_rewards=tuple(eval_vertex_set(model, p.vertices) for p in paths),
+            loop_history=tuple(loop_history),
+        )
+
 
 def sga(graph: MetricGraph, model: RewardModel, starts: Sequence[int], budget: float,
         solver: OpSolverConfig, robots: Optional[Sequence[int]] = None,
@@ -91,27 +108,11 @@ def sga(graph: MetricGraph, model: RewardModel, starts: Sequence[int], budget: f
     return tuple(paths), trace
 
 
-def _individual_reward(model: RewardModel, path: Path) -> float:
-    return eval_vertex_set(model, path.vertices)
-
-
-def _wrap_sga_as_solution(model: RewardModel, paths: Sequence[Path]) -> Solution:
-    paths = tuple(paths)
-    return Solution(
-        paths=paths,
-        s1_robots=frozenset(),
-        s2_robots=frozenset(p.robot for p in paths),
-        team_reward=eval_team(model, paths),
-        loop_iterations=0,
-        per_path_rewards=tuple(_individual_reward(model, p) for p in paths),
-    )
-
-
 def solve_sga(scenario: Scenario, solver: OpSolverConfig) -> Solution:
     """Plain sequential planning for the whole team; no redundancy set."""
     model = RewardModel.from_scenario(scenario)
     paths, _ = sga(scenario.graph, model, scenario.starts, scenario.budget, solver)
-    return _wrap_sga_as_solution(model, paths)
+    return Solution.from_paths(model, paths)
 
 
 def solve_rmop(scenario: Scenario, solver: OpSolverConfig,
@@ -152,7 +153,7 @@ def solve_rmop(scenario: Scenario, solver: OpSolverConfig,
         if iterations > cap:
             raise PlannerLoopError(
                 f"reassignment loop exceeded {cap} iterations; pool rewards {history[-1]}")
-        rewards = [_individual_reward(model, p) for p in pool]
+        rewards = [eval_vertex_set(model, p.vertices) for p in pool]
         history.append(tuple(rewards))
         order = sorted(range(n), key=lambda i: (-rewards[i], i))
         s1 = order[:alpha]
@@ -170,7 +171,7 @@ def solve_rmop(scenario: Scenario, solver: OpSolverConfig,
         min_s1 = min(rewards[i] for i in s1)
         replaced = False
         for path in s2_paths:
-            if _individual_reward(model, path) > min_s1:
+            if eval_vertex_set(model, path.vertices) > min_s1:
                 pool[path.robot] = path
                 replaced = True
         if not replaced:
@@ -178,15 +179,8 @@ def solve_rmop(scenario: Scenario, solver: OpSolverConfig,
             final_paths = tuple(
                 pool[i] if i in s1 else by_robot[i] for i in range(n)
             )
-            return Solution(
-                paths=final_paths,
-                s1_robots=frozenset(s1),
-                s2_robots=frozenset(rest),
-                team_reward=eval_team(model, final_paths),
-                loop_iterations=iterations,
-                per_path_rewards=tuple(_individual_reward(model, p) for p in final_paths),
-                loop_history=tuple(history),
-            )
+            return Solution.from_paths(model, final_paths, s1=s1, loop_iterations=iterations,
+                                       loop_history=history)
 
 
 def check_solution(scenario: Scenario, solution: Solution, tol: float = INVARIANT_TOL) -> list[str]:

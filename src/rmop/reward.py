@@ -112,12 +112,6 @@ def eval_team(model: RewardModel, paths: Iterable[Path]) -> float:
     return eval_vertex_set(model, union)
 
 
-def marginal(model: RewardModel, base: Iterable[Path], addition: Iterable[Path]) -> float:
-    """eval_team(base + addition) - eval_team(base); non-negative by monotonicity."""
-    base = list(base)
-    return eval_team(model, base + list(addition)) - eval_team(model, base)
-
-
 @dataclass(frozen=True)
 class CurvatureEstimate:
     """How far an evaluator is from additive, in [0, 1] (0 means modular)."""

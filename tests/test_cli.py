@@ -1,8 +1,11 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+import rmop.cli
+import rmop.graph
 from rmop.cli import main
 from rmop.graph import dump_scenario, generate_scenario, load_scenario, scenario_to_document
 
@@ -198,6 +201,26 @@ class TestBench:
         assert "unknown planner" in capsys.readouterr().err
 
 
+    def test_crossover_output_is_pinned(self, tmp_path):
+        # The crossover spec of the ROADMAP at one trial: any change to planning,
+        # attacks or record formatting moves these digests.
+        doc = {"scenario": {"vertices": 96, "robots": 10, "budget": 60.0, "layout": "grid",
+                            "bumps": 3, "seed": 1},
+               "planners": ["rmop", "sga", "ng"],
+               "attacks": [{"model": "worst", "sizes": [1, 2, 3, 4, 5, 6, 7, 8]},
+                           {"model": "greedy", "sizes": [1, 2, 3, 4, 5, 6, 7, 8]}],
+               "trials": 1, "seed": 7}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        csv_out, summary_out = tmp_path / "out.csv", tmp_path / "summary.json"
+        assert run_cli("bench", "--no-timing", "--spec", str(spec), "--out-csv", str(csv_out),
+                       "--out-summary", str(summary_out)) == 0
+        assert hashlib.sha256(csv_out.read_bytes()).hexdigest() == (
+            "16f181aac7f98035be107d78a2cee3e9b1333fb92e1de1d51263d25befd2a7dc")
+        assert hashlib.sha256(summary_out.read_bytes()).hexdigest() == (
+            "e342b1de60efc94d27b86330cad61b21f9defb3e074d7981d2931390ceb35f23")
+
+
 class TestVerify:
     def test_clean_pair_exits_zero(self, solved, capsys):
         scenario_file, solution_file = solved
@@ -218,6 +241,16 @@ class TestVerify:
         assert code == 1
         out = capsys.readouterr().out
         assert "(0,1,2)" in out and "(2,1,0)" in out
+
+    def test_valid_scenario_is_metric_checked_only_by_its_load(self, scenario_file,
+                                                               monkeypatch):
+        calls = []
+        real = rmop.graph.verify_metric
+        counting = lambda g: calls.append(g) or real(g)  # noqa: E731
+        monkeypatch.setattr(rmop.graph, "verify_metric", counting)
+        monkeypatch.setattr(rmop.cli, "verify_metric", counting, raising=False)
+        assert run_cli("verify", "--scenario", str(scenario_file)) == 0
+        assert len(calls) == 1
 
     def test_tampered_solution_exits_one(self, tmp_path, solved, capsys):
         scenario_file, solution_file = solved

@@ -1,0 +1,143 @@
+"""Malformed scenario, solution and experiment documents.
+
+Every defect must surface as one `error:` line (a `FAIL:` line for `verify`)
+with exit code 1: never a traceback, and never a silently truncated value.
+"""
+
+import copy
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rmop.bench import ExperimentSpec
+from rmop.cli import CliError, main, solution_from_document
+from rmop.graph import ScenarioError, scenario_from_document
+
+SCENARIO = {
+    "vertices": [{"id": i, "x": float(i), "y": 0.0, "reward": 1.0, "coverage": [[i, 1.0]]}
+                 for i in range(3)],
+    "starts": [0, 1], "budget": 3.0, "alpha": 1, "reward_kind": "modular",
+}
+SPEC = {
+    "scenario": {"vertices": 12, "robots": 3, "budget": 30.0, "seed": 4},
+    "planners": ["rmop"], "attacks": [{"model": "greedy", "sizes": [1]}],
+    "trials": 1, "seed": 5,
+}
+DELETE = object()
+
+# (test id, path to the node, its malformed value)
+SCENARIO_CASES = [
+    ("fractional-start", ("starts",), [1.7, 2]),
+    ("fractional-id", ("vertices", 1, "id"), 1.9),
+    ("bool-reward", ("vertices", 1, "reward"), True),
+    ("bool-alpha", ("alpha",), True),
+    ("string-budget", ("budget",), "20"),
+    ("coverage-triple", ("vertices", 0, "coverage", 0), [0, 1.0, 2.0]),
+    ("string-x", ("vertices", 1, "x"), "abc"),
+    ("int-vertices", ("vertices",), 5),
+    ("ragged-matrix", ("distance_matrix",), [[0.0, 1.0, 2.0], [1.0, 0.0], [2.0, 1.0, 0.0]]),
+    ("null-starts", ("starts",), None),
+    ("cell-with-two-weights", ("vertices", 1, "coverage"), [[0, 2.0]]),
+]
+SOLUTION_CASES = [
+    ("fractional-path-vertex", ("paths", 0, "vertices", 0), 0.5),
+    ("bool-robot", ("paths", 0, "robot"), False),
+]
+SPEC_CASES = [
+    ("int-attack", ("attacks",), [1]),
+    ("list-scenario", ("scenario",), [1]),
+    ("missing-vertices", ("scenario", "vertices"), DELETE),
+    ("string-bumps", ("scenario", "bumps"), "3"),
+    ("missing-scenario-file", ("scenario",), {"path": "missing-scenario.json"}),
+    ("fractional-trials", ("trials",), 1.9),
+    ("fractional-size", ("attacks", 0, "sizes"), [1.9]),
+]
+
+
+def mutated(doc, path, value):
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+CASES = ([("solve", c) for c in SCENARIO_CASES] + [("verify", c) for c in SCENARIO_CASES]
+         + [("verify-solution", c) for c in SOLUTION_CASES]
+         + [("bench", c) for c in SPEC_CASES])
+
+
+@pytest.mark.parametrize("case", CASES, ids=[f"{command}-{c[0]}" for command, c in CASES])
+def test_malformed_input_is_one_error_line(case, tmp_path, monkeypatch, capsys):
+    command, (_, path, value) = case
+    monkeypatch.chdir(tmp_path)
+    if command == "bench":
+        with open("spec.json", "w") as fh:
+            json.dump(mutated(SPEC, path, value), fh)
+        argv = ["bench", "--spec", "spec.json", "--out-csv", "out.csv"]
+    elif command == "verify-solution":
+        with open("s.json", "w") as fh:
+            json.dump(SCENARIO, fh)
+        assert main(["solve", "--scenario", "s.json", "--planner", "rmop",
+                     "--out", "r.json"]) == 0
+        with open("r.json") as fh:
+            solution = json.load(fh)
+        with open("r.json", "w") as fh:
+            json.dump(mutated(solution, path, value), fh)
+        argv = ["verify", "--scenario", "s.json", "--solution", "r.json"]
+    else:
+        with open("s.json", "w") as fh:
+            json.dump(mutated(SCENARIO, path, value), fh)
+        argv = [command, "--scenario", "s.json"]
+        if command == "solve":
+            argv += ["--planner", "rmop", "--out", "r.json"]
+    capsys.readouterr()
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    lines = (out if command.startswith("verify") else err).splitlines()
+    prefix = "FAIL: " if command.startswith("verify") else "error: "
+    assert len(lines) == 1 and lines[0].startswith(prefix), (out, err)
+
+
+KEYS = sorted(set(SCENARIO) | set(SCENARIO["vertices"][0]) | set(SPEC) | set(SPEC["scenario"])
+              | {"distance_matrix", "path", "model", "planned_alpha", "subroutine", "paths",
+                 "robot", "cost", "reward", "s1_robots", "s2_robots", "team_reward",
+                 "loop_iterations", "planner", "scenario_sha256", "layout", "bumps", "alpha"})
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=3), inner,
+                                     max_size=8)),
+    max_leaves=24)
+
+
+@st.composite
+def near_valid_documents(draw):
+    """A valid scenario or spec with one randomly chosen node replaced."""
+    doc = copy.deepcopy(draw(st.sampled_from([SCENARIO, SPEC])))
+    target = doc
+    while True:
+        key = draw(st.sampled_from(list(target) if isinstance(target, dict)
+                                   else range(len(target))))
+        child = target[key]
+        if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+            target = child
+            continue
+        target[key] = draw(json_values)
+        return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values | near_valid_documents())
+def test_loaders_raise_only_document_errors(value):
+    for load in (scenario_from_document, solution_from_document, ExperimentSpec.from_document):
+        try:
+            load(value)
+        except (ScenarioError, CliError):
+            pass

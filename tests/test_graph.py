@@ -1,6 +1,8 @@
 import json
 import math
 
+import rmop.graph
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -105,6 +107,24 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match=r"finite.*\(0,1\)"):
             load_scenario(json.dumps(doc))
 
+    @pytest.mark.parametrize("matrix", [False, True])
+    def test_metric_check_runs_once_per_load(self, monkeypatch, matrix):
+        doc = doc_4v()
+        if matrix:
+            doc["distance_matrix"] = generate_scenario(4, 1, 0, 1.0).graph.distance.tolist()
+        calls = []
+        real = rmop.graph.verify_metric
+        monkeypatch.setattr(rmop.graph, "verify_metric", lambda g: calls.append(g) or real(g))
+        load_scenario(json.dumps(doc))
+        assert len(calls) == 1
+
+    def test_nonmetric_error_carries_the_full_report(self):
+        doc = doc_4v(distance_matrix=[[0.0, 1.0, 9.0, 1.0], [1.0, 0.0, 1.0, 1.0],
+                                      [9.0, 1.0, 0.0, 1.0], [1.0, 1.0, 1.0, 0.0]])
+        with pytest.raises(ScenarioError, match=r"triangle.*\(0,1,2\)") as exc:
+            load_scenario(json.dumps(doc))
+        assert exc.value.report.triangle == ((0, 1, 2), (0, 3, 2), (2, 1, 0), (2, 3, 0))
+
     def test_round_trip_document(self):
         s = load_scenario(json.dumps(doc_4v()))
         again = load_scenario(dump_scenario(s))
@@ -140,6 +160,27 @@ class TestVerifyMetric:
         mat = np.array([[0.0, 1.0], [1.0, 0.5]])
         report = verify_metric(MetricGraph(verts, mat, euclidean=False))
         assert report.diagonal == (1,)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 9), st.integers(0, 2 ** 32 - 1))
+    def test_row_blocked_triangle_check_matches_full_broadcast(self, n, seed):
+        # Random symmetric distances break the triangle inequality often; on top
+        # of that, plant nonzero diagonals, negative and asymmetric entries.
+        rng = np.random.default_rng(seed)
+        upper = np.triu(np.round(rng.uniform(0.0, 10.0, size=(n, n)), 1), 1)
+        d = upper + upper.T
+        for _ in range(rng.integers(0, 3)):
+            i, j, k = rng.integers(0, n, size=3)
+            d[i, i] = rng.uniform(0.0, 1.0)
+            d[i, j] = d[j, i] = -d[i, j]
+            d[j, k] += 5.0
+        verts = tuple(Vertex(i, 0.0, 0.0, 0.0) for i in range(n))
+        report = verify_metric(MetricGraph(verts, d, euclidean=False))
+        # The full-broadcast formula (O(|V|^3) memory) that the row-blocked check replaced.
+        via = d[:, :, None] + d[None, :, :]
+        bad = np.argwhere(d[:, None, :] > via + rmop.graph.METRIC_TOL)
+        assert report.triangle == tuple((int(i), int(j), int(k)) for i, j, k in bad
+                                        if i != j and j != k and i != k)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.tuples(st.floats(-50, 50), st.floats(-50, 50)),

@@ -6,7 +6,7 @@ import pytest
 from rmop.graph import MetricGraph, Vertex, path_cost
 from rmop.reward import RewardModel, eval_vertex_set
 from rmop.orienteering import (EXACT_SIZE_LIMIT, GCB_ETA, OpSolverConfig, SizeGuardError,
-                               cheapest_insertion, solve_op, solve_op_exact, solve_op_gcb)
+                               solve_op, solve_op_exact, solve_op_gcb)
 
 from helpers import line_instance, oracle_best_rooted_path, random_tiny_scenario
 
@@ -89,44 +89,6 @@ class TestExactSolver:
         a = solve_op_exact(graph, masked, 0, 2.0)
         b = solve_op_exact(graph, zeroed, 0, 2.0)
         assert eval_vertex_set(masked, a.vertices) == eval_vertex_set(zeroed, b.vertices)
-
-
-class TestCheapestInsertion:
-    def test_singleton(self):
-        graph, _ = line_instance()
-        est = cheapest_insertion(graph, 0, {0})
-        assert est.ordering == (0,)
-        assert est.cost == 0.0
-
-    def test_collinear_set_hand_trace(self):
-        # Two insertion orders possible; both traced by hand give (0, 1, 2) at cost 2.
-        graph, _ = line_instance()
-        est = cheapest_insertion(graph, 0, {0, 1, 2})
-        assert est.ordering == (0, 1, 2)
-        assert est.cost == pytest.approx(2.0)
-
-    def test_single_insertion(self):
-        graph, _ = line_instance()
-        est = cheapest_insertion(graph, 0, {0, 3})
-        assert est.ordering == (0, 3)
-        assert est.cost == pytest.approx(2.0)
-
-    def test_start_added_implicitly(self):
-        graph, _ = line_instance()
-        est = cheapest_insertion(graph, 0, {1, 2})
-        assert est.ordering[0] == 0
-        assert set(est.ordering) == {0, 1, 2}
-
-    def test_cost_matches_path_cost(self):
-        rng = np.random.default_rng(3)
-        for trial in range(20):
-            scenario = random_tiny_scenario(2000 + trial)
-            graph = scenario.graph
-            ids = set(int(v) for v in rng.choice(graph.n, size=min(4, graph.n), replace=False))
-            start = scenario.starts[0]
-            est = cheapest_insertion(graph, start, ids)
-            assert set(est.ordering) == ids | {start}
-            assert est.cost == pytest.approx(path_cost(graph, est.ordering), abs=1e-12)
 
 
 def decoy_trap_instance():

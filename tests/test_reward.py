@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from rmop.graph import Path
 from rmop.reward import (CurvatureEstimate, IncrementalEval, RewardError, RewardModel,
-                         curvature, eval_team, eval_vertex_set, marginal,
-                         team_curvature, vertex_curvature)
+                         curvature, eval_team, eval_vertex_set, team_curvature,
+                         vertex_curvature)
 
 from helpers import oracle_eval, random_tiny_scenario
 
@@ -70,22 +70,6 @@ class TestEvalTeam:
     def test_empty_team_is_zero(self):
         m = RewardModel.modular([1.0])
         assert eval_team(m, []) == 0.0
-
-
-class TestMarginal:
-    def test_marginal_over_empty_base(self):
-        m = RewardModel.modular([0.0, 5.0])
-        p = path_of(0, 0, 1)
-        assert marginal(m, [], [p]) == eval_team(m, [p])
-
-    def test_subset_addition_is_zero(self):
-        m = RewardModel.modular([0.0, 5.0, 3.0])
-        base = [path_of(0, 0, 1, 2)]
-        assert marginal(m, base, [path_of(1, 0, 1)]) == 0.0
-
-    def test_disjoint_modular_paths_add(self):
-        m = RewardModel.modular([0.0, 8.0, 4.0])
-        assert marginal(m, [path_of(0, 1)], [path_of(1, 2)]) == 4.0
 
 
 class TestCurvature:
