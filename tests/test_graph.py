@@ -143,6 +143,21 @@ class TestLoadScenario:
         assert np.allclose(again.graph.distance, mat)
 
 
+def spy_triangle_rows(monkeypatch):
+    """Record, per verify_metric call, the rows sent to the exact triangle check."""
+    seen = []
+    real = rmop.graph._triangle_rows
+    monkeypatch.setattr(rmop.graph, "_triangle_rows",
+                        lambda d, tol: seen.append(list(real(d, tol))) or seen[-1])
+    return seen
+
+
+def full_broadcast_triangle(d):
+    via = d[:, :, None] + d[None, :, :]
+    bad = np.argwhere(d[:, None, :] > via + rmop.graph.METRIC_TOL)
+    return tuple((int(i), int(j), int(k)) for i, j, k in bad if i != j and j != k and i != k)
+
+
 class TestVerifyMetric:
     def test_euclidean_graph_is_clean(self):
         graph, _ = line_instance()
@@ -181,6 +196,66 @@ class TestVerifyMetric:
         bad = np.argwhere(d[:, None, :] > via + rmop.graph.METRIC_TOL)
         assert report.triangle == tuple((int(i), int(j), int(k)) for i, j, k in bad
                                         if i != j and j != k and i != k)
+
+    @pytest.mark.parametrize("fault", ["at_tol", "ulp_above", "diagonal", "ulp_asymmetry",
+                                       "nan", "inf", "-inf"])
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(3, 40), st.integers(0, 2 ** 32 - 1))
+    def test_symmetric_screen_matches_full_broadcast(self, fault, n, seed):
+        # A Euclidean matrix with edges planted exactly at, or one ulp above, the
+        # violation threshold d[i,j] + d[j,k] + tol of their cheapest detour j.
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.choice([-6, 0, 9])
+        pos = rng.uniform(0.0, 1.0, size=(n, 2)) * scale
+        d = np.sqrt(((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2))
+        for _ in range(rng.integers(1, 4)):
+            i, k = rng.choice(n, size=2, replace=False)
+            j = min((j for j in range(n) if j != i and j != k), key=lambda j: d[i, j] + d[j, k])
+            edge = (d[i, j] + d[j, k]) + rmop.graph.METRIC_TOL
+            if fault not in ("at_tol", "ulp_asymmetry"):
+                edge = np.nextafter(edge, np.inf)
+            d[i, k] = d[k, i] = edge
+            if fault == "diagonal":
+                d[i, i] = rng.uniform(-1.0, 1.0) * scale
+            elif fault == "ulp_asymmetry":
+                a, b = (i, k) if rng.integers(2) else (k, i)
+                d[a, b] = np.nextafter(edge, np.inf)
+            elif fault in ("nan", "inf", "-inf"):
+                d[i, j] = float(fault)
+                if rng.integers(2):
+                    d[j, i] = d[i, j]
+        verts = tuple(Vertex(v, 0.0, 0.0, 0.0) for v in range(n))
+        with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore", over="ignore"):
+            seen = spy_triangle_rows(mp)
+            report = verify_metric(MetricGraph(verts, d, euclidean=False))
+            expected = full_broadcast_triangle(d)
+        assert report.triangle == expected
+        if fault in ("ulp_asymmetry", "nan", "inf", "-inf"):
+            assert seen == [list(range(n))]
+        elif fault != "diagonal":
+            # Zero diagonal: the screen flags exactly the rows that hold a violation.
+            assert seen == [sorted({i for i, _, _ in expected})]
+
+    @pytest.mark.parametrize("layout", ["grid", "uniform"])
+    def test_generated_map_skips_the_exact_triangle_check(self, monkeypatch, layout):
+        seen = spy_triangle_rows(monkeypatch)
+        s = generate_scenario(300, 10, 3, 60.0, layout=layout, bumps=3, seed=1)
+        assert seen == [[]]
+        # One ulp of asymmetry, far below METRIC_TOL, sends every row to the exact check.
+        d = s.graph.distance.copy()
+        d[0, 1] = np.nextafter(d[0, 1], np.inf)
+        assert verify_metric(MetricGraph(s.graph.vertices, d, euclidean=False)).ok
+        assert seen[1] == list(range(300))
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e9])
+    def test_euclidean_matrix_is_bitwise_the_broadcast_formula(self, scale):
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 17, 64):
+            pos = rng.uniform(-1.0, 1.0, size=(n, 2)) * scale
+            verts = [Vertex(i, float(x), float(y), 0.0) for i, (x, y) in enumerate(pos)]
+            diff = pos[:, None, :] - pos[None, :, :]
+            assert (MetricGraph.from_positions(verts).distance.tobytes()
+                    == np.sqrt((diff ** 2).sum(axis=2)).tobytes())
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.tuples(st.floats(-50, 50), st.floats(-50, 50)),
