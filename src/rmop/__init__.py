@@ -17,10 +17,10 @@ from .orienteering import (EXACT_SIZE_LIMIT, GCB_ETA, OpSolverConfig, SizeGuardE
                            solve_op, solve_op_exact, solve_op_gcb)
 from .planner import (PlannerLoopError, SgaTrace, Solution, check_solution, sga,
                       solve_rmop, solve_sga)
-from .attack import (AttackOutcome, greedy_attack, partial_worst_attack, random_attack,
+from .attack import (ATTACK_MODELS, AttackOutcome, greedy_attack, random_attack, run_attack,
                      worst_case_attack)
 from .bench import (AttackSpec, BoundReport, ExperimentRecord, ExperimentSpec,
-                    bound_report, brute_force_mop, brute_force_rmop,
+                    bound_report, brute_force_rmop,
                     enumerate_feasible_paths, naive_greedy_baseline, plan, records_to_csv,
                     rmop_bound, run_experiment, sga_bound, summarize, summary_to_json)
 

@@ -10,7 +10,7 @@ plan against adversaries weaker than the one it was built for.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Optional
 
@@ -21,6 +21,8 @@ from .reward import RewardModel, eval_team
 from .orienteering import SizeGuardError
 
 SUBSET_GUARD = 10 ** 6
+
+ATTACK_MODELS = ("worst", "greedy", "random", "partial")
 
 
 @dataclass(frozen=True)
@@ -97,12 +99,25 @@ def random_attack(model: RewardModel, solution: Solution, size: int, seed: int) 
                          model="random", seed=seed)
 
 
-def partial_worst_attack(model: RewardModel, solution: Solution, planned_alpha: int,
-                         actual_size: int, max_subsets: int = SUBSET_GUARD) -> AttackOutcome:
-    """Worst-case attack weaker than planned for: the planner assumed
-    `planned_alpha` losses but only `actual_size` robots are removed."""
-    if actual_size > planned_alpha:
-        raise ValueError(
-            f"actual_size {actual_size} exceeds the planned attack size {planned_alpha}")
-    outcome = worst_case_attack(model, solution, actual_size, max_subsets=max_subsets)
-    return AttackOutcome(removed=outcome.removed, residual=outcome.residual, model="partial")
+def run_attack(name: str, model: RewardModel, solution: Solution, size: int,
+               seed: Optional[int] = None, planned_alpha: Optional[int] = None) -> AttackOutcome:
+    """Run the attack model `name` (one of ATTACK_MODELS) removing `size` robots.
+
+    `random` draws its removal from `seed`. `partial` is the exhaustive attack
+    on a plan built for `planned_alpha` losses, at a size no larger than that.
+    """
+    if name == "worst":
+        return worst_case_attack(model, solution, size)
+    if name == "greedy":
+        return greedy_attack(model, solution, size)
+    if name == "random":
+        if seed is None:
+            raise ValueError("random attacks require a seed (--seed)")
+        return random_attack(model, solution, size, seed=seed)
+    if name == "partial":
+        if planned_alpha is None:
+            raise ValueError("partial attacks require planned_alpha")
+        if size > planned_alpha:
+            raise ValueError(f"actual_size {size} exceeds the planned attack size {planned_alpha}")
+        return replace(worst_case_attack(model, solution, size), model="partial")
+    raise ValueError(f"unknown attack model {name!r}; expected one of {ATTACK_MODELS}")

@@ -23,10 +23,9 @@ import numpy as np
 from .graph import (MetricGraph, Path, Scenario, ScenarioError, check_keys, generate_scenario,
                     load_scenario, read_field, read_ints, resample_starts)
 from .reward import RewardModel, eval_vertex_set, team_curvature, vertex_curvature
-from .orienteering import OpSolverConfig, SizeGuardError
+from .orienteering import SUBROUTINES, OpSolverConfig, SizeGuardError
 from .planner import Solution, solve_rmop, solve_sga
-from .attack import (AttackOutcome, greedy_attack, partial_worst_attack, random_attack,
-                     worst_case_attack)
+from .attack import ATTACK_MODELS, run_attack
 
 PATH_PRODUCT_GUARD = 10 ** 7
 TABLE_SIZE_GUARD = 20
@@ -37,7 +36,6 @@ K_F_SURROGATE_NOTE = (
     "diagnostics, not certified constants")
 
 PLANNER_NAMES = ("rmop", "sga", "ng")
-ATTACK_MODELS = ("worst", "greedy", "random", "partial")
 
 
 def naive_greedy_baseline(scenario: Scenario) -> list[Path]:
@@ -184,42 +182,13 @@ def _feasible_path_sets(scenario: Scenario, max_product: int):
     return per_robot
 
 
-def brute_force_mop(scenario: Scenario,
-                    max_product: int = PATH_PRODUCT_GUARD) -> tuple[float, tuple[Path, ...]]:
-    """Exact team optimum with no adversary, by full enumeration."""
-    model = RewardModel.from_scenario(scenario)
-    table = _subset_reward_table(model)
-    per_robot = _feasible_path_sets(scenario, max_product)
-    n = scenario.n_robots
-    best_val = -math.inf
-    best_combo: Optional[tuple] = None
-
-    def rec(i: int, mask: int, chosen: tuple) -> None:
-        nonlocal best_val, best_combo
-        if i == n:
-            val = table[mask]
-            if val > best_val:
-                best_val = val
-                best_combo = chosen
-            return
-        for entry in per_robot[i]:
-            rec(i + 1, mask | entry[1], chosen + (entry,))
-
-    rec(0, 0, ())
-    witness = tuple(
-        Path(robot=i, vertices=entry[0], cost=entry[2]) for i, entry in enumerate(best_combo)
-    )
-    return best_val, witness
-
-
 def brute_force_rmop(scenario: Scenario,
                      max_product: int = PATH_PRODUCT_GUARD) -> tuple[float, tuple[Path, ...]]:
     """Exact optimal worst-case value: max over path tuples of the min over
     removals of exactly alpha robots. Monotonicity makes size-alpha removals
-    sufficient. Guarded to tiny instances."""
+    sufficient; at alpha 0 this is the team optimum with no adversary.
+    Guarded to tiny instances."""
     alpha = scenario.alpha
-    if alpha == 0:
-        return brute_force_mop(scenario, max_product=max_product)
     model = RewardModel.from_scenario(scenario)
     table = _subset_reward_table(model)
     per_robot = _feasible_path_sets(scenario, max_product)
@@ -288,7 +257,7 @@ class ExperimentSpec:
             if p not in PLANNER_NAMES:
                 raise ScenarioError(f"unknown planner {p!r}; expected one of {PLANNER_NAMES}")
         subroutine = read_field(doc, "subroutine", str, default="gcb")
-        if subroutine not in ("exact", "gcb"):
+        if subroutine not in SUBROUTINES:
             raise ScenarioError(f"unknown subroutine {subroutine!r}")
         raw_attacks = read_field(doc, "attacks", list)
         attacks = []
@@ -371,17 +340,6 @@ def plan(planner: str, scenario: Scenario, solver: OpSolverConfig) -> Solution:
     raise ValueError(f"unknown planner {planner!r}")
 
 
-def _apply_attack(attack: AttackSpec, size: int, model: RewardModel, solution: Solution,
-                  seed: int) -> AttackOutcome:
-    if attack.model == "worst":
-        return worst_case_attack(model, solution, size)
-    if attack.model == "greedy":
-        return greedy_attack(model, solution, size)
-    if attack.model == "random":
-        return random_attack(model, solution, size, seed=seed)
-    return partial_worst_attack(model, solution, attack.planned_alpha, size)
-
-
 def run_experiment(spec: ExperimentSpec, measure_time: bool = True) -> list[ExperimentRecord]:
     """Seeded trial sweep: resample starts, plan, attack, record.
 
@@ -416,7 +374,8 @@ def run_experiment(spec: ExperimentSpec, measure_time: bool = True) -> list[Expe
                 for planner in spec.planners:
                     solution, elapsed = planned(planner, plan_alpha)
                     seed = _derived_seed(spec.seed, trial, 202, a_idx, size)
-                    outcome = _apply_attack(attack, size, model, solution, seed)
+                    outcome = run_attack(attack.model, model, solution, size, seed=seed,
+                                         planned_alpha=attack.planned_alpha)
                     records.append(ExperimentRecord(
                         trial=trial, planner=planner, attack_model=attack.model,
                         attack_size=size, f_S=solution.team_reward,

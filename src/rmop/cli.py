@@ -19,9 +19,9 @@ from typing import Optional, Sequence
 from .graph import (Path, Scenario, ScenarioError, dump_scenario, generate_scenario,
                     load_scenario, read_field, read_ints)
 from .reward import RewardModel
-from .orienteering import OpSolverConfig, SizeGuardError
-from .planner import PlannerLoopError, Solution, check_solution, solve_rmop, solve_sga
-from .attack import greedy_attack, partial_worst_attack, random_attack, worst_case_attack
+from .orienteering import SUBROUTINES, OpSolverConfig, SizeGuardError
+from .planner import PlannerLoopError, Solution, check_solution
+from .attack import ATTACK_MODELS, run_attack
 from . import bench
 
 
@@ -151,15 +151,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     scenario, digest = _load_scenario_file(args.scenario)
     solver = OpSolverConfig(method=args.subroutine)
     try:
-        if args.planner == "rmop":
-            solution = solve_rmop(scenario, solver, mask_s1_vertices=args.mask_s1)
-        elif args.planner == "sga":
-            solution = solve_sga(scenario, solver)
-        else:
-            solution = bench.plan("ng", scenario, solver)
-    except SizeGuardError as exc:
-        raise CliError(f"{exc}") from exc
-    except PlannerLoopError as exc:
+        solution = bench.plan(args.planner, scenario, solver)
+    except (SizeGuardError, PlannerLoopError) as exc:
         raise CliError(str(exc)) from exc
 
     bound = None
@@ -189,18 +182,12 @@ def cmd_attack(args: argparse.Namespace) -> int:
         raise CliError(
             "scenario digest mismatch: the solution was computed from different "
             f"scenario bytes (expected {digest[:12]}..., got {actual_digest[:12]}...)")
-    model = RewardModel.from_scenario(scenario)
+    problems = check_solution(scenario, solution)
+    if problems:
+        raise CliError(f"solution does not pass verify: {problems[0]}")
     try:
-        if args.model == "worst":
-            outcome = worst_case_attack(model, solution, args.size)
-        elif args.model == "greedy":
-            outcome = greedy_attack(model, solution, args.size)
-        elif args.model == "random":
-            if args.seed is None:
-                raise CliError("random attacks require --seed")
-            outcome = random_attack(model, solution, args.size, seed=args.seed)
-        else:
-            outcome = partial_worst_attack(model, solution, scenario.alpha, args.size)
+        outcome = run_attack(args.model, RewardModel.from_scenario(scenario), solution,
+                             args.size, seed=args.seed, planned_alpha=scenario.alpha)
     except (SizeGuardError, ValueError) as exc:
         raise CliError(str(exc)) from exc
     report = {
@@ -294,17 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="plan paths for a scenario")
     p_solve.add_argument("--scenario", required=True)
     p_solve.add_argument("--planner", choices=bench.PLANNER_NAMES, required=True)
-    p_solve.add_argument("--subroutine", choices=("exact", "gcb"), default="gcb")
-    p_solve.add_argument("--mask-s1", action="store_true",
-                         help="non-standard variant: mask redundancy-set vertices "
-                              "before the sequential stage")
+    p_solve.add_argument("--subroutine", choices=SUBROUTINES, default="gcb")
     p_solve.add_argument("--out", required=True)
     p_solve.set_defaults(func=cmd_solve)
 
     p_attack = sub.add_parser("attack", help="attack a solved plan and score survivors")
     p_attack.add_argument("solution", help="solution document from 'solve'")
     p_attack.add_argument("--scenario", required=True)
-    p_attack.add_argument("--model", choices=bench.ATTACK_MODELS, required=True)
+    p_attack.add_argument("--model", choices=ATTACK_MODELS, required=True)
     p_attack.add_argument("--size", type=int, required=True)
     p_attack.add_argument("--seed", type=int, default=None)
     p_attack.add_argument("--out", default=None)

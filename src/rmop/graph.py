@@ -275,7 +275,7 @@ def _read_vertices(doc: dict) -> list[Vertex]:
         if reward < 0:
             raise ScenarioError(f"{where} has negative reward {reward}")
         pairs = read_field(entry, "coverage", list, where, default=[])
-        coverage = []
+        coverage: dict[int, float] = {}
         for c in range(len(pairs)):
             pair_name = f"{where}.coverage[{c}]"
             pair = read_field(pairs, c, list, f"{where}.coverage")
@@ -283,16 +283,18 @@ def _read_vertices(doc: dict) -> list[Vertex]:
                 raise ScenarioError(f"{pair_name} must be a [cell, weight] pair")
             cell = read_field(pair, 0, int, pair_name)
             weight = read_field(pair, 1, float, pair_name)
+            if cell in coverage:
+                raise ScenarioError(f"{pair_name} repeats cell {cell}")
             if weight < 0:
                 raise ScenarioError(f"{where} has negative coverage weight for cell {cell}")
             if cell_weights.setdefault(cell, weight) != weight:
                 raise ScenarioError(f"{pair_name} gives cell {cell} weight {weight}, "
                                     f"another vertex gives it {cell_weights[cell]}")
-            coverage.append((cell, weight))
+            coverage[cell] = weight
         vertices.append(Vertex(id=read_field(entry, "id", int, where),
                                x=read_field(entry, "x", float, where),
                                y=read_field(entry, "y", float, where), reward=reward,
-                               coverage=tuple(coverage)))
+                               coverage=tuple(coverage.items())))
     vertices.sort(key=lambda v: v.id)
     for pos, v in enumerate(vertices):
         if v.id != pos:

@@ -23,6 +23,8 @@ GCB_ETA = 2.0 / (1.0 - math.exp(-1.0))
 
 EXACT_SIZE_LIMIT = 14
 
+SUBROUTINES = ("exact", "gcb")
+
 GCB_ETA_NOTE = ("factor assumes a bounded budget relaxation; this solver enforces "
                 "the strict budget, so the number is reported, not guaranteed")
 
@@ -33,18 +35,17 @@ class SizeGuardError(RuntimeError):
 
 @dataclass(frozen=True)
 class OpSolverConfig:
-    """Which single-robot subroutine to run and the factor credited to it."""
+    """Which single-robot subroutine to run; `eta` is the factor credited to it."""
 
     method: str = "exact"
-    eta: Optional[float] = None
 
     def __post_init__(self):
-        if self.method not in ("exact", "gcb"):
-            raise ValueError(f"method must be 'exact' or 'gcb', got {self.method!r}")
-        if self.eta is None:
-            object.__setattr__(self, "eta", 1.0 if self.method == "exact" else GCB_ETA)
-        if self.eta < 1.0:
-            raise ValueError(f"eta must be >= 1, got {self.eta}")
+        if self.method not in SUBROUTINES:
+            raise ValueError(f"method must be one of {SUBROUTINES}, got {self.method!r}")
+
+    @property
+    def eta(self) -> float:
+        return 1.0 if self.method == "exact" else GCB_ETA
 
     @property
     def eta_note(self) -> Optional[str]:

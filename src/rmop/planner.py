@@ -115,8 +115,7 @@ def solve_sga(scenario: Scenario, solver: OpSolverConfig) -> Solution:
     return Solution.from_paths(model, paths)
 
 
-def solve_rmop(scenario: Scenario, solver: OpSolverConfig,
-               mask_s1_vertices: bool = False) -> Solution:
+def solve_rmop(scenario: Scenario, solver: OpSolverConfig) -> Solution:
     """Plan a team that is robust to losing the worst `alpha` of its robots.
 
     First solves the single-robot problem independently for everyone, then
@@ -125,10 +124,6 @@ def solve_rmop(scenario: Scenario, solver: OpSolverConfig,
     the weakest redundancy path (strictly better ones replace the losers'
     pool entries and the loop repeats). With alpha = 0 this reduces to the
     plain sequential planner.
-
-    `mask_s1_vertices` is a non-standard coordination variant that also
-    zeroes the redundancy set's vertices before the sequential stage; it is
-    off by default and changes the analysis, so use it only for experiments.
     """
     model = RewardModel.from_scenario(scenario)
     graph = scenario.graph
@@ -158,14 +153,7 @@ def solve_rmop(scenario: Scenario, solver: OpSolverConfig,
         order = sorted(range(n), key=lambda i: (-rewards[i], i))
         s1 = order[:alpha]
         rest = sorted(order[alpha:])
-
-        sga_model = model
-        if mask_s1_vertices:
-            claimed: set[int] = set()
-            for i in s1:
-                claimed.update(pool[i].vertices)
-            sga_model = model.with_masked(claimed)
-        s2_paths, _ = sga(graph, sga_model, [scenario.starts[j] for j in rest],
+        s2_paths, _ = sga(graph, model, [scenario.starts[j] for j in rest],
                           scenario.budget, solver, robots=rest)
 
         min_s1 = min(rewards[i] for i in s1)
@@ -224,9 +212,12 @@ def check_solution(scenario: Scenario, solution: Solution, tol: float = INVARIAN
                 f"by {true_cost - scenario.budget}")
 
     everyone = set(range(n))
+    unknown = sorted((solution.s1_robots | solution.s2_robots) - everyone)
     if solution.s1_robots & solution.s2_robots:
         problems.append("redundancy and coverage sets overlap")
-    if (solution.s1_robots | solution.s2_robots) != everyone:
+    if unknown:
+        problems.append(f"robot sets name robot {unknown[0]}, outside 0..{n - 1}")
+    elif (solution.s1_robots | solution.s2_robots) != everyone:
         problems.append("redundancy and coverage sets do not cover all robots")
     if len(solution.s1_robots) not in (scenario.alpha, 0):
         problems.append(
@@ -245,7 +236,7 @@ def check_solution(scenario: Scenario, solution: Solution, tol: float = INVARIAN
         problems.append(
             f"stored team reward {solution.team_reward} differs from recomputed {team}")
 
-    if solution.s1_robots and solution.s2_robots:
+    if solution.s1_robots and solution.s2_robots and not unknown:
         min_s1 = min(rewards[i] for i in solution.s1_robots)
         max_s2 = max(rewards[j] for j in solution.s2_robots)
         if min_s1 < max_s2 - tol:

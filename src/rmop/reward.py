@@ -36,14 +36,17 @@ class RewardModel:
         for w in self.weights:
             if w < 0:
                 raise RewardError("vertex weights must be non-negative")
-        seen: dict[int, float] = {}
-        for per_vertex in self.cells:
+        seen: dict[int, tuple[float, int]] = {}  # cell -> (weight, last vertex listing it)
+        for v, per_vertex in enumerate(self.cells):
             for cell, w in per_vertex:
                 if w < 0:
                     raise RewardError(f"cell {cell} has negative weight")
-                if cell in seen and seen[cell] != w:
-                    raise RewardError(f"cell {cell} has inconsistent weights {seen[cell]} and {w}")
-                seen[cell] = w
+                first_w, last_v = seen.get(cell, (w, -1))
+                if last_v == v:
+                    raise RewardError(f"vertex {v} lists cell {cell} more than once")
+                if first_w != w:
+                    raise RewardError(f"cell {cell} has inconsistent weights {first_w} and {w}")
+                seen[cell] = (w, v)
 
     @property
     def n(self) -> int:

@@ -19,7 +19,7 @@ from rmop.reward import (RewardModel, eval_team, eval_vertex_set, team_curvature
 from rmop.orienteering import OpSolverConfig
 from rmop.planner import LOOP_CAP_PER_ROBOT, solve_rmop, solve_sga
 from rmop.attack import greedy_attack, worst_case_attack
-from rmop.bench import (ExperimentSpec, brute_force_mop, brute_force_rmop, rmop_bound,
+from rmop.bench import (ExperimentSpec, brute_force_rmop, rmop_bound,
                         run_experiment, sga_bound, summarize)
 
 from helpers import random_tiny_scenario
@@ -108,7 +108,7 @@ def test_criterion_2_sequential_guarantee_holds():
     for scenario, model, _, _, k_g in _solved_bound_family():
         solution = solve_sga(scenario, EXACT)
         k_f = team_curvature(model, solution.paths).value
-        q_star, _ = brute_force_mop(scenario)
+        q_star, _ = brute_force_rmop(scenario.with_alpha(0))
         if k_f >= 1.0 or k_g >= 1.0:
             degenerate += 1
             bound = 0.0

@@ -7,7 +7,7 @@ from rmop.graph import Path
 from rmop.reward import RewardModel, eval_team
 from rmop.orienteering import OpSolverConfig, SizeGuardError
 from rmop.planner import Solution, solve_rmop
-from rmop.attack import (greedy_attack, partial_worst_attack, random_attack,
+from rmop.attack import (ATTACK_MODELS, greedy_attack, random_attack, run_attack,
                          worst_case_attack)
 
 from helpers import random_tiny_scenario
@@ -137,7 +137,7 @@ class TestRandomAttack:
 class TestPartialWorstAttack:
     def test_full_strength_equals_worst_case(self):
         model, solution = disjoint_solution()
-        partial = partial_worst_attack(model, solution, planned_alpha=2, actual_size=2)
+        partial = run_attack("partial", model, solution, 2, planned_alpha=2)
         worst = worst_case_attack(model, solution, 2)
         assert partial.removed == worst.removed
         assert partial.residual == worst.residual
@@ -145,13 +145,13 @@ class TestPartialWorstAttack:
 
     def test_zero_actual_size(self):
         model, solution = disjoint_solution()
-        outcome = partial_worst_attack(model, solution, planned_alpha=2, actual_size=0)
+        outcome = run_attack("partial", model, solution, 0, planned_alpha=2)
         assert outcome.residual == 20.0
 
     def test_actual_size_capped_by_plan(self):
         model, solution = disjoint_solution()
         with pytest.raises(ValueError, match="exceeds"):
-            partial_worst_attack(model, solution, planned_alpha=1, actual_size=2)
+            run_attack("partial", model, solution, 2, planned_alpha=1)
 
     def test_residual_sits_between_full_attack_and_no_attack(self):
         scenario = random_tiny_scenario(777, robots_range=(3, 3), alpha=2)
@@ -160,8 +160,30 @@ class TestPartialWorstAttack:
         full = worst_case_attack(model, solution, 2).residual
         # Verified by enumeration: minima over nested removal families are ordered.
         for actual in range(0, 3):
-            residual = partial_worst_attack(model, solution, 2, actual).residual
+            residual = run_attack("partial", model, solution, actual, planned_alpha=2).residual
             assert full - 1e-9 <= residual <= solution.team_reward + 1e-9
+
+
+class TestRunAttack:
+    def test_each_model_matches_its_attack_function(self):
+        model, solution = shared_solution()
+        expected = {"worst": worst_case_attack(model, solution, 1),
+                    "greedy": greedy_attack(model, solution, 1),
+                    "random": random_attack(model, solution, 1, seed=4)}
+        for name, outcome in expected.items():
+            assert run_attack(name, model, solution, 1, seed=4, planned_alpha=1) == outcome
+        assert set(ATTACK_MODELS) == set(expected) | {"partial"}
+
+    @pytest.mark.parametrize("name, missing", [("random", "seed"), ("partial", "planned_alpha")])
+    def test_missing_argument_rejected(self, name, missing):
+        model, solution = disjoint_solution()
+        with pytest.raises(ValueError, match=missing):
+            run_attack(name, model, solution, 1)
+
+    def test_unknown_model_rejected(self):
+        model, solution = disjoint_solution()
+        with pytest.raises(ValueError, match="unknown attack model"):
+            run_attack("magic", model, solution, 1)
 
 
 class TestResidualMonotonicity:

@@ -10,7 +10,7 @@ from rmop.reward import RewardModel, eval_team, eval_vertex_set
 from rmop.orienteering import OpSolverConfig, SizeGuardError, solve_op_exact
 from rmop.planner import solve_rmop
 from rmop.attack import worst_case_attack
-from rmop.bench import (ExperimentSpec, bound_report, brute_force_mop, brute_force_rmop,
+from rmop.bench import (ExperimentSpec, bound_report, brute_force_rmop,
                         enumerate_feasible_paths, naive_greedy_baseline, plan,
                         records_to_csv, rmop_bound, run_experiment, sga_bound, summarize)
 
@@ -105,7 +105,7 @@ class TestBoundReport:
 class TestBruteForceOracles:
     def test_mop_on_line_instance(self):
         scenario = line_scenario(n_robots=2, alpha=0)
-        value, witness = brute_force_mop(scenario)
+        value, witness = brute_force_rmop(scenario.with_alpha(0))
         assert value == 12.0
         model = RewardModel.from_scenario(scenario)
         assert eval_team(model, witness) == 12.0
@@ -114,7 +114,7 @@ class TestBruteForceOracles:
 
     def test_mop_single_robot_equals_exact_solver(self):
         scenario = line_scenario(n_robots=1, alpha=0)
-        value, _ = brute_force_mop(scenario)
+        value, _ = brute_force_rmop(scenario.with_alpha(0))
         model = RewardModel.from_scenario(scenario)
         path = solve_op_exact(scenario.graph, model, 0, scenario.budget)
         assert value == eval_vertex_set(model, path.vertices)
@@ -125,17 +125,13 @@ class TestBruteForceOracles:
         from rmop.graph import MetricGraph
         zero = Scenario(graph=MetricGraph.from_positions(verts), starts=(0, 0),
                         budget=2.0, alpha=0, reward_kind="modular")
-        assert brute_force_mop(zero)[0] == 0.0
+        assert brute_force_rmop(zero.with_alpha(0))[0] == 0.0
 
     def test_rmop_on_line_instance(self):
         scenario = line_scenario(n_robots=2, alpha=1)
         value, witness = brute_force_rmop(scenario)
         assert value == 8.0
         assert len(witness) == 2
-
-    def test_rmop_alpha_zero_is_mop(self):
-        scenario = line_scenario(n_robots=2, alpha=0)
-        assert brute_force_rmop(scenario)[0] == brute_force_mop(scenario)[0]
 
     def test_rmop_zero_budget_forces_starts(self):
         graph, model = line_instance()
@@ -189,7 +185,7 @@ class TestBruteForceOracles:
             sub = Scenario(graph=scenario.graph, starts=tuple(s2_starts),
                            budget=scenario.budget, alpha=0,
                            reward_kind=scenario.reward_kind)
-            q_value, _ = brute_force_mop(sub)
+            q_value, _ = brute_force_rmop(sub.with_alpha(0))
             assert q_value >= f_star - 1e-9
 
 

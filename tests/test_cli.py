@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 
@@ -6,8 +7,12 @@ import pytest
 
 import rmop.cli
 import rmop.graph
-from rmop.cli import main
+from rmop.attack import ATTACK_MODELS, run_attack
+from rmop.bench import PLANNER_NAMES
+from rmop.cli import build_parser, main, solution_from_document
 from rmop.graph import dump_scenario, generate_scenario, load_scenario, scenario_to_document
+from rmop.orienteering import SUBROUTINES
+from rmop.reward import RewardModel
 
 
 def run_cli(*argv):
@@ -160,6 +165,47 @@ class TestAttack:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["model"] == "partial"
+
+    @pytest.mark.parametrize("model", ["worst", "greedy", "random", "partial"])
+    def test_report_matches_the_library_dispatch(self, solved, capsys, model):
+        scenario_file, solution_file = solved
+        capsys.readouterr()
+        assert run_cli("attack", str(solution_file), "--scenario", str(scenario_file),
+                       "--model", model, "--size", "1", "--seed", "3") == 0
+        doc = json.loads(capsys.readouterr().out)
+        scenario = load_scenario(scenario_file.read_bytes())
+        solution, _, _ = solution_from_document(json.loads(solution_file.read_text()))
+        outcome = run_attack(model, RewardModel.from_scenario(scenario), solution, 1, seed=3,
+                             planned_alpha=scenario.alpha)
+        assert doc["removed"] == sorted(outcome.removed)
+        assert doc["residual"] == outcome.residual
+
+    def test_plan_failing_verify_refused(self, tmp_path, solved, capsys):
+        scenario_file, solution_file = solved
+        doc = json.loads(solution_file.read_text())
+        doc["paths"][1]["robot"] = 0
+        relabelled = tmp_path / "relabelled.json"
+        relabelled.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run_cli("attack", str(relabelled), "--scenario", str(scenario_file),
+                       "--model", "worst", "--size", "1")
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: solution does not pass verify: "
+                                    "path 1 is labeled for robot 0"]
+
+
+def test_parser_choices_are_the_library_tables():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+    def choices(command, flag):
+        return next(tuple(a.choices) for a in sub.choices[command]._actions
+                    if flag in a.option_strings)
+
+    assert choices("solve", "--planner") == PLANNER_NAMES
+    assert choices("solve", "--subroutine") == SUBROUTINES
+    assert choices("attack", "--model") == ATTACK_MODELS
 
 
 class TestBench:

@@ -39,10 +39,13 @@ SCENARIO_CASES = [
     ("ragged-matrix", ("distance_matrix",), [[0.0, 1.0, 2.0], [1.0, 0.0], [2.0, 1.0, 0.0]]),
     ("null-starts", ("starts",), None),
     ("cell-with-two-weights", ("vertices", 1, "coverage"), [[0, 2.0]]),
+    ("cell-repeated-in-one-vertex", ("vertices", 0, "coverage"), [[0, 1.0], [0, 1.0]]),
 ]
 SOLUTION_CASES = [
     ("fractional-path-vertex", ("paths", 0, "vertices", 0), 0.5),
     ("bool-robot", ("paths", 0, "robot"), False),
+    ("out-of-range-s1-robot", ("s1_robots",), [99]),
+    ("negative-s1-robot", ("s1_robots",), [-1]),
 ]
 SPEC_CASES = [
     ("int-attack", ("attacks",), [1]),

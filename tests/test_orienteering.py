@@ -25,10 +25,6 @@ class TestSolverConfig:
         assert cfg.eta == GCB_ETA
         assert "strict budget" in cfg.eta_note
 
-    def test_eta_below_one_rejected(self):
-        with pytest.raises(ValueError, match="eta"):
-            OpSolverConfig(method="exact", eta=0.5)
-
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="method"):
             OpSolverConfig(method="magic")

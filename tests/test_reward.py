@@ -51,6 +51,10 @@ class TestEvalVertexSet:
         with pytest.raises(RewardError, match="inconsistent"):
             RewardModel.coverage([[(0, 1.0)], [(0, 2.0)]])
 
+    def test_cell_repeated_within_a_vertex_rejected(self):
+        with pytest.raises(RewardError, match="more than once"):
+            RewardModel.coverage([[(0, 5.0), (0, 5.0)]])
+
     def test_negative_weight_rejected(self):
         with pytest.raises(RewardError):
             RewardModel.modular([-1.0])
