@@ -270,12 +270,18 @@ class ExperimentSpec:
                 raise ScenarioError(f"unknown attack model {attack_model!r}")
             planned = None
             if entry.get("planned_alpha") is not None:
+                if attack_model != "partial":
+                    raise ScenarioError(f"{where}.planned_alpha applies only to partial "
+                                        f"attacks, not {attack_model!r}")
                 planned = read_field(entry, "planned_alpha", int, where)
             if attack_model == "partial" and planned is None:
                 raise ScenarioError("partial attacks require 'planned_alpha'")
-            attacks.append(AttackSpec(model=attack_model,
-                                      sizes=tuple(read_ints(entry, "sizes", where)),
-                                      planned_alpha=planned))
+            sizes = tuple(read_ints(entry, "sizes", where))
+            for j, size in enumerate(sizes):
+                if planned is not None and size > planned:
+                    raise ScenarioError(f"{where}.sizes[{j}] is {size}, above planned_alpha "
+                                        f"{planned}")
+            attacks.append(AttackSpec(model=attack_model, sizes=sizes, planned_alpha=planned))
         scenario = read_field(doc, "scenario", dict)
         params, path = None, None
         if "path" in scenario:

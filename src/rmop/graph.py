@@ -68,9 +68,6 @@ class MetricGraph:
     def n(self) -> int:
         return len(self.vertices)
 
-    def d(self, i: int, j: int) -> float:
-        return float(self.distance[i, j])
-
     @classmethod
     def from_positions(cls, vertices: Sequence[Vertex]) -> "MetricGraph":
         """Build the graph with pairwise Euclidean distances."""
@@ -114,10 +111,6 @@ class Path:
     robot: int
     vertices: tuple[int, ...]
     cost: float
-
-    @property
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.vertices)
 
 
 @dataclass(frozen=True)

@@ -54,9 +54,6 @@ class Solution:
     def n_robots(self) -> int:
         return len(self.paths)
 
-    def path_of(self, robot: int) -> Path:
-        return self.paths[robot]
-
     @classmethod
     def from_paths(cls, model: RewardModel, paths: Sequence[Path], s1: Sequence[int] = (),
                    loop_iterations: int = 0,
@@ -84,6 +81,12 @@ def sga(graph: MetricGraph, model: RewardModel, starts: Sequence[int], budget: f
     vertices are masked so later robots only chase what is still uncovered.
     Trace gains are the true team-reward increments; masked counts record
     how many vertices were already masked when each robot planned.
+
+    Known limitation: masking empties the visited *vertices*, not the *cells*
+    they covered, so on coverage rewards a later robot is still paid for a
+    cell that an unvisited vertex shares with a visited one. With two
+    vertices covering one cell, the second robot takes the other vertex for
+    a true team gain of 0.0.
     """
     if robots is None:
         robots = list(range(len(starts)))
@@ -96,7 +99,7 @@ def sga(graph: MetricGraph, model: RewardModel, starts: Sequence[int], budget: f
     collected: set[int] = set()
     before = 0.0
     for robot, start in zip(robots, starts):
-        masked_counts.append(len(masked.masked))
+        masked_counts.append(len(collected))
         path = solve_op(graph, masked, start, budget, solver, robot=robot)
         paths.append(path)
         collected.update(path.vertices)

@@ -1,12 +1,13 @@
 """Reward evaluation for vertex sets and robot-path teams.
 
-Two reward kinds share one interface: modular (each vertex carries an
-additive weight) and coverage (each vertex covers weighted cells; a cell
-counts once however many selected vertices cover it). The team reward of a
-path set is the reward of the union of their vertex sets, so nothing is
-ever double counted. Masking zeroes chosen vertices without touching the
-graph, which is how sequential planners hand "already collected" state to
-the next robot. Models are immutable; masked variants are cheap views.
+Every reward is a weighted coverage function: each vertex covers weighted
+cells, and a set of vertices earns the weight of every cell at least one of
+them covers, once. A modular reward is the case where every vertex covers
+one private cell carrying its weight. The team reward of a path set is the
+reward of the union of their vertex sets, so nothing is ever double
+counted. Masking empties chosen vertices' cells without touching the graph,
+which is how sequential planners hand "already collected" state to the next
+robot. Models are immutable; masked variants share the other vertices' cells.
 """
 
 from __future__ import annotations
@@ -23,46 +24,39 @@ class RewardError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class RewardModel:
-    kind: str
-    weights: tuple[float, ...]
-    cells: tuple[tuple[tuple[int, float], ...], ...]
-    masked: frozenset[int] = frozenset()
+    """Vertex v covers the (cell, weight) pairs `cells[v]`.
 
-    def __post_init__(self):
-        if self.kind not in ("modular", "coverage"):
-            raise RewardError(f"unknown reward kind {self.kind!r}")
-        if len(self.weights) != len(self.cells):
-            raise RewardError("weights and cells must have one entry per vertex")
-        for w in self.weights:
-            if w < 0:
-                raise RewardError("vertex weights must be non-negative")
+    Build models with `modular` or `coverage`, which validate the cells: no
+    negative weight, no cell listed twice by one vertex, and one weight per
+    cell. `with_masked` derives from a validated model and skips the check.
+    """
+
+    cells: tuple[tuple[tuple[int, float], ...], ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.cells)
+
+    @classmethod
+    def modular(cls, weights: Sequence[float]) -> "RewardModel":
+        """Additive weights: vertex v alone covers cell v, of weight weights[v]."""
+        return cls.coverage([[(v, w)] for v, w in enumerate(weights)])
+
+    @classmethod
+    def coverage(cls, cells: Sequence[Sequence[tuple[int, float]]]) -> "RewardModel":
+        per_vertex = tuple(tuple((int(c), float(w)) for c, w in entry) for entry in cells)
         seen: dict[int, tuple[float, int]] = {}  # cell -> (weight, last vertex listing it)
-        for v, per_vertex in enumerate(self.cells):
-            for cell, w in per_vertex:
-                if w < 0:
-                    raise RewardError(f"cell {cell} has negative weight")
+        for v, entry in enumerate(per_vertex):
+            for cell, w in entry:
+                if not w >= 0.0:
+                    raise RewardError(f"cell {cell} has weight {w}; weights must be non-negative")
                 first_w, last_v = seen.get(cell, (w, -1))
                 if last_v == v:
                     raise RewardError(f"vertex {v} lists cell {cell} more than once")
                 if first_w != w:
                     raise RewardError(f"cell {cell} has inconsistent weights {first_w} and {w}")
                 seen[cell] = (w, v)
-
-    @property
-    def n(self) -> int:
-        return len(self.weights)
-
-    @classmethod
-    def modular(cls, weights: Sequence[float], masked: Iterable[int] = ()) -> "RewardModel":
-        w = tuple(float(x) for x in weights)
-        return cls(kind="modular", weights=w, cells=((),) * len(w), masked=frozenset(masked))
-
-    @classmethod
-    def coverage(cls, cells: Sequence[Sequence[tuple[int, float]]],
-                 masked: Iterable[int] = ()) -> "RewardModel":
-        per_vertex = tuple(tuple((int(c), float(w)) for c, w in entry) for entry in cells)
-        return cls(kind="coverage", weights=(0.0,) * len(per_vertex), cells=per_vertex,
-                   masked=frozenset(masked))
+        return cls(cells=per_vertex)
 
     @classmethod
     def from_scenario(cls, scenario: Scenario) -> "RewardModel":
@@ -72,12 +66,12 @@ class RewardModel:
         return cls.coverage([v.coverage for v in vertices])
 
     def with_masked(self, ids: Iterable[int]) -> "RewardModel":
-        """Derived view whose listed vertices contribute exactly zero."""
-        extra = frozenset(int(i) for i in ids)
-        for i in extra:
+        """Derived model whose listed vertices cover nothing, so contribute exactly zero."""
+        masked = frozenset(int(i) for i in ids)
+        for i in masked:
             self._check_id(i)
-        return RewardModel(kind=self.kind, weights=self.weights, cells=self.cells,
-                           masked=self.masked | extra)
+        return RewardModel(cells=tuple(() if v in masked else entry
+                                       for v, entry in enumerate(self.cells)))
 
     def _check_id(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -85,23 +79,14 @@ class RewardModel:
 
     def singleton(self, v: int) -> float:
         self._check_id(v)
-        if v in self.masked:
-            return 0.0
-        if self.kind == "modular":
-            return self.weights[v]
         return sum(w for _, w in self.cells[v])
 
 
 def eval_vertex_set(model: RewardModel, ids: Iterable[int]) -> float:
-    """Reward of a vertex set: sum of unmasked weights, or covered-cell mass."""
-    id_set = set(ids)
-    for v in id_set:
-        model._check_id(v)
-    live = id_set - model.masked
-    if model.kind == "modular":
-        return sum(model.weights[v] for v in live)
+    """Reward of a vertex set: the weight of the cells it covers, each once."""
     covered: dict[int, float] = {}
-    for v in live:
+    for v in set(ids):
+        model._check_id(v)
         for cell, w in model.cells[v]:
             covered[cell] = w
     return sum(covered.values())
@@ -156,13 +141,13 @@ def curvature(ground_set: Sequence, evaluator: Callable[[Sequence], float]) -> C
 
 def vertex_curvature(model: RewardModel) -> CurvatureEstimate:
     """Curvature of the single-robot reward over the whole vertex set."""
-    ids = list(range(model.n))
-    if model.kind == "modular":
-        # Additive by construction: the leave-one-out drop equals the singleton.
-        skipped = sum(1 for v in ids if model.singleton(v) <= 0.0)
+    singles, private = _vertex_tables(model)
+    if all(private):
+        # No cell is shared, so the reward is additive: every leave-one-out
+        # drop equals the singleton.
         return CurvatureEstimate(value=0.0, ground_set_size=model.n,
-                                 skipped_zero_singletons=skipped)
-    return curvature(ids, lambda subset: eval_vertex_set(model, subset))
+                                 skipped_zero_singletons=sum(1 for s in singles if s <= 0.0))
+    return curvature(list(range(model.n)), lambda subset: eval_vertex_set(model, subset))
 
 
 def team_curvature(model: RewardModel, paths: Sequence[Path]) -> CurvatureEstimate:
@@ -176,11 +161,23 @@ def team_curvature(model: RewardModel, paths: Sequence[Path]) -> CurvatureEstima
                      lambda idxs: eval_team(model, [paths[i] for i in idxs]))
 
 
+def _vertex_tables(model: RewardModel) -> tuple[list[float], list[bool]]:
+    """Each vertex's singleton reward, and whether no other vertex covers any of its cells."""
+    sharers: dict[int, int] = {}
+    for entry in model.cells:
+        for cell, _ in entry:
+            sharers[cell] = sharers.get(cell, 0) + 1
+    singles = [sum(w for _, w in entry) for entry in model.cells]
+    private = [all(sharers[cell] == 1 for cell, _ in entry) for entry in model.cells]
+    return singles, private
+
+
 class IncrementalEval:
     """Marginal-gain evaluator over a mutable vertex set.
 
     Tracks the running reward so solvers can query gains in O(cells covered)
-    instead of re-evaluating whole sets. `value` always equals
+    instead of re-evaluating whole sets; a vertex whose cells no other vertex
+    covers gains its singleton reward until it joins. `value` always equals
     eval_vertex_set(model, members).
     """
 
@@ -189,31 +186,27 @@ class IncrementalEval:
         self.members: set[int] = set()
         self.value = 0.0
         self._cell_count: dict[int, int] = {}
+        self._singles, self._private = _vertex_tables(model)
 
     def gain(self, v: int) -> float:
-        if v in self.members or v in self.model.masked:
+        if v in self.members:
             return 0.0
-        if self.model.kind == "modular":
-            return self.model.weights[v]
-        return sum(w for cell, w in self.model.cells[v] if self._cell_count.get(cell, 0) == 0)
+        if self._private[v]:
+            return self._singles[v]
+        count = self._cell_count
+        return sum(w for cell, w in self.model.cells[v] if cell not in count)
 
     def add(self, v: int) -> float:
         g = self.gain(v)
         if v not in self.members:
             self.members.add(v)
-            if self.model.kind == "coverage" and v not in self.model.masked:
-                for cell, _ in self.model.cells[v]:
-                    self._cell_count[cell] = self._cell_count.get(cell, 0) + 1
+            for cell, _ in self.model.cells[v]:
+                self._cell_count[cell] = self._cell_count.get(cell, 0) + 1
             self.value += g
         return g
 
     def remove(self, v: int) -> None:
         self.members.remove(v)
-        if v in self.model.masked:
-            return
-        if self.model.kind == "modular":
-            self.value -= self.model.weights[v]
-            return
         for cell, w in self.model.cells[v]:
             self._cell_count[cell] -= 1
             if self._cell_count[cell] == 0:

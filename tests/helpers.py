@@ -37,11 +37,8 @@ def line_scenario(n_robots=2, alpha=1, budget=2.0):
 
 def oracle_eval(model, ids):
     """Reward of a vertex set, recomputed straight from the model tables."""
-    live = [v for v in set(ids) if v not in model.masked]
-    if model.kind == "modular":
-        return float(sum(model.weights[v] for v in live))
     seen = {}
-    for v in live:
+    for v in set(ids):
         for cell, w in model.cells[v]:
             seen[cell] = w
     return float(sum(seen.values()))

@@ -232,19 +232,16 @@ def test_criterion_7_set_function_laws():
     """1000 random set pairs per model: submodularity and monotonicity at
     1e-9; modular curvature exactly 0; curvature always in [0, 1]."""
     rng = np.random.default_rng(2024)
-    models = []
+    scenarios = []
     for i in range(3):
-        models.append(RewardModel.from_scenario(
-            random_tiny_scenario(60_000 + i, kind="modular", n_range=(6, 8))))
-        models.append(RewardModel.from_scenario(
-            random_tiny_scenario(61_000 + i, kind="coverage", n_range=(6, 8))))
-    models.append(RewardModel.from_scenario(
-        generate_scenario(30, 4, 1, 40.0, seed=3, reward_kind="coverage")))
-    models.append(RewardModel.from_scenario(
-        generate_scenario(30, 4, 1, 40.0, seed=4, reward_kind="modular")))
+        scenarios.append(random_tiny_scenario(60_000 + i, kind="modular", n_range=(6, 8)))
+        scenarios.append(random_tiny_scenario(61_000 + i, kind="coverage", n_range=(6, 8)))
+    scenarios.append(generate_scenario(30, 4, 1, 40.0, seed=3, reward_kind="coverage"))
+    scenarios.append(generate_scenario(30, 4, 1, 40.0, seed=4, reward_kind="modular"))
+    models = [(s.reward_kind, RewardModel.from_scenario(s)) for s in scenarios]
 
     sub_viol = mono_viol = 0
-    for model in models:
+    for _, model in models:
         n = model.n
         for _ in range(1000):
             a = {v for v in range(n) if rng.random() < 0.5}
@@ -256,11 +253,11 @@ def test_criterion_7_set_function_laws():
                 mono_viol += 1
 
     curvature_ok = True
-    for model in models:
+    for kind, model in models:
         est = vertex_curvature(model)
         if not 0.0 <= est.value <= 1.0:
             curvature_ok = False
-        if model.kind == "modular" and est.value != 0.0:
+        if kind == "modular" and est.value != 0.0:
             curvature_ok = False
     _report("criterion 7 (set-function laws)",
             sub_viol == 0 and mono_viol == 0 and curvature_ok,
@@ -293,7 +290,7 @@ def test_criterion_8_attack_oracle_soundness():
             if eval_team(model, survivors) < worst - TOL:
                 random_beats += 1
                 break
-        sets = [p.vertex_set for p in solution.paths]
+        sets = [frozenset(p.vertices) for p in solution.paths]
         disjoint = all(not (sets[i1] & sets[j1])
                        for i1 in range(n) for j1 in range(i1 + 1, n))
         if scenario.reward_kind == "modular" and disjoint:

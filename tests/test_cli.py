@@ -266,6 +266,27 @@ class TestBench:
         assert hashlib.sha256(summary_out.read_bytes()).hexdigest() == (
             "e342b1de60efc94d27b86330cad61b21f9defb3e074d7981d2931390ceb35f23")
 
+    def test_coverage_output_is_pinned(self, tmp_path):
+        # The coverage-attack benchmark scenario at one trial and small attack
+        # sizes: pins the coverage reward path (shared cells, masking in sga,
+        # cell-union team rewards) the way the crossover pin covers modular.
+        sizes = [1, 2, 3, 4]
+        doc = {"scenario": {"vertices": 64, "robots": 16, "budget": 60.0, "layout": "uniform",
+                            "bumps": 3, "seed": 1, "reward_kind": "coverage"},
+               "planners": ["rmop", "sga", "ng"],
+               "attacks": [{"model": "worst", "sizes": sizes},
+                           {"model": "greedy", "sizes": sizes}],
+               "trials": 1, "seed": 7}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        csv_out, summary_out = tmp_path / "out.csv", tmp_path / "summary.json"
+        assert run_cli("bench", "--no-timing", "--spec", str(spec), "--out-csv", str(csv_out),
+                       "--out-summary", str(summary_out)) == 0
+        assert hashlib.sha256(csv_out.read_bytes()).hexdigest() == (
+            "3e7d2aeb65f69a1c356148247730130fb86059c4182958bf7f0b353f87fe7100")
+        assert hashlib.sha256(summary_out.read_bytes()).hexdigest() == (
+            "22e53049c8c55443742c90bf4f9722a0aff597a8565868e5d13b961635b75ab2")
+
 
 class TestVerify:
     def test_clean_pair_exits_zero(self, solved, capsys):

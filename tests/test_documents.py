@@ -6,6 +6,7 @@ with exit code 1: never a traceback, and never a silently truncated value.
 
 import copy
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,6 +56,9 @@ SPEC_CASES = [
     ("missing-scenario-file", ("scenario",), {"path": "missing-scenario.json"}),
     ("fractional-trials", ("trials",), 1.9),
     ("fractional-size", ("attacks", 0, "sizes"), [1.9]),
+    ("planned-alpha-on-greedy", ("attacks", 0, "planned_alpha"), 1),
+    ("partial-size-above-planned-alpha", ("attacks", 0),
+     {"model": "partial", "sizes": [1, 2], "planned_alpha": 1}),
 ]
 
 
@@ -106,6 +110,24 @@ def test_malformed_input_is_one_error_line(case, tmp_path, monkeypatch, capsys):
     lines = (out if command.startswith("verify") else err).splitlines()
     prefix = "FAIL: " if command.startswith("verify") else "error: "
     assert len(lines) == 1 and lines[0].startswith(prefix), (out, err)
+
+
+@pytest.mark.parametrize("attack, field", [
+    ({"model": "worst", "sizes": [1], "planned_alpha": 2}, "attacks[0].planned_alpha"),
+    ({"model": "greedy", "sizes": [1], "planned_alpha": 1}, "attacks[0].planned_alpha"),
+    ({"model": "random", "sizes": [1], "planned_alpha": 1}, "attacks[0].planned_alpha"),
+    ({"model": "partial", "sizes": [1, 2], "planned_alpha": 1}, "attacks[0].sizes[1]"),
+])
+def test_attack_parameters_are_checked_while_parsing(attack, field):
+    # Refused by the parse itself, before any trial is planned.
+    with pytest.raises(ScenarioError, match=re.escape(field)):
+        ExperimentSpec.from_document(mutated(SPEC, ("attacks", 0), attack))
+
+
+def test_partial_sizes_up_to_planned_alpha_parse():
+    spec = ExperimentSpec.from_document(
+        mutated(SPEC, ("attacks", 0), {"model": "partial", "sizes": [1, 2], "planned_alpha": 2}))
+    assert spec.attacks[0].sizes == (1, 2) and spec.attacks[0].planned_alpha == 2
 
 
 KEYS = sorted(set(SCENARIO) | set(SCENARIO["vertices"][0]) | set(SPEC) | set(SPEC["scenario"])

@@ -35,10 +35,10 @@ class TestLoadScenario:
     def test_positions_only_builds_euclidean_matrix(self):
         s = load_scenario(json.dumps(doc_4v()))
         assert s.graph.n == 4
-        assert s.graph.d(0, 1) == pytest.approx(1.0)
-        assert s.graph.d(0, 2) == pytest.approx(2.0)
-        assert s.graph.d(0, 3) == pytest.approx(2.0)
-        assert s.graph.d(1, 3) == pytest.approx(math.sqrt(5.0))
+        assert s.graph.distance[0, 1] == pytest.approx(1.0)
+        assert s.graph.distance[0, 2] == pytest.approx(2.0)
+        assert s.graph.distance[0, 3] == pytest.approx(2.0)
+        assert s.graph.distance[1, 3] == pytest.approx(math.sqrt(5.0))
 
     def test_alpha_must_be_below_robot_count(self):
         with pytest.raises(ScenarioError, match="alpha must be < 2"):

@@ -172,7 +172,7 @@ class TestSolverInvariants:
             gcb_val = eval_vertex_set(model, solve_op_gcb(graph, model, start, budget).vertices)
             best_single = 0.0
             for v in range(graph.n):
-                if v != start and graph.d(start, v) <= budget:
+                if v != start and graph.distance[start, v] <= budget:
                     best_single = max(best_single, eval_vertex_set(model, {start, v}))
             assert gcb_val <= exact_val + TOL
             assert gcb_val >= best_single - TOL

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rmop.graph import Path
 from rmop.reward import (CurvatureEstimate, IncrementalEval, RewardError, RewardModel,
@@ -209,3 +209,54 @@ class TestIncrementalEval:
         for v in range(6):
             expected = eval_vertex_set(m, base | {v}) - eval_vertex_set(m, base)
             assert ev.gain(v) == pytest.approx(expected, abs=1e-12)
+
+
+@st.composite
+def masked_instances(draw):
+    """(model, masked ids, member ids) with integral weights, so sums are exact.
+
+    Coverage cells come from a pool of four, so vertices often share a cell
+    and masking one sharer often leaves another one private.
+    """
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(0, 9), min_size=1, max_size=6))
+        model = RewardModel.modular([float(w) for w in weights])
+    else:
+        cover = draw(st.lists(st.sets(st.integers(0, 3), max_size=3), min_size=1, max_size=6))
+        model = RewardModel.coverage([[(c, float(c + 1)) for c in sorted(cells)]
+                                      for cells in cover])
+    ids = st.integers(0, model.n - 1)
+    return model, draw(st.sets(ids)), draw(st.lists(ids, unique=True))
+
+
+class TestModularIsPrivateCellCoverage:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=8), st.data())
+    def test_value_is_the_plain_weight_sum(self, weights, data):
+        ids = data.draw(st.lists(st.integers(0, len(weights) - 1), max_size=12))
+        masked = data.draw(st.sets(st.integers(0, len(weights) - 1)))
+        model = RewardModel.modular(weights)
+        # Summed in the iteration order of set(ids), as eval_vertex_set does.
+        assert eval_vertex_set(model, ids) == sum(weights[v] for v in set(ids))
+        assert eval_vertex_set(model.with_masked(masked), ids) == sum(
+            weights[v] for v in set(ids) if v not in masked)
+
+    @settings(max_examples=200, deadline=None)
+    @given(masked_instances())
+    # Vertex 1 shares cell 0 with vertex 0 until 0 is masked, then it is private.
+    @example((RewardModel.coverage([[(0, 1.0)], [(0, 1.0), (1, 2.0)], [(2, 3.0)]]), {0}, [0]))
+    def test_gain_is_the_marginal_before_and_after_masking(self, instance):
+        model, masked, members = instance
+        for m in (model, model.with_masked(masked)):
+            ev = IncrementalEval(m)
+            for v in members:
+                ev.add(v)
+            base = eval_vertex_set(m, members)
+            assert ev.value == base
+            for v in range(m.n):
+                assert ev.gain(v) == eval_vertex_set(m, members + [v]) - base
+
+    def test_with_masked_keeps_the_other_cells(self):
+        model = RewardModel.coverage([[(0, 1.0)], [(0, 1.0), (1, 2.0)]])
+        assert model.with_masked([1]).cells == (((0, 1.0),), ())
+        assert RewardModel.modular([4.0, 0.0]).cells == (((0, 4.0),), ((1, 0.0),))
