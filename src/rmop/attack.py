@@ -45,8 +45,7 @@ def _check_size(solution: Solution, size: int) -> None:
         raise ValueError(f"attack size must be < {solution.n_robots} robots, got {size}")
 
 
-def worst_case_attack(model: RewardModel, solution: Solution, size: int,
-                      max_subsets: int = SUBSET_GUARD) -> AttackOutcome:
+def worst_case_attack(model: RewardModel, solution: Solution, size: int) -> AttackOutcome:
     """Exhaustive minimization of the surviving team reward over removals.
 
     Enumerates all subsets of exactly `size` robots (monotonicity means a
@@ -55,9 +54,9 @@ def worst_case_attack(model: RewardModel, solution: Solution, size: int,
     """
     _check_size(solution, size)
     n = solution.n_robots
-    if math.comb(n, size) > max_subsets:
+    if math.comb(n, size) > SUBSET_GUARD:
         raise SizeGuardError(
-            f"C({n},{size}) removal subsets exceed the guard of {max_subsets}; "
+            f"C({n},{size}) removal subsets exceed the guard of {SUBSET_GUARD}; "
             "use greedy_attack instead")
     best_set = frozenset(range(size))
     best_residual = _residual(model, solution, best_set)
@@ -113,6 +112,8 @@ def run_attack(name: str, model: RewardModel, solution: Solution, size: int,
     if name == "random":
         if seed is None:
             raise ValueError("random attacks require a seed (--seed)")
+        if seed < 0:
+            raise ValueError(f"random attack seed (--seed) must be >= 0, got {seed}")
         return random_attack(model, solution, size, seed=seed)
     if name == "partial":
         if planned_alpha is None:

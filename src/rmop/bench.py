@@ -1,10 +1,8 @@
-"""Baselines, guarantee calculators, brute-force oracles, and the experiment harness.
+"""Baselines, guarantee calculators, and the experiment harness.
 
 Everything a benchmark run needs around the planners: the uncoordinated
-greedy baseline, the closed-form worst-case guarantee fractions, exact
-max / max-min oracles for desk-scale instances, and a seeded trial runner
-that emits plot-ready records. The oracles carry explicit size guards; they
-exist to check the fast planners, not to scale.
+greedy baseline, the closed-form worst-case guarantee fractions, and a
+seeded trial runner that emits plot-ready records.
 """
 
 from __future__ import annotations
@@ -12,23 +10,18 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import time
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph import (MetricGraph, Path, Scenario, ScenarioError, check_keys, generate_scenario,
-                    load_scenario, read_field, read_ints, resample_starts)
-from .reward import RewardModel, eval_vertex_set, team_curvature, vertex_curvature
-from .orienteering import SUBROUTINES, OpSolverConfig, SizeGuardError
+from .graph import (Path, Scenario, ScenarioError, check_keys, generate_scenario, load_scenario,
+                    read_field, read_ints, resample_starts)
+from .reward import RewardModel, team_curvature, vertex_curvature
+from .orienteering import SUBROUTINES, OpSolverConfig
 from .planner import Solution, solve_rmop, solve_sga
 from .attack import ATTACK_MODELS, run_attack
-
-PATH_PRODUCT_GUARD = 10 ** 7
-TABLE_SIZE_GUARD = 20
 
 K_F_SURROGATE_NOTE = (
     "k_f estimated with the returned solution's paths as the ground set; the true "
@@ -127,104 +120,6 @@ def bound_report(model: RewardModel, solution: Solution, eta: float,
     )
 
 
-def _subset_reward_table(model: RewardModel) -> list[float]:
-    n = model.n
-    if n > TABLE_SIZE_GUARD:
-        raise SizeGuardError(f"subset table needs 2^{n} entries; guard is 2^{TABLE_SIZE_GUARD}")
-    table = [0.0] * (1 << n)
-    for mask in range(1, 1 << n):
-        table[mask] = eval_vertex_set(model, [v for v in range(n) if mask >> v & 1])
-    return table
-
-
-def enumerate_feasible_paths(graph: MetricGraph, start: int, budget: float,
-                             max_paths: int = 200_000) -> list[tuple[tuple[int, ...], int, float]]:
-    """All simple rooted paths within budget as (vertices, bitmask, cost)."""
-    dist = graph.distance.tolist()
-    n = graph.n
-    out: list[tuple[tuple[int, ...], int, float]] = []
-    seq = [start]
-    visited = [False] * n
-    visited[start] = True
-
-    def dfs(cost: float, mask: int) -> None:
-        if len(out) > max_paths:
-            raise SizeGuardError(f"more than {max_paths} feasible paths from vertex {start}")
-        out.append((tuple(seq), mask, cost))
-        last = seq[-1]
-        for v in range(n):
-            if visited[v]:
-                continue
-            step = dist[last][v]
-            if cost + step > budget:
-                continue
-            visited[v] = True
-            seq.append(v)
-            dfs(cost + step, mask | (1 << v))
-            seq.pop()
-            visited[v] = False
-
-    dfs(0.0, 1 << start)
-    return out
-
-
-def _feasible_path_sets(scenario: Scenario, max_product: int):
-    per_robot = [
-        enumerate_feasible_paths(scenario.graph, start, scenario.budget)
-        for start in scenario.starts
-    ]
-    product = 1
-    for options in per_robot:
-        product *= len(options)
-        if product > max_product:
-            raise SizeGuardError(
-                f"feasible path tuples exceed the guard of {max_product}")
-    return per_robot
-
-
-def brute_force_rmop(scenario: Scenario,
-                     max_product: int = PATH_PRODUCT_GUARD) -> tuple[float, tuple[Path, ...]]:
-    """Exact optimal worst-case value: max over path tuples of the min over
-    removals of exactly alpha robots. Monotonicity makes size-alpha removals
-    sufficient; at alpha 0 this is the team optimum with no adversary.
-    Guarded to tiny instances."""
-    alpha = scenario.alpha
-    model = RewardModel.from_scenario(scenario)
-    table = _subset_reward_table(model)
-    per_robot = _feasible_path_sets(scenario, max_product)
-    n = scenario.n_robots
-    keep_sets = [
-        [i for i in range(n) if i not in removed]
-        for removed in combinations(range(n), alpha)
-    ]
-    best_val = -math.inf
-    best_combo: Optional[tuple] = None
-
-    def rec(i: int, masks: tuple, chosen: tuple) -> None:
-        nonlocal best_val, best_combo
-        if i == n:
-            worst = math.inf
-            for keep in keep_sets:
-                m = 0
-                for k in keep:
-                    m |= masks[k]
-                val = table[m]
-                if val < worst:
-                    worst = val
-            if worst > best_val:
-                best_val = worst
-                best_combo = chosen
-            return
-        for entry in per_robot[i]:
-            rec(i + 1, masks + (entry[1],), chosen + (entry,))
-
-    rec(0, (), ())
-    witness = tuple(
-        Path(robot=i, vertices=entry[0], cost=entry[2]) for i, entry in enumerate(best_combo)
-    )
-    return best_val, witness
-
-
 @dataclass(frozen=True)
 class AttackSpec:
     model: str
@@ -300,11 +195,16 @@ class ExperimentSpec:
                 bumps=read_field(scenario, "bumps", int, "scenario", default=3),
                 seed=read_field(scenario, "seed", int, "scenario", default=0),
                 reward_kind=read_field(scenario, "reward_kind", str, "scenario", default="modular"))
+            if params["seed"] < 0:
+                raise ScenarioError(f"scenario.seed must be >= 0, got {params['seed']}")
         trials = read_field(doc, "trials", int)
         if trials < 0:
             raise ScenarioError("trials must be >= 0")
+        seed = read_field(doc, "seed", int)
+        if seed < 0:
+            raise ScenarioError(f"seed must be >= 0, got {seed}")
         return cls(planners=planners, attacks=tuple(attacks), trials=trials,
-                   seed=read_field(doc, "seed", int), subroutine=subroutine,
+                   seed=seed, subroutine=subroutine,
                    scenario_params=params, scenario_path=path)
 
     def base_scenario(self) -> Scenario:

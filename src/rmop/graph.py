@@ -152,7 +152,7 @@ def _triangle_rows(d: np.ndarray, tol: float) -> Sequence[int]:
     return np.flatnonzero(hit.any(axis=0) | hit.any(axis=1)).tolist()
 
 
-def verify_metric(graph: MetricGraph, tol: float = METRIC_TOL) -> MetricReport:
+def verify_metric(graph: MetricGraph) -> MetricReport:
     """Report every symmetry, diagonal, sign, and triangle violation in the matrix.
 
     Violations are returned as data, never raised; loaders turn them into errors.
@@ -161,6 +161,7 @@ def verify_metric(graph: MetricGraph, tol: float = METRIC_TOL) -> MetricReport:
     runs on finite, exactly symmetric matrices; on any other matrix every row is checked.
     """
     d = graph.distance
+    tol = METRIC_TOL
     negative = tuple((int(i), int(j)) for i, j in np.argwhere(d < -tol))
     diagonal = tuple(int(i) for i in np.flatnonzero(np.abs(np.diagonal(d)) > tol))
     asym = np.argwhere(np.abs(d - d.T) > tol)
@@ -411,23 +412,19 @@ def _grid_positions(n: int, side: float) -> np.ndarray:
 
 
 def generate_scenario(n_vertices: int, n_robots: int, alpha: int, budget: float,
-                      layout: str = "grid",
-                      bumps: Union[int, Sequence[GaussianBump]] = 3,
-                      seed: int = 0,
-                      reward_kind: str = "modular",
-                      side: float = AREA_SIDE) -> Scenario:
+                      layout: str = "grid", bumps: int = 3, seed: int = 0,
+                      reward_kind: str = "modular") -> Scenario:
     """Deterministically generate a scenario from parameters and a seed.
 
-    Vertices live on a `side` x `side` area, laid out on a grid or uniformly
-    at random. Rewards sample an importance field rescaled to integers in
-    [0, 100]. When `bumps` is an int, the field is that many concentrated
-    Gaussian bumps of comparable height at seeded locations plus one broad
-    low background bump, mimicking a concentration map with a few hotspots
-    over a mildly interesting sea; pass explicit bumps for full control.
-    Coverage scenarios overlay a cell lattice: each vertex covers nearby
-    cells and cell weights sample the same field. Robot starts are drawn
-    uniformly from the vertices (shared starts allowed). The same arguments
-    and seed always produce a byte-identical scenario.
+    Vertices live on an AREA_SIDE x AREA_SIDE area, laid out on a grid or
+    uniformly at random. Rewards sample an importance field rescaled to
+    integers in [0, 100]. The field is `bumps` concentrated Gaussian bumps of
+    comparable height at seeded locations plus one broad low background bump,
+    mimicking a concentration map with a few hotspots over a mildly
+    interesting sea. Coverage scenarios overlay a cell lattice: each vertex
+    covers nearby cells and cell weights sample the same field. Robot starts
+    are drawn uniformly from the vertices (shared starts allowed). The same
+    arguments and seed always produce a byte-identical scenario.
     """
     if n_vertices < 1:
         raise ScenarioError("n_vertices must be >= 1")
@@ -439,24 +436,22 @@ def generate_scenario(n_vertices: int, n_robots: int, alpha: int, budget: float,
         raise ScenarioError("budget must be non-negative")
     if layout not in ("grid", "uniform"):
         raise ScenarioError(f"layout must be 'grid' or 'uniform', got {layout!r}")
+    if bumps < 1:
+        raise ScenarioError("number of bumps must be >= 1")
+    if seed < 0:
+        raise ScenarioError(f"seed must be >= 0, got {seed}")
 
+    side = AREA_SIDE
     rng = np.random.default_rng(seed)
-    if isinstance(bumps, int):
-        if bumps < 1:
-            raise ScenarioError("number of bumps must be >= 1")
-        bump_list = tuple(
-            GaussianBump(
-                cx=float(rng.uniform(0.15 * side, 0.85 * side)),
-                cy=float(rng.uniform(0.15 * side, 0.85 * side)),
-                amplitude=float(rng.uniform(0.9, 1.0)),
-                sigma=float(rng.uniform(side / 9.0, side / 6.4)),
-            )
-            for _ in range(bumps)
-        ) + (GaussianBump(cx=side / 2.0, cy=side / 2.0, amplitude=0.3, sigma=0.9 * side),)
-    else:
-        bump_list = tuple(bumps)
-        if not bump_list:
-            raise ScenarioError("bump list must be non-empty")
+    bump_list = tuple(
+        GaussianBump(
+            cx=float(rng.uniform(0.15 * side, 0.85 * side)),
+            cy=float(rng.uniform(0.15 * side, 0.85 * side)),
+            amplitude=float(rng.uniform(0.9, 1.0)),
+            sigma=float(rng.uniform(side / 9.0, side / 6.4)),
+        )
+        for _ in range(bumps)
+    ) + (GaussianBump(cx=side / 2.0, cy=side / 2.0, amplitude=0.3, sigma=0.9 * side),)
 
     if layout == "grid":
         pos = _grid_positions(n_vertices, side)

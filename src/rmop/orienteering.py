@@ -65,7 +65,7 @@ def _fold_cost(dist: list[list[float]], route: list[int]) -> float:
 
 
 def solve_op_exact(graph: MetricGraph, model: RewardModel, start: int, budget: float,
-                   robot: int = 0, size_limit: int = EXACT_SIZE_LIMIT) -> Path:
+                   robot: int = 0) -> Path:
     """Maximum-reward rooted path within budget, by depth-first enumeration.
 
     Prunes branches whose remaining reachable reward cannot beat the
@@ -75,9 +75,9 @@ def solve_op_exact(graph: MetricGraph, model: RewardModel, start: int, budget: f
     _check_start(graph, start)
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    if graph.n > size_limit:
+    if graph.n > EXACT_SIZE_LIMIT:
         raise SizeGuardError(
-            f"exact solver refuses |V|={graph.n} > {size_limit}; use the gcb method")
+            f"exact solver refuses |V|={graph.n} > {EXACT_SIZE_LIMIT}; use the gcb method")
     n = graph.n
     dist = graph.distance.tolist()
     singles = [model.singleton(v) for v in range(n)]

@@ -174,7 +174,7 @@ def solve_rmop(scenario: Scenario, solver: OpSolverConfig) -> Solution:
                                        loop_history=history)
 
 
-def check_solution(scenario: Scenario, solution: Solution, tol: float = INVARIANT_TOL) -> list[str]:
+def check_solution(scenario: Scenario, solution: Solution) -> list[str]:
     """Re-verify every solution invariant; returns violations as strings."""
     model = RewardModel.from_scenario(scenario)
     graph = scenario.graph
@@ -206,10 +206,10 @@ def check_solution(scenario: Scenario, solution: Solution, tol: float = INVARIAN
             evaluable = False
             continue
         true_cost = path_cost(graph, path.vertices)
-        if abs(true_cost - path.cost) > tol:
+        if abs(true_cost - path.cost) > INVARIANT_TOL:
             problems.append(
                 f"robot {i} stored cost {path.cost} differs from recomputed {true_cost}")
-        if true_cost > scenario.budget + tol:
+        if true_cost > scenario.budget + INVARIANT_TOL:
             problems.append(
                 f"robot {i} path cost {true_cost} exceeds budget {scenario.budget} "
                 f"by {true_cost - scenario.budget}")
@@ -232,17 +232,17 @@ def check_solution(scenario: Scenario, solution: Solution, tol: float = INVARIAN
 
     rewards = [eval_vertex_set(model, p.vertices) for p in solution.paths]
     for i, (got, expect) in enumerate(zip(solution.per_path_rewards, rewards)):
-        if abs(got - expect) > tol:
+        if abs(got - expect) > INVARIANT_TOL:
             problems.append(f"robot {i} stored reward {got} differs from recomputed {expect}")
     team = eval_team(model, solution.paths)
-    if abs(team - solution.team_reward) > tol:
+    if abs(team - solution.team_reward) > INVARIANT_TOL:
         problems.append(
             f"stored team reward {solution.team_reward} differs from recomputed {team}")
 
     if solution.s1_robots and solution.s2_robots and not unknown:
         min_s1 = min(rewards[i] for i in solution.s1_robots)
         max_s2 = max(rewards[j] for j in solution.s2_robots)
-        if min_s1 < max_s2 - tol:
+        if min_s1 < max_s2 - INVARIANT_TOL:
             problems.append(
                 f"coverage path reward {max_s2} outranks redundancy path reward {min_s1}")
     return problems

@@ -13,6 +13,7 @@ robot. Models are immutable; masked variants share the other vertices' cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .graph import Path, Scenario
@@ -81,6 +82,20 @@ class RewardModel:
         self._check_id(v)
         return sum(w for _, w in self.cells[v])
 
+    @cached_property
+    def _vertex_tables(self) -> tuple[tuple[float, ...], tuple[bool, ...]]:
+        """Each vertex's singleton reward, and whether no other vertex covers any of its cells.
+
+        Built on first use and kept with the model, so every solve on one model shares them.
+        """
+        sharers: dict[int, int] = {}
+        for entry in self.cells:
+            for cell, _ in entry:
+                sharers[cell] = sharers.get(cell, 0) + 1
+        singles = tuple(sum(w for _, w in entry) for entry in self.cells)
+        private = tuple(all(sharers[cell] == 1 for cell, _ in entry) for entry in self.cells)
+        return singles, private
+
 
 def eval_vertex_set(model: RewardModel, ids: Iterable[int]) -> float:
     """Reward of a vertex set: the weight of the cells it covers, each once."""
@@ -141,7 +156,7 @@ def curvature(ground_set: Sequence, evaluator: Callable[[Sequence], float]) -> C
 
 def vertex_curvature(model: RewardModel) -> CurvatureEstimate:
     """Curvature of the single-robot reward over the whole vertex set."""
-    singles, private = _vertex_tables(model)
+    singles, private = model._vertex_tables
     if all(private):
         # No cell is shared, so the reward is additive: every leave-one-out
         # drop equals the singleton.
@@ -161,17 +176,6 @@ def team_curvature(model: RewardModel, paths: Sequence[Path]) -> CurvatureEstima
                      lambda idxs: eval_team(model, [paths[i] for i in idxs]))
 
 
-def _vertex_tables(model: RewardModel) -> tuple[list[float], list[bool]]:
-    """Each vertex's singleton reward, and whether no other vertex covers any of its cells."""
-    sharers: dict[int, int] = {}
-    for entry in model.cells:
-        for cell, _ in entry:
-            sharers[cell] = sharers.get(cell, 0) + 1
-    singles = [sum(w for _, w in entry) for entry in model.cells]
-    private = [all(sharers[cell] == 1 for cell, _ in entry) for entry in model.cells]
-    return singles, private
-
-
 class IncrementalEval:
     """Marginal-gain evaluator over a mutable vertex set.
 
@@ -186,7 +190,7 @@ class IncrementalEval:
         self.members: set[int] = set()
         self.value = 0.0
         self._cell_count: dict[int, int] = {}
-        self._singles, self._private = _vertex_tables(model)
+        self._singles, self._private = model._vertex_tables
 
     def gain(self, v: int) -> float:
         if v in self.members:

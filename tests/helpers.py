@@ -110,7 +110,7 @@ def random_tiny_scenario(seed, kind="modular", n_range=(4, 6), robots_range=(2, 
     surrogates away from the fully-redundant extreme so guarantee checks
     stay informative.
     """
-    from rmop.bench import enumerate_feasible_paths
+    from oracles import enumerate_feasible_paths
     from rmop.reward import eval_vertex_set
 
     attempt = 0

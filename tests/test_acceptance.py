@@ -19,10 +19,10 @@ from rmop.reward import (RewardModel, eval_team, eval_vertex_set, team_curvature
 from rmop.orienteering import OpSolverConfig
 from rmop.planner import LOOP_CAP_PER_ROBOT, solve_rmop, solve_sga
 from rmop.attack import greedy_attack, worst_case_attack
-from rmop.bench import (ExperimentSpec, brute_force_rmop, rmop_bound,
-                        run_experiment, sga_bound, summarize)
+from rmop.bench import ExperimentSpec, rmop_bound, run_experiment, sga_bound, summarize
 
 from helpers import random_tiny_scenario
+from oracles import brute_force_rmop
 
 TOL = 1e-9
 EXACT = OpSolverConfig(method="exact")

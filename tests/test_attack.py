@@ -71,9 +71,12 @@ class TestWorstCaseAttack:
             worst_case_attack(model, solution, 3)
 
     def test_enumeration_guard(self):
-        model, solution = disjoint_solution()
-        with pytest.raises(SizeGuardError, match="guard"):
-            worst_case_attack(model, solution, 1, max_subsets=2)
+        # C(24, 12) = 2,704,156 removal subsets is above SUBSET_GUARD, so the
+        # attack refuses before enumerating any of them.
+        model = RewardModel.modular([1.0] * 24)
+        solution = Solution.from_paths(model, [Path(r, (r,), 0.0) for r in range(24)])
+        with pytest.raises(SizeGuardError, match="guard of 1000000"):
+            worst_case_attack(model, solution, 12)
 
     def test_tie_breaks_to_lexicographically_smallest(self):
         model = RewardModel.modular([4.0, 4.0])

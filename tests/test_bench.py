@@ -10,11 +10,11 @@ from rmop.reward import RewardModel, eval_team, eval_vertex_set
 from rmop.orienteering import OpSolverConfig, SizeGuardError, solve_op_exact
 from rmop.planner import solve_rmop
 from rmop.attack import worst_case_attack
-from rmop.bench import (ExperimentSpec, bound_report, brute_force_rmop,
-                        enumerate_feasible_paths, naive_greedy_baseline, plan,
+from rmop.bench import (ExperimentSpec, bound_report, naive_greedy_baseline, plan,
                         records_to_csv, rmop_bound, run_experiment, sga_bound, summarize)
 
 from helpers import (line_instance, line_scenario, oracle_max_min, random_tiny_scenario)
+from oracles import brute_force_rmop, enumerate_feasible_paths
 
 EXACT = OpSolverConfig(method="exact")
 

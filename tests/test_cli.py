@@ -46,6 +46,12 @@ class TestGen:
         assert code == 1
         assert "alpha" in capsys.readouterr().err
 
+    def test_negative_seed_is_one_error_line(self, tmp_path, capsys):
+        code = run_cli("gen", "--vertices", "12", "--robots", "3", "--alpha", "1",
+                       "--budget", "30", "--seed", "-1", "--out", str(tmp_path / "x.json"))
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0, got -1"]
+
     def test_benchmark_scale_generation(self, tmp_path):
         out = tmp_path / "big.json"
         code = run_cli("gen", "--vertices", "96", "--robots", "10", "--alpha", "3",
@@ -147,6 +153,15 @@ class TestAttack:
         assert run_cli("attack", str(solution_file), "--scenario", str(scenario_file),
                        "--model", "random", "--size", "1") == 1
         assert "--seed" in capsys.readouterr().err
+
+    def test_random_attack_negative_seed_names_the_flag(self, solved, capsys):
+        scenario_file, solution_file = solved
+        capsys.readouterr()
+        assert run_cli("attack", str(solution_file), "--scenario", str(scenario_file),
+                       "--model", "random", "--size", "1", "--seed", "-3") == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: random attack seed (--seed) must be >= 0, got -3"]
 
     def test_digest_mismatch_refused(self, tmp_path, solved, capsys):
         _, solution_file = solved

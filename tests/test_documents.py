@@ -59,6 +59,8 @@ SPEC_CASES = [
     ("planned-alpha-on-greedy", ("attacks", 0, "planned_alpha"), 1),
     ("partial-size-above-planned-alpha", ("attacks", 0),
      {"model": "partial", "sizes": [1, 2], "planned_alpha": 1}),
+    ("negative-seed", ("seed",), -1),
+    ("negative-scenario-seed", ("scenario", "seed"), -2),
 ]
 
 
@@ -122,6 +124,15 @@ def test_attack_parameters_are_checked_while_parsing(attack, field):
     # Refused by the parse itself, before any trial is planned.
     with pytest.raises(ScenarioError, match=re.escape(field)):
         ExperimentSpec.from_document(mutated(SPEC, ("attacks", 0), attack))
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("seed",), -1, "seed"),
+    (("scenario", "seed"), -2, "scenario.seed"),
+])
+def test_negative_seeds_are_refused_while_parsing(path, value, field):
+    with pytest.raises(ScenarioError, match=rf"^{re.escape(field)} must be >= 0, got {value}$"):
+        ExperimentSpec.from_document(mutated(SPEC, path, value))
 
 
 def test_partial_sizes_up_to_planned_alpha_parse():

@@ -4,10 +4,11 @@ import itertools
 import numpy as np
 import pytest
 
-from rmop.graph import Path, Scenario
+from rmop.graph import MetricGraph, Path, Scenario, Vertex
 from rmop.reward import RewardModel, eval_team, eval_vertex_set
 from rmop.orienteering import OpSolverConfig, solve_op_exact
-from rmop.planner import (Solution, check_solution, sga, solve_rmop, solve_sga)
+from rmop.planner import (INVARIANT_TOL, Solution, check_solution, sga, solve_rmop,
+                          solve_sga)
 from rmop.attack import worst_case_attack
 
 from helpers import (line_instance, line_scenario, oracle_max_min, oracle_rooted_paths,
@@ -140,6 +141,21 @@ class TestCheckSolution:
             team_reward=12.0, loop_iterations=1, per_path_rewards=(8.0, 9.0))
         problems = check_solution(scenario, bad)
         assert any("robot 1" in p and "exceeds budget" in p for p in problems)
+
+    @pytest.mark.parametrize("over, flagged", [(INVARIANT_TOL, False), (3 * INVARIANT_TOL, True)])
+    def test_budget_tolerance_boundary(self, over, flagged):
+        # The cost comes straight from an explicit matrix, so the path lands
+        # exactly on budget + INVARIANT_TOL, or beyond it.
+        d = 1.0 + over
+        graph = MetricGraph((Vertex(0, 0.0, 0.0, 0.0), Vertex(1, d, 0.0, 1.0)),
+                            np.array([[0.0, d], [d, 0.0]]), euclidean=False)
+        scenario = Scenario(graph=graph, starts=(0,), budget=1.0, alpha=0)
+        solution = Solution.from_paths(RewardModel.from_scenario(scenario), [Path(0, (0, 1), d)])
+        problems = check_solution(scenario, solution)
+        if flagged:
+            assert len(problems) == 1 and "exceeds budget 1.0" in problems[0], problems
+        else:
+            assert problems == []
 
     def test_outranking_coverage_path_reported(self):
         scenario = line_scenario()

@@ -210,6 +210,17 @@ class TestIncrementalEval:
             expected = eval_vertex_set(m, base | {v}) - eval_vertex_set(m, base)
             assert ev.gain(v) == pytest.approx(expected, abs=1e-12)
 
+    def test_evaluators_on_one_model_share_its_tables(self):
+        # The per-vertex tables depend only on the model, so every solve on one
+        # model reuses them; a masked model is a new model and builds its own.
+        m = RewardModel.coverage([[(0, 1.0)], [(0, 1.0), (1, 2.0)], [(2, 3.0)]])
+        a, b = IncrementalEval(m), IncrementalEval(m)
+        assert a._singles is b._singles and a._private is b._private
+        assert a._private == (False, False, True)
+        masked = IncrementalEval(m.with_masked([0]))
+        assert masked._singles is not a._singles
+        assert masked._private == (True, True, True)
+
 
 @st.composite
 def masked_instances(draw):
