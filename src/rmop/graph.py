@@ -23,6 +23,8 @@ import numpy as np
 
 METRIC_TOL = 1e-9
 AREA_SIDE = 90.0
+# Over 10x below the coordinate span up to which verify_metric proves no triangle violation.
+_CERTIFIED_SPAN = METRIC_TOL / (128 * np.finfo(float).eps)
 
 _SCENARIO_KEYS = {"vertices", "distance_matrix", "starts", "budget", "alpha", "reward_kind"}
 _VERTEX_KEYS = {"id", "x", "y", "reward", "coverage"}
@@ -57,10 +59,10 @@ class MetricGraph:
 
     vertices: tuple[Vertex, ...]
     distance: np.ndarray
-    euclidean: bool = True
+    euclidean: bool = False
 
     def __post_init__(self):
-        mat = np.ascontiguousarray(np.asarray(self.distance, dtype=float))
+        mat = np.array(self.distance, dtype=float, order="C")  # a copy: the caller keeps theirs
         mat.setflags(write=False)
         object.__setattr__(self, "distance", mat)
 
@@ -71,11 +73,15 @@ class MetricGraph:
     @classmethod
     def from_positions(cls, vertices: Sequence[Vertex]) -> "MetricGraph":
         """Build the graph with pairwise Euclidean distances."""
-        x, y = np.array([[v.x, v.y] for v in vertices], dtype=float).T
-        dx = x[:, None] - x[None, :]
-        dy = y[:, None] - y[None, :]
-        dist = np.sqrt(dx * dx + dy * dy)
-        return cls(vertices=tuple(vertices), distance=dist, euclidean=True)
+        return cls(vertices=tuple(vertices), distance=_euclidean_matrix(vertices), euclidean=True)
+
+
+def _euclidean_matrix(vertices: Sequence[Vertex]) -> np.ndarray:
+    x, y = np.array([[v.x, v.y] for v in vertices], dtype=float).T
+    dx, dy = x[:, None] - x, y[:, None] - y
+    dx *= dx  # sqrt(dx * dx + dy * dy) in place: two n^2 buffers, not five
+    dx += np.square(dy, out=dy)
+    return np.sqrt(dx, out=dx)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,13 +158,34 @@ def _triangle_rows(d: np.ndarray, tol: float) -> Sequence[int]:
     return np.flatnonzero(hit.any(axis=0) | hit.any(axis=1)).tolist()
 
 
+def _triangle_violations(d: np.ndarray, rows: Sequence[int], tol: float) -> tuple:
+    """Every (i, j, k), i in `rows`, with d[i,k] > (d[i,j] + d[j,k]) + tol, in order."""
+    triangle = []
+    for i in rows:
+        bad = d[i][None, :] > d[i][:, None] + d + tol
+        if bad.any():  # argwhere costs as much as the comparison; most rows are clean
+            triangle.extend((i, int(j), int(k)) for j, k in np.argwhere(bad)
+                            if i != j and j != k and i != k)
+    return tuple(triangle)
+
+
 def verify_metric(graph: MetricGraph) -> MetricReport:
     """Report every symmetry, diagonal, sign, and triangle violation in the matrix.
 
     Violations are returned as data, never raised; loaders turn them into errors.
-    Triangle violations come out in (i, j, k) order from an exact check, in O(|V|^2)
-    memory, of the rows a screen flags. The screen, about a third of the arithmetic,
-    runs on finite, exactly symmetric matrices; on any other matrix every row is checked.
+    Triangle violations come out in (i, j, k) order, from the first check that applies:
+
+    1. An O(|V|^2) certificate: none, if the matrix is bit for bit `_euclidean_matrix` of
+       the vertices (the `euclidean` flag is not trusted) and both coordinate spans are
+       at most `_CERTIFIED_SPAN`. Proof, u = eps/2: an entry is d = E(1+e) + a, E the exact
+       distance of the stored coordinates, |e| <= (1+u)^3 - 1 (a square's (1+u)^4 from
+       difference, product and sum, halved by the root, which rounds once), |a| < 1e-161
+       from underflow. E is a metric and fl(fl(d_ij + d_jk) + tol) >= (1-u)^2 (d_ij + d_jk)
+       + (1-u) tol, so d_ik exceeds it only if about 8u (E_ij + E_jk) >= (1-u) tol - 3a,
+       with E_ij + E_jk <= 2√2 span: only if span >= ~METRIC_TOL / (8√2 eps) ~ 4e5.
+    2. An exact check, in O(|V|^2) memory, of the rows a screen flags: O(|V|^3). The
+       screen, about a third of the arithmetic, runs on finite, exactly symmetric
+       matrices; on any other matrix every row is checked.
     """
     d = graph.distance
     tol = METRIC_TOL
@@ -166,14 +193,12 @@ def verify_metric(graph: MetricGraph) -> MetricReport:
     diagonal = tuple(int(i) for i in np.flatnonzero(np.abs(np.diagonal(d)) > tol))
     asym = np.argwhere(np.abs(d - d.T) > tol)
     asymmetry = tuple((int(i), int(j)) for i, j in asym if i < j)
-    triangle = []
-    for i in _triangle_rows(d, tol):
-        bad = d[i][None, :] > d[i][:, None] + d + tol
-        if bad.any():  # argwhere costs as much as the comparison; most rows are clean
-            triangle.extend((i, int(j), int(k)) for j, k in np.argwhere(bad)
-                            if i != j and j != k and i != k)
+    xs, ys = [v.x for v in graph.vertices], [v.y for v in graph.vertices]
+    certified = (xs and max(max(xs) - min(xs), max(ys) - min(ys)) <= _CERTIFIED_SPAN
+                 and np.array_equal(d, _euclidean_matrix(graph.vertices)))
+    triangle = () if certified else _triangle_violations(d, _triangle_rows(d, tol), tol)
     return MetricReport(negative=negative, diagonal=diagonal, asymmetry=asymmetry,
-                        triangle=tuple(triangle))
+                        triangle=triangle)
 
 
 def path_cost(graph: MetricGraph, vertices: Sequence[int]) -> float:
@@ -343,8 +368,7 @@ def scenario_from_document(doc: dict) -> Scenario:
     check_keys(doc, _SCENARIO_KEYS, "scenario keys")
     vertices = _read_vertices(doc)
     if "distance_matrix" in doc:
-        graph = MetricGraph(tuple(vertices), _read_distance_matrix(doc, len(vertices)),
-                            euclidean=False)
+        graph = MetricGraph(tuple(vertices), _read_distance_matrix(doc, len(vertices)))
     else:
         graph = MetricGraph.from_positions(vertices)
     return _validate_scenario(graph, read_ints(doc, "starts"), read_field(doc, "budget", float),

@@ -142,6 +142,26 @@ class TestLoadScenario:
         again = load_scenario(dump_scenario(s))
         assert np.allclose(again.graph.distance, mat)
 
+    def test_graph_built_from_a_matrix_dumps_it(self):
+        mat = np.array([[0.0, 0.1, 0.3], [0.1, 0.0, 0.2], [0.3, 0.2, 0.0]])
+        verts = tuple(Vertex(i, 0.0, 0.0, 1.0) for i in range(3))
+        s = Scenario(MetricGraph(verts, mat), starts=(0,), budget=1.0, alpha=0)
+        assert "distance_matrix" in scenario_to_document(s)
+        assert load_scenario(dump_scenario(s)).graph.distance.tobytes() == mat.tobytes()
+
+
+class TestMetricGraph:
+    def test_graph_copies_the_callers_matrix(self):
+        base = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        verts = tuple(Vertex(i, 0.0, 0.0) for i in range(3))
+        graph = MetricGraph(verts, base[:, :])
+        MetricGraph(verts, base)
+        assert base.flags.writeable
+        assert verify_metric(graph).ok
+        base[0, 2] = 50.0
+        assert graph.distance[0, 2] == 2.0
+        assert verify_metric(graph).ok
+
 
 def spy_triangle_rows(monkeypatch):
     """Record, per verify_metric call, the rows sent to the exact triangle check."""
@@ -150,6 +170,24 @@ def spy_triangle_rows(monkeypatch):
     monkeypatch.setattr(rmop.graph, "_triangle_rows",
                         lambda d, tol: seen.append(list(real(d, tol))) or seen[-1])
     return seen
+
+
+def spy_triangle_violations(monkeypatch):
+    """Record, per verify_metric call, the rows the exact triangle check scans."""
+    checked = []
+    real = rmop.graph._triangle_violations
+    monkeypatch.setattr(rmop.graph, "_triangle_violations",
+                        lambda d, rows, tol: checked.append(list(rows)) or real(d, checked[-1], tol))
+    return checked
+
+
+def map_positions(layout, n, scale, rng):
+    """Grid positions (exactly collinear triples), or uniform ones with x- and y-span `scale`."""
+    if layout == "grid":
+        return rmop.graph._grid_positions(n, scale)
+    pos = rng.uniform(0.0, scale, size=(n, 2))
+    pos[:2] = [[0.0, 0.0], [scale, scale]]
+    return pos
 
 
 def full_broadcast_triangle(d):
@@ -239,13 +277,51 @@ class TestVerifyMetric:
     @pytest.mark.parametrize("layout", ["grid", "uniform"])
     def test_generated_map_skips_the_exact_triangle_check(self, monkeypatch, layout):
         seen = spy_triangle_rows(monkeypatch)
+        checked = spy_triangle_violations(monkeypatch)
         s = generate_scenario(300, 10, 3, 60.0, layout=layout, bumps=3, seed=1)
-        assert seen == [[]]
+        assert seen == [] and checked == []
         # One ulp of asymmetry, far below METRIC_TOL, sends every row to the exact check.
         d = s.graph.distance.copy()
         d[0, 1] = np.nextafter(d[0, 1], np.inf)
         assert verify_metric(MetricGraph(s.graph.vertices, d, euclidean=False)).ok
-        assert seen[1] == list(range(300))
+        assert seen == checked == [list(range(300))]
+
+    @pytest.mark.parametrize("layout", ["grid", "uniform"])
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, rmop.graph.AREA_SIDE,
+                                       np.nextafter(rmop.graph._CERTIFIED_SPAN, 0.0),
+                                       np.nextafter(rmop.graph._CERTIFIED_SPAN, np.inf), 1e9])
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(2, 40), st.integers(0, 2 ** 32 - 1), st.booleans())
+    def test_position_certificate_matches_full_broadcast(self, layout, scale, n, seed, plant):
+        # A from_positions map, or its matrix with one edge an ulp above the violation
+        # threshold of its cheapest detour, mislabelled as Euclidean.
+        rng = np.random.default_rng(seed)
+        pos = map_positions(layout, n, scale, rng)
+        graph = MetricGraph.from_positions(
+            [Vertex(v, float(x), float(y)) for v, (x, y) in enumerate(pos)])
+        if plant and n >= 3:
+            d = graph.distance.copy()
+            i, k = rng.choice(n, size=2, replace=False)
+            j = min((j for j in range(n) if j != i and j != k), key=lambda j: d[i, j] + d[j, k])
+            d[i, k] = d[k, i] = np.nextafter((d[i, j] + d[j, k]) + rmop.graph.METRIC_TOL, np.inf)
+            graph = MetricGraph(graph.vertices, d, euclidean=True)
+        with pytest.MonkeyPatch.context() as mp:
+            seen = spy_triangle_rows(mp)
+            report = verify_metric(graph)
+        assert report.triangle == full_broadcast_triangle(graph.distance)
+        certified = scale <= rmop.graph._CERTIFIED_SPAN and not (plant and n >= 3)
+        assert len(seen) == (0 if certified else 1)
+
+    def test_wide_grid_takes_the_screen_and_reports_rounding(self, monkeypatch):
+        # At side 1e9 rounding alone breaks the triangle check: the span guard is needed.
+        seen = spy_triangle_rows(monkeypatch)
+        pos = rmop.graph._grid_positions(100, 1e9)
+        graph = MetricGraph.from_positions(
+            [Vertex(v, float(x), float(y)) for v, (x, y) in enumerate(pos)])
+        report = verify_metric(graph)
+        assert len(seen) == 1
+        assert len(report.triangle) == 656
+        assert report.triangle == full_broadcast_triangle(graph.distance)
 
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e9])
     def test_euclidean_matrix_is_bitwise_the_broadcast_formula(self, scale):
