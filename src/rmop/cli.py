@@ -16,8 +16,8 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .graph import (Path, Scenario, ScenarioError, dump_scenario, generate_scenario,
-                    load_scenario, read_field, read_ints)
+from .graph import (LAYOUTS, REWARD_KINDS, Path, Scenario, ScenarioError, dump_scenario,
+                    generate_scenario, load_scenario, read_field, read_ints)
 from .reward import RewardModel
 from .orienteering import SUBROUTINES, OpSolverConfig, SizeGuardError
 from .planner import PlannerLoopError, Solution, check_solution
@@ -271,10 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--robots", type=int, required=True)
     p_gen.add_argument("--alpha", type=int, required=True)
     p_gen.add_argument("--budget", type=float, required=True)
-    p_gen.add_argument("--layout", choices=("grid", "uniform"), default="grid")
+    p_gen.add_argument("--layout", choices=LAYOUTS, default="grid")
     p_gen.add_argument("--bumps", type=int, default=3)
     p_gen.add_argument("--seed", type=int, required=True)
-    p_gen.add_argument("--reward-kind", choices=("modular", "coverage"), default="modular")
+    p_gen.add_argument("--reward-kind", choices=REWARD_KINDS, default="modular")
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=cmd_gen)
 

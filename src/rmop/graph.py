@@ -13,8 +13,10 @@ concurrent readers.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
+import operator
 import reprlib
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -28,7 +30,8 @@ _CERTIFIED_SPAN = METRIC_TOL / (128 * np.finfo(float).eps)
 
 _SCENARIO_KEYS = {"vertices", "distance_matrix", "starts", "budget", "alpha", "reward_kind"}
 _VERTEX_KEYS = {"id", "x", "y", "reward", "coverage"}
-_REWARD_KINDS = ("modular", "coverage")
+REWARD_KINDS = ("modular", "coverage")
+LAYOUTS = ("grid", "uniform")
 
 
 class ScenarioError(ValueError):
@@ -55,29 +58,48 @@ class Vertex:
 
 @dataclass(frozen=True, eq=False)
 class MetricGraph:
-    """Vertices plus a symmetric, triangle-inequality-respecting distance matrix."""
+    """Vertices with dense ids 0..n-1 and a finite n x n distance matrix.
+
+    Construction refuses anything else; verify_metric reports whether the matrix is
+    metric. `euclidean` is derived: the matrix is bit for bit the one from_positions
+    builds, and a dumped document then omits it.
+    """
 
     vertices: tuple[Vertex, ...]
     distance: np.ndarray
-    euclidean: bool = False
 
     def __post_init__(self):
+        vertices = tuple(self.vertices)
+        n = len(vertices)
+        for pos, v in enumerate(vertices):
+            if operator.index(v.id) != pos:
+                raise ScenarioError(f"vertex ids must be dense 0..{n - 1}; found {v.id} at position {pos}")
         mat = np.array(self.distance, dtype=float, order="C")  # a copy: the caller keeps theirs
+        if mat.shape != (n, n):
+            raise ScenarioError(f"distance_matrix must be {n}x{n}, got shape {mat.shape}")
+        if not np.isfinite(mat).all():
+            bad = np.argwhere(~np.isfinite(mat))[0]
+            raise ScenarioError(f"distance_matrix must be finite, violated at ({bad[0]},{bad[1]})")
         mat.setflags(write=False)
+        object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "distance", mat)
 
     @property
     def n(self) -> int:
         return len(self.vertices)
 
+    @functools.cached_property
+    def euclidean(self) -> bool:
+        return np.array_equal(self.distance, _euclidean_matrix(self.vertices))
+
     @classmethod
     def from_positions(cls, vertices: Sequence[Vertex]) -> "MetricGraph":
         """Build the graph with pairwise Euclidean distances."""
-        return cls(vertices=tuple(vertices), distance=_euclidean_matrix(vertices), euclidean=True)
+        return cls(vertices, _euclidean_matrix(vertices))
 
 
 def _euclidean_matrix(vertices: Sequence[Vertex]) -> np.ndarray:
-    x, y = np.array([[v.x, v.y] for v in vertices], dtype=float).T
+    x, y = np.array([[v.x, v.y] for v in vertices], dtype=float).reshape(-1, 2).T
     dx, dy = x[:, None] - x, y[:, None] - y
     dx *= dx  # sqrt(dx * dx + dy * dy) in place: two n^2 buffers, not five
     dx += np.square(dy, out=dy)
@@ -86,7 +108,10 @@ def _euclidean_matrix(vertices: Sequence[Vertex]) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """A full problem instance: graph, robot starts, budget, attack size."""
+    """A full problem instance: graph, robot starts, budget, attack size.
+
+    Construction checks every field; loaders also verify that the graph is metric.
+    """
 
     graph: MetricGraph
     starts: tuple[int, ...]
@@ -94,20 +119,33 @@ class Scenario:
     alpha: int
     reward_kind: str = "modular"
 
+    def __post_init__(self):
+        starts = tuple(map(operator.index, self.starts))
+        alpha, budget = operator.index(self.alpha), float(self.budget)
+        if self.reward_kind not in REWARD_KINDS:
+            raise ScenarioError(f"reward_kind must be one of {REWARD_KINDS}, got {self.reward_kind!r}")
+        if not starts:
+            raise ScenarioError("scenario must have at least one robot start")
+        for s in starts:
+            if not 0 <= s < self.graph.n:
+                raise ScenarioError(f"start vertex {s} is not a valid vertex id")
+        if not math.isfinite(budget) or budget < 0:
+            raise ScenarioError(f"budget must be finite and non-negative, got {budget}")
+        if not 0 <= alpha < len(starts):
+            raise ScenarioError(f"alpha must be < {len(starts)} (number of robots) and >= 0, got {alpha}")
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "budget", budget)
+
     @property
     def n_robots(self) -> int:
         return len(self.starts)
 
     def with_starts(self, starts: Sequence[int]) -> "Scenario":
-        for s in starts:
-            if not 0 <= int(s) < self.graph.n:
-                raise ScenarioError(f"start vertex {s} is not a valid vertex id")
-        return dataclasses.replace(self, starts=tuple(int(s) for s in starts))
+        return dataclasses.replace(self, starts=starts)
 
     def with_alpha(self, alpha: int) -> "Scenario":
-        if not 0 <= alpha < self.n_robots:
-            raise ScenarioError(f"alpha must satisfy 0 <= alpha < {self.n_robots}, got {alpha}")
-        return dataclasses.replace(self, alpha=int(alpha))
+        return dataclasses.replace(self, alpha=alpha)
 
 
 @dataclass(frozen=True)
@@ -141,13 +179,13 @@ class MetricReport:
 
 
 def _triangle_rows(d: np.ndarray, tol: float) -> Sequence[int]:
-    """Rows that may hold a triangle violation: all of them unless d is finite and symmetric.
+    """Rows that may hold a triangle violation: all of them unless d is symmetric.
 
     Then (i, j, k) is a violation iff (k, j, i) is, and rounding is monotone, so flagging
     rows i and k wherever d[i,k] > min_j(d[i,j] + d[j,k]) + tol, i < k, misses none.
     """
     n = len(d)
-    if not (np.isfinite(d).all() and np.array_equal(d, d.T)):
+    if not np.array_equal(d, d.T):
         return range(n)
     buf = np.empty_like(d)
     hit = np.zeros((n, n), dtype=bool)
@@ -176,16 +214,16 @@ def verify_metric(graph: MetricGraph) -> MetricReport:
     Triangle violations come out in (i, j, k) order, from the first check that applies:
 
     1. An O(|V|^2) certificate: none, if the matrix is bit for bit `_euclidean_matrix` of
-       the vertices (the `euclidean` flag is not trusted) and both coordinate spans are
-       at most `_CERTIFIED_SPAN`. Proof, u = eps/2: an entry is d = E(1+e) + a, E the exact
+       the vertices (`graph.euclidean`) and both coordinate spans are at most
+       `_CERTIFIED_SPAN`. Proof, u = eps/2: an entry is d = E(1+e) + a, E the exact
        distance of the stored coordinates, |e| <= (1+u)^3 - 1 (a square's (1+u)^4 from
        difference, product and sum, halved by the root, which rounds once), |a| < 1e-161
        from underflow. E is a metric and fl(fl(d_ij + d_jk) + tol) >= (1-u)^2 (d_ij + d_jk)
        + (1-u) tol, so d_ik exceeds it only if about 8u (E_ij + E_jk) >= (1-u) tol - 3a,
        with E_ij + E_jk <= 2√2 span: only if span >= ~METRIC_TOL / (8√2 eps) ~ 4e5.
     2. An exact check, in O(|V|^2) memory, of the rows a screen flags: O(|V|^3). The
-       screen, about a third of the arithmetic, runs on finite, exactly symmetric
-       matrices; on any other matrix every row is checked.
+       screen, about a third of the arithmetic, runs on exactly symmetric matrices; on
+       any other matrix every row is checked.
     """
     d = graph.distance
     tol = METRIC_TOL
@@ -195,7 +233,7 @@ def verify_metric(graph: MetricGraph) -> MetricReport:
     asymmetry = tuple((int(i), int(j)) for i, j in asym if i < j)
     xs, ys = [v.x for v in graph.vertices], [v.y for v in graph.vertices]
     certified = (xs and max(max(xs) - min(xs), max(ys) - min(ys)) <= _CERTIFIED_SPAN
-                 and np.array_equal(d, _euclidean_matrix(graph.vertices)))
+                 and graph.euclidean)
     triangle = () if certified else _triangle_violations(d, _triangle_rows(d, tol), tol)
     return MetricReport(negative=negative, diagonal=diagonal, asymmetry=asymmetry,
                         triangle=triangle)
@@ -315,9 +353,6 @@ def _read_vertices(doc: dict) -> list[Vertex]:
                                y=read_field(entry, "y", float, where), reward=reward,
                                coverage=tuple(coverage.items())))
     vertices.sort(key=lambda v: v.id)
-    for pos, v in enumerate(vertices):
-        if v.id != pos:
-            raise ScenarioError(f"vertex ids must be dense 0..{len(vertices) - 1}; found {v.id} at position {pos}")
     return vertices
 
 
@@ -332,33 +367,16 @@ def _read_distance_matrix(doc: dict, n: int) -> np.ndarray:
         if len(row) != n:
             raise ScenarioError(f"distance_matrix must be {n}x{n}, {where} has {len(row)} entries")
         values.append([_number(x, where, j) for j, x in enumerate(row)])
-    mat = np.array(values, dtype=float)
-    if not np.isfinite(mat).all():
-        bad = np.argwhere(~np.isfinite(mat))[0]
-        raise ScenarioError(f"distance_matrix must be finite, violated at ({bad[0]},{bad[1]})")
-    return mat
+    return np.array(values, dtype=float)
 
 
-def _validate_scenario(graph: MetricGraph, starts: Sequence[int], budget: float,
-                       alpha: int, reward_kind: str) -> Scenario:
-    if reward_kind not in _REWARD_KINDS:
-        raise ScenarioError(f"reward_kind must be one of {_REWARD_KINDS}, got {reward_kind!r}")
-    if not starts:
-        raise ScenarioError("scenario must have at least one robot start")
-    for s in starts:
-        if not 0 <= s < graph.n:
-            raise ScenarioError(f"start vertex {s} is not a valid vertex id")
-    if not math.isfinite(budget) or budget < 0:
-        raise ScenarioError(f"budget must be finite and non-negative, got {budget}")
-    n_robots = len(starts)
-    if not 0 <= alpha < n_robots:
-        raise ScenarioError(f"alpha must be < {n_robots} (number of robots), got {alpha}")
-    report = verify_metric(graph)
+def _verified(scenario: Scenario) -> Scenario:
+    """`scenario`, once verify_metric finds its graph metric."""
+    report = verify_metric(scenario.graph)
     if not report.ok:
         raise ScenarioError("graph is not metric: " + "; ".join(report.entries()[:5]),
                             report=report)
-    return Scenario(graph=graph, starts=tuple(int(s) for s in starts), budget=float(budget),
-                    alpha=int(alpha), reward_kind=reward_kind)
+    return scenario
 
 
 def scenario_from_document(doc: dict) -> Scenario:
@@ -367,12 +385,10 @@ def scenario_from_document(doc: dict) -> Scenario:
         raise ScenarioError("scenario document must be a JSON object")
     check_keys(doc, _SCENARIO_KEYS, "scenario keys")
     vertices = _read_vertices(doc)
-    if "distance_matrix" in doc:
-        graph = MetricGraph(tuple(vertices), _read_distance_matrix(doc, len(vertices)))
-    else:
-        graph = MetricGraph.from_positions(vertices)
-    return _validate_scenario(graph, read_ints(doc, "starts"), read_field(doc, "budget", float),
-                              read_field(doc, "alpha", int), read_field(doc, "reward_kind", str))
+    graph = (MetricGraph(vertices, _read_distance_matrix(doc, len(vertices)))
+             if "distance_matrix" in doc else MetricGraph.from_positions(vertices))
+    return _verified(Scenario(graph, read_ints(doc, "starts"), read_field(doc, "budget", float),
+                              read_field(doc, "alpha", int), read_field(doc, "reward_kind", str)))
 
 
 def load_scenario(data: Union[bytes, str]) -> Scenario:
@@ -385,7 +401,7 @@ def load_scenario(data: Union[bytes, str]) -> Scenario:
 
 
 def scenario_to_document(scenario: Scenario) -> dict:
-    """Inverse of scenario_from_document; omits Euclidean-derived matrices."""
+    """Inverse of scenario_from_document; omits a matrix that is bit for bit Euclidean."""
     doc = {
         "vertices": [
             {
@@ -454,12 +470,8 @@ def generate_scenario(n_vertices: int, n_robots: int, alpha: int, budget: float,
         raise ScenarioError("n_vertices must be >= 1")
     if n_robots < 1:
         raise ScenarioError("n_robots must be >= 1")
-    if not 0 <= alpha < n_robots:
-        raise ScenarioError(f"alpha must satisfy 0 <= alpha < n_robots, got alpha={alpha}, n_robots={n_robots}")
-    if budget < 0:
-        raise ScenarioError("budget must be non-negative")
-    if layout not in ("grid", "uniform"):
-        raise ScenarioError(f"layout must be 'grid' or 'uniform', got {layout!r}")
+    if layout not in LAYOUTS:
+        raise ScenarioError(f"layout must be one of {LAYOUTS}, got {layout!r}")
     if bumps < 1:
         raise ScenarioError("number of bumps must be >= 1")
     if seed < 0:
@@ -477,10 +489,8 @@ def generate_scenario(n_vertices: int, n_robots: int, alpha: int, budget: float,
         for _ in range(bumps)
     ) + (GaussianBump(cx=side / 2.0, cy=side / 2.0, amplitude=0.3, sigma=0.9 * side),)
 
-    if layout == "grid":
-        pos = _grid_positions(n_vertices, side)
-    else:
-        pos = rng.uniform(0.0, side, size=(n_vertices, 2))
+    pos = (_grid_positions(n_vertices, side) if layout == "grid"
+           else rng.uniform(0.0, side, size=(n_vertices, 2)))
 
     values = np.array([field_value(bump_list, x, y) for x, y in pos])
     peak = float(values.max())
@@ -490,33 +500,23 @@ def generate_scenario(n_vertices: int, n_robots: int, alpha: int, budget: float,
     if reward_kind == "coverage":
         cells_per_side = max(2, math.ceil(math.sqrt(n_vertices) / 2))
         pitch = side / cells_per_side
-        centers = [
-            ((i + 0.5) * pitch, (j + 0.5) * pitch)
-            for j in range(cells_per_side) for i in range(cells_per_side)
-        ]
+        centers = [((i + 0.5) * pitch, (j + 0.5) * pitch)
+                   for j in range(cells_per_side) for i in range(cells_per_side)]
         cell_vals = np.array([field_value(bump_list, cx, cy) for cx, cy in centers])
         cell_peak = float(cell_vals.max())
         cell_w = np.rint(100.0 * cell_vals / cell_peak) if cell_peak > 0 else np.zeros(len(centers))
         radius = 1.3 * pitch
         for k in range(n_vertices):
-            cov = []
-            for c, (cx, cy) in enumerate(centers):
-                if math.hypot(pos[k][0] - cx, pos[k][1] - cy) <= radius:
-                    cov.append((c, float(cell_w[c])))
-            coverage[k] = tuple(cov)
+            coverage[k] = tuple((c, float(cell_w[c])) for c, (cx, cy) in enumerate(centers)
+                                if math.hypot(pos[k][0] - cx, pos[k][1] - cy) <= radius)
 
-    vertices = tuple(
-        Vertex(id=k, x=float(pos[k][0]), y=float(pos[k][1]),
-               reward=float(rewards[k]), coverage=coverage[k])
-        for k in range(n_vertices)
-    )
-    starts = [int(s) for s in rng.integers(0, n_vertices, size=n_robots)]
-    graph = MetricGraph.from_positions(vertices)
-    return _validate_scenario(graph, starts, budget, alpha, reward_kind)
+    vertices = [Vertex(id=k, x=float(pos[k][0]), y=float(pos[k][1]), reward=float(rewards[k]),
+                       coverage=coverage[k]) for k in range(n_vertices)]
+    graph, starts = MetricGraph.from_positions(vertices), rng.integers(0, n_vertices, size=n_robots)
+    return _verified(Scenario(graph, starts, budget, alpha, reward_kind))
 
 
 def resample_starts(scenario: Scenario, seed: int) -> Scenario:
     """New scenario with starts redrawn uniformly from the vertices."""
     rng = np.random.default_rng(seed)
-    starts = [int(s) for s in rng.integers(0, scenario.graph.n, size=scenario.n_robots)]
-    return scenario.with_starts(starts)
+    return scenario.with_starts(rng.integers(0, scenario.graph.n, size=scenario.n_robots))

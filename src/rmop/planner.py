@@ -132,8 +132,6 @@ def solve_rmop(scenario: Scenario, solver: OpSolverConfig) -> Solution:
     graph = scenario.graph
     n = scenario.n_robots
     alpha = scenario.alpha
-    if not 0 <= alpha < n:
-        raise ValueError(f"alpha must satisfy 0 <= alpha < {n}, got {alpha}")
 
     if alpha == 0:
         return solve_sga(scenario, solver)

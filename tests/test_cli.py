@@ -10,7 +10,8 @@ import rmop.graph
 from rmop.attack import ATTACK_MODELS, run_attack
 from rmop.bench import PLANNER_NAMES
 from rmop.cli import build_parser, main, solution_from_document
-from rmop.graph import dump_scenario, generate_scenario, load_scenario, scenario_to_document
+from rmop.graph import (LAYOUTS, REWARD_KINDS, dump_scenario, generate_scenario, load_scenario,
+                        scenario_to_document)
 from rmop.orienteering import SUBROUTINES
 from rmop.reward import RewardModel
 
@@ -221,6 +222,8 @@ def test_parser_choices_are_the_library_tables():
     assert choices("solve", "--planner") == PLANNER_NAMES
     assert choices("solve", "--subroutine") == SUBROUTINES
     assert choices("attack", "--model") == ATTACK_MODELS
+    assert choices("gen", "--layout") == LAYOUTS
+    assert choices("gen", "--reward-kind") == REWARD_KINDS
 
 
 class TestBench:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rmop.graph import (MetricGraph, Scenario, ScenarioError, Vertex, dump_scenario,
-                        generate_scenario, load_scenario, path_cost, resample_starts,
-                        scenario_to_document, verify_metric)
+from rmop.graph import (LAYOUTS, REWARD_KINDS, MetricGraph, Scenario, ScenarioError, Vertex,
+                        dump_scenario, generate_scenario, load_scenario, path_cost,
+                        resample_starts, scenario_to_document, verify_metric)
 
 from helpers import line_instance
 
@@ -162,6 +163,105 @@ class TestMetricGraph:
         assert graph.distance[0, 2] == 2.0
         assert verify_metric(graph).ok
 
+    @pytest.mark.parametrize("ids", [(5, 7), (1, 0), (0, 0), (0, 2)], ids=str)
+    def test_vertex_ids_must_be_dense(self, ids):
+        verts = tuple(Vertex(i, float(k), 0.0) for k, i in enumerate(ids))
+        with pytest.raises(ScenarioError, match="dense 0..1"):
+            MetricGraph(verts, np.zeros((2, 2)))
+
+    def test_float_vertex_id_is_refused(self):
+        verts = (Vertex(0, 0.0, 0.0), Vertex(1.0, 1.0, 0.0))
+        with pytest.raises(TypeError):
+            MetricGraph.from_positions(verts)
+
+    @pytest.mark.parametrize("matrix", [np.zeros((3, 3)), np.zeros(4), np.zeros((2, 3)),
+                                        np.zeros((2, 2, 1)), 0.0],
+                             ids=["3x3", "1-D", "2x3", "2x2x1", "scalar"])
+    def test_matrix_must_be_n_by_n(self, matrix):
+        verts = (Vertex(0, 0.0, 0.0), Vertex(1, 0.0, 0.0))
+        with pytest.raises(ScenarioError, match="must be 2x2, got shape"):
+            MetricGraph(verts, matrix)
+
+    @pytest.mark.parametrize("fault", ["nan", "inf", "-inf"])
+    def test_non_finite_entry_is_refused(self, fault):
+        verts = tuple(Vertex(i, 0.0, 0.0) for i in range(3))
+        mat = np.ones((3, 3)) - np.eye(3)
+        mat[0, 1] = float(fault)
+        with pytest.raises(ScenarioError, match=r"finite.*\(0,1\)"):
+            MetricGraph(verts, mat)
+        mat[1, 0] = mat[0, 1]
+        with pytest.raises(ScenarioError, match=r"finite.*\(0,1\)"):
+            MetricGraph(verts, mat)
+
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_coordinates_are_refused(self, x):
+        # A non-finite coordinate makes its own diagonal entry NaN, even on one vertex.
+        for n in (1, 3):
+            verts = [Vertex(i, 1.0 * i, 0.0) for i in range(n)]
+            verts[-1] = Vertex(n - 1, x, 0.0)
+            with np.errstate(invalid="ignore"), pytest.raises(ScenarioError, match="finite"):
+                MetricGraph.from_positions(verts)
+
+    def test_euclidean_is_derived_not_stated(self):
+        verts = tuple(Vertex(i, 0.0, 0.0) for i in range(3))
+        mat = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        with pytest.raises(TypeError):
+            MetricGraph(verts, mat, euclidean=True)
+        graph = MetricGraph(verts, mat)
+        assert not graph.euclidean
+        assert MetricGraph.from_positions(verts).euclidean
+        assert MetricGraph(verts, np.zeros((3, 3))).euclidean
+        s = Scenario(graph, starts=(0,), budget=1.0, alpha=0)
+        assert load_scenario(dump_scenario(s)).graph.distance.tobytes() == mat.tobytes()
+
+
+def scenario_1v(**overrides):
+    """One vertex, two robots: the smallest graph every bad field can be tried on."""
+    fields = dict(graph=MetricGraph.from_positions([Vertex(0, 0.0, 0.0, 1.0)]), starts=(0, 0),
+                  budget=1.0, alpha=1, reward_kind="modular")
+    return Scenario(**{**fields, **overrides})
+
+
+# (field, bad value, exception, message): each refused the same way however it is set.
+BAD_FIELDS = [
+    ("reward_kind", "bogus", ScenarioError, r"reward_kind must be one of \('modular', "),
+    ("starts", (), ScenarioError, "at least one robot start"),
+    ("starts", (0, 3), ScenarioError, "start vertex 3 is not a valid vertex id"),
+    ("starts", (-1, 0), ScenarioError, "start vertex -1 is not a valid vertex id"),
+    ("starts", (0, 1.7), TypeError, "integer"),
+    ("starts", (0.0, 0), TypeError, "integer"),
+    ("budget", -1.0, ScenarioError, "budget must be finite and non-negative, got -1.0"),
+    ("budget", float("nan"), ScenarioError, "budget must be finite and non-negative, got nan"),
+    ("budget", float("inf"), ScenarioError, "budget must be finite and non-negative, got inf"),
+    ("alpha", 2, ScenarioError, r"alpha must be < 2 \(number of robots\) and >= 0, got 2$"),
+    ("alpha", -1, ScenarioError, r"alpha must be < 2 \(number of robots\) and >= 0, got -1$"),
+    ("alpha", 1.5, TypeError, "integer"),
+    ("alpha", 1.0, TypeError, "integer"),
+]
+
+
+class TestScenario:
+    @pytest.mark.parametrize("field, value, error, message", BAD_FIELDS,
+                             ids=[f"{f}={v!r}" for f, v, _, _ in BAD_FIELDS])
+    def test_bad_field_is_refused_however_it_is_set(self, field, value, error, message):
+        good = scenario_1v()
+        setters = [lambda: scenario_1v(**{field: value}),
+                   lambda: dataclasses.replace(good, **{field: value})]
+        if field == "starts":
+            setters.append(lambda: good.with_starts(list(value)))
+        if field == "alpha":
+            setters.append(lambda: good.with_alpha(value))
+        for setter in setters:
+            with pytest.raises(error, match=message):
+                setter()
+
+    def test_integer_fields_take_numpy_integers_as_ints(self):
+        s = scenario_1v(starts=np.array([0, 0]), alpha=np.int64(1), budget=np.float32(2.5))
+        assert s.starts == (0, 0) and s.alpha == 1 and s.budget == 2.5
+        assert {type(v) for v in (*s.starts, s.alpha, s.budget)} == {int, float}
+        again = s.with_starts(np.zeros(3, dtype=np.int32)).with_alpha(np.int16(2))
+        assert again.starts == (0, 0, 0) and type(again.alpha) is int
+
 
 def spy_triangle_rows(monkeypatch):
     """Record, per verify_metric call, the rows sent to the exact triangle check."""
@@ -204,14 +304,14 @@ class TestVerifyMetric:
     def test_triangle_violation_reported(self):
         verts = tuple(Vertex(i, 0.0, 0.0, 0.0) for i in range(3))
         mat = np.array([[0.0, 1.0, 10.0], [1.0, 0.0, 1.0], [10.0, 1.0, 0.0]])
-        report = verify_metric(MetricGraph(verts, mat, euclidean=False))
+        report = verify_metric(MetricGraph(verts, mat))
         assert not report.ok
         assert (0, 1, 2) in report.triangle
 
     def test_nonzero_diagonal_reported(self):
         verts = tuple(Vertex(i, 0.0, 0.0, 0.0) for i in range(2))
         mat = np.array([[0.0, 1.0], [1.0, 0.5]])
-        report = verify_metric(MetricGraph(verts, mat, euclidean=False))
+        report = verify_metric(MetricGraph(verts, mat))
         assert report.diagonal == (1,)
 
     @settings(max_examples=60, deadline=None)
@@ -228,15 +328,14 @@ class TestVerifyMetric:
             d[i, j] = d[j, i] = -d[i, j]
             d[j, k] += 5.0
         verts = tuple(Vertex(i, 0.0, 0.0, 0.0) for i in range(n))
-        report = verify_metric(MetricGraph(verts, d, euclidean=False))
+        report = verify_metric(MetricGraph(verts, d))
         # The full-broadcast formula (O(|V|^3) memory) that the row-blocked check replaced.
         via = d[:, :, None] + d[None, :, :]
         bad = np.argwhere(d[:, None, :] > via + rmop.graph.METRIC_TOL)
         assert report.triangle == tuple((int(i), int(j), int(k)) for i, j, k in bad
                                         if i != j and j != k and i != k)
 
-    @pytest.mark.parametrize("fault", ["at_tol", "ulp_above", "diagonal", "ulp_asymmetry",
-                                       "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("fault", ["at_tol", "ulp_above", "diagonal", "ulp_asymmetry"])
     @settings(max_examples=25, deadline=None)
     @given(st.integers(3, 40), st.integers(0, 2 ** 32 - 1))
     def test_symmetric_screen_matches_full_broadcast(self, fault, n, seed):
@@ -258,17 +357,13 @@ class TestVerifyMetric:
             elif fault == "ulp_asymmetry":
                 a, b = (i, k) if rng.integers(2) else (k, i)
                 d[a, b] = np.nextafter(edge, np.inf)
-            elif fault in ("nan", "inf", "-inf"):
-                d[i, j] = float(fault)
-                if rng.integers(2):
-                    d[j, i] = d[i, j]
         verts = tuple(Vertex(v, 0.0, 0.0, 0.0) for v in range(n))
-        with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore", over="ignore"):
+        with pytest.MonkeyPatch.context() as mp:
             seen = spy_triangle_rows(mp)
-            report = verify_metric(MetricGraph(verts, d, euclidean=False))
+            report = verify_metric(MetricGraph(verts, d))
             expected = full_broadcast_triangle(d)
         assert report.triangle == expected
-        if fault in ("ulp_asymmetry", "nan", "inf", "-inf"):
+        if fault == "ulp_asymmetry":
             assert seen == [list(range(n))]
         elif fault != "diagonal":
             # Zero diagonal: the screen flags exactly the rows that hold a violation.
@@ -283,7 +378,7 @@ class TestVerifyMetric:
         # One ulp of asymmetry, far below METRIC_TOL, sends every row to the exact check.
         d = s.graph.distance.copy()
         d[0, 1] = np.nextafter(d[0, 1], np.inf)
-        assert verify_metric(MetricGraph(s.graph.vertices, d, euclidean=False)).ok
+        assert verify_metric(MetricGraph(s.graph.vertices, d)).ok
         assert seen == checked == [list(range(300))]
 
     @pytest.mark.parametrize("layout", ["grid", "uniform"])
@@ -294,7 +389,7 @@ class TestVerifyMetric:
     @given(st.integers(2, 40), st.integers(0, 2 ** 32 - 1), st.booleans())
     def test_position_certificate_matches_full_broadcast(self, layout, scale, n, seed, plant):
         # A from_positions map, or its matrix with one edge an ulp above the violation
-        # threshold of its cheapest detour, mislabelled as Euclidean.
+        # threshold of its cheapest detour.
         rng = np.random.default_rng(seed)
         pos = map_positions(layout, n, scale, rng)
         graph = MetricGraph.from_positions(
@@ -304,7 +399,7 @@ class TestVerifyMetric:
             i, k = rng.choice(n, size=2, replace=False)
             j = min((j for j in range(n) if j != i and j != k), key=lambda j: d[i, j] + d[j, k])
             d[i, k] = d[k, i] = np.nextafter((d[i, j] + d[j, k]) + rmop.graph.METRIC_TOL, np.inf)
-            graph = MetricGraph(graph.vertices, d, euclidean=True)
+            graph = MetricGraph(graph.vertices, d)
         with pytest.MonkeyPatch.context() as mp:
             seen = spy_triangle_rows(mp)
             report = verify_metric(graph)
@@ -339,6 +434,45 @@ class TestVerifyMetric:
     def test_any_euclidean_position_set_is_metric(self, points):
         verts = [Vertex(i, x, y, 0.0) for i, (x, y) in enumerate(points)]
         assert verify_metric(MetricGraph.from_positions(verts)).ok
+
+
+def assert_round_trips(s):
+    data = dump_scenario(s)
+    again = load_scenario(data)
+    assert again.graph.distance.tobytes() == s.graph.distance.tobytes()
+    assert [dataclasses.astuple(v) for v in again.graph.vertices] == \
+        [dataclasses.astuple(v) for v in s.graph.vertices]
+    assert (again.starts, again.budget, again.alpha, again.reward_kind) == \
+        (s.starts, s.budget, s.alpha, s.reward_kind)
+    assert dump_scenario(again) == data
+    return json.loads(data)
+
+
+class TestRoundTrip:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 25), st.integers(1, 4), st.data(), st.sampled_from(LAYOUTS),
+           st.sampled_from(REWARD_KINDS), st.floats(0.0, 200.0), st.integers(0, 2 ** 32 - 1))
+    def test_generated_scenario(self, n, robots, data, layout, kind, budget, seed):
+        alpha = data.draw(st.integers(0, robots - 1))
+        s = generate_scenario(n, robots, alpha, budget, layout=layout, bumps=2, seed=seed,
+                              reward_kind=kind)
+        assert "distance_matrix" not in assert_round_trips(s)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-50, 50), st.floats(-50, 50)), min_size=2, max_size=9),
+           st.integers(0, 2 ** 32 - 1))
+    def test_explicit_matrix(self, points, seed):
+        rng = np.random.default_rng(seed)
+        verts = [Vertex(i, x, y, 1.0) for i, (x, y) in enumerate(points)]
+        d = MetricGraph.from_positions(verts).distance.copy()
+        copy = Scenario(MetricGraph(verts, d), starts=(0,), budget=10.0, alpha=0)
+        assert copy.graph.euclidean
+        assert "distance_matrix" not in assert_round_trips(copy)
+        i, k = rng.choice(len(points), size=2, replace=False)
+        d[i, k] = d[k, i] = np.nextafter(d[i, k], np.inf)
+        off = Scenario(MetricGraph(verts, d), starts=(0,), budget=10.0, alpha=0)
+        assert not off.graph.euclidean
+        assert "distance_matrix" in assert_round_trips(off)
 
 
 class TestPathCost:

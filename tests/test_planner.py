@@ -88,9 +88,9 @@ class TestSolveRmop:
 
     def test_single_robot_with_positive_alpha_rejected(self):
         graph, _ = line_instance()
-        scenario = Scenario(graph=graph, starts=(0,), budget=2.0, alpha=1,
-                            reward_kind="modular")
         with pytest.raises(ValueError, match="alpha"):
+            scenario = Scenario(graph=graph, starts=(0,), budget=2.0, alpha=1,
+                                reward_kind="modular")
             solve_rmop(scenario, EXACT)
 
     def test_invariant_and_partition_on_random_instances(self):
@@ -148,7 +148,7 @@ class TestCheckSolution:
         # exactly on budget + INVARIANT_TOL, or beyond it.
         d = 1.0 + over
         graph = MetricGraph((Vertex(0, 0.0, 0.0, 0.0), Vertex(1, d, 0.0, 1.0)),
-                            np.array([[0.0, d], [d, 0.0]]), euclidean=False)
+                            np.array([[0.0, d], [d, 0.0]]))
         scenario = Scenario(graph=graph, starts=(0,), budget=1.0, alpha=0)
         solution = Solution.from_paths(RewardModel.from_scenario(scenario), [Path(0, (0, 1), d)])
         problems = check_solution(scenario, solution)
