@@ -66,16 +66,12 @@ def naive_greedy_baseline(scenario: Scenario) -> list[Path]:
     return paths
 
 
-def _check_curvatures(k_f: float, k_g: float) -> None:
+def sga_bound(k_f: float, k_g: float, eta: float) -> float:
+    """Guaranteed fraction of the coordination optimum the sequential planner keeps."""
     for name, k in (("k_f", k_f), ("k_g", k_g)):
         if not 0.0 <= k < 1.0:
             raise ValueError(f"{name} must be non-negative and strictly less than 1, "
                              f"got {k}; at curvature 1 the guarantee degenerates")
-
-
-def sga_bound(k_f: float, k_g: float, eta: float) -> float:
-    """Guaranteed fraction of the coordination optimum the sequential planner keeps."""
-    _check_curvatures(k_f, k_g)
     if eta < 1.0:
         raise ValueError(f"eta must be >= 1, got {eta}")
     return 1.0 / (1.0 / (1.0 - k_g) + eta / (1.0 - k_f))
@@ -83,9 +79,6 @@ def sga_bound(k_f: float, k_g: float, eta: float) -> float:
 
 def rmop_bound(k_f: float, k_g: float, eta: float, alpha: int, n_robots: int) -> float:
     """Guaranteed fraction of the optimal worst-case value the robust planner keeps."""
-    _check_curvatures(k_f, k_g)
-    if eta < 1.0:
-        raise ValueError(f"eta must be >= 1, got {eta}")
     if not 0 < alpha < n_robots:
         raise ValueError(f"alpha must satisfy 0 < alpha < n_robots, got {alpha} of {n_robots}")
     numerator = max(1.0 - k_f, 1.0 / (alpha + 1), 1.0 / (n_robots - alpha))

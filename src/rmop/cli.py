@@ -11,6 +11,7 @@ mis-scored. Exit codes: 0 success, 1 validation/verification failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -63,7 +64,7 @@ def scenario_digest(data: bytes) -> str:
 def solution_to_document(solution: Solution, planner: str, solver: OpSolverConfig,
                          digest: str, bound: Optional[bench.BoundReport],
                          bound_note: Optional[str]) -> dict:
-    doc = {
+    return {
         "scenario_sha256": digest,
         "planner": planner,
         "solver": {"method": solver.method, "eta": solver.eta, "eta_note": solver.eta_note},
@@ -76,18 +77,9 @@ def solution_to_document(solution: Solution, planner: str, solver: OpSolverConfi
         "s2_robots": sorted(solution.s2_robots),
         "team_reward": solution.team_reward,
         "loop_iterations": solution.loop_iterations,
-        "bound_report": None,
+        "bound_report": None if bound is None else dataclasses.asdict(bound),
         "bound_note": bound_note,
     }
-    if bound is not None:
-        doc["bound_report"] = {
-            "k_f": bound.k_f, "k_g": bound.k_g, "eta": bound.eta,
-            "alpha": bound.alpha, "n_robots": bound.n_robots,
-            "robust_fraction": bound.robust_fraction,
-            "sga_fraction": bound.sga_fraction,
-            "k_f_ground_set_note": bound.k_f_ground_set_note,
-        }
-    return doc
 
 
 def solution_from_document(doc: dict) -> tuple[Solution, str, str]:
@@ -128,12 +120,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
             reward_kind=args.reward_kind)
     except ScenarioError as exc:
         raise CliError(str(exc)) from exc
-    data = dump_scenario(scenario)
-    try:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
-    except OSError as exc:
-        raise CliError(f"cannot write {args.out}: {exc}") from exc
+    _write_text(args.out, dump_scenario(scenario).decode("utf-8"))
     print(f"wrote scenario with {args.vertices} vertices, {args.robots} robots to {args.out}")
     return 0
 

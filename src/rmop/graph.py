@@ -45,6 +45,31 @@ class ScenarioError(ValueError):
         self.report = report
 
 
+class RewardError(ScenarioError):
+    """Reward data that is not a weighted coverage, or a reward query it cannot answer."""
+
+
+def check_cells(cells: Sequence[Sequence[tuple[int, float]]]) -> None:
+    """Refuse `cells`, where vertex v covers `cells[v]`, unless they are a weighted coverage.
+
+    Every weight is finite and non-negative, no vertex lists a cell twice, and every
+    vertex that lists a cell gives it the same weight.
+    """
+    seen: dict[int, tuple[float, int]] = {}  # cell -> (weight, last vertex listing it)
+    for v, entry in enumerate(cells):
+        for cell, w in entry:
+            if not 0.0 <= w < math.inf:
+                raise RewardError(f"vertex {v} gives cell {cell} weight {w}; "
+                                  f"weights must be finite and non-negative")
+            first_w, last_v = seen.get(cell, (w, -1))
+            if last_v == v:
+                raise RewardError(f"vertex {v} lists cell {cell} more than once")
+            if first_w != w:
+                raise RewardError(f"vertex {v} gives cell {cell} weight {w}, inconsistent "
+                                  f"with {first_w} from vertex {last_v}")
+            seen[cell] = (w, v)
+
+
 @dataclass(frozen=True)
 class Vertex:
     """A graph vertex: planar position, additive reward, optional covered cells."""
@@ -60,9 +85,10 @@ class Vertex:
 class MetricGraph:
     """Vertices with dense ids 0..n-1 and a finite n x n distance matrix.
 
-    Construction refuses anything else; verify_metric reports whether the matrix is
-    metric. `euclidean` is derived: the matrix is bit for bit the one from_positions
-    builds, and a dumped document then omits it.
+    Every vertex has a finite position and a finite non-negative reward, and their
+    coverage passes check_cells. Construction refuses anything else; verify_metric
+    reports whether the matrix is metric. `euclidean` is derived: the matrix is bit for
+    bit the one from_positions builds, and a dumped document then omits it.
     """
 
     vertices: tuple[Vertex, ...]
@@ -74,6 +100,12 @@ class MetricGraph:
         for pos, v in enumerate(vertices):
             if operator.index(v.id) != pos:
                 raise ScenarioError(f"vertex ids must be dense 0..{n - 1}; found {v.id} at position {pos}")
+            if not (math.isfinite(v.x) and math.isfinite(v.y)):
+                raise ScenarioError(f"vertex {pos} has non-finite position ({v.x}, {v.y})")
+            if not 0.0 <= v.reward < math.inf:
+                raise RewardError(f"vertex {pos} has {'negative' if v.reward < 0 else 'non-finite'} "
+                                  f"reward {v.reward}")
+        check_cells([v.coverage for v in vertices])
         mat = np.array(self.distance, dtype=float, order="C")  # a copy: the caller keeps theirs
         if mat.shape != (n, n):
             raise ScenarioError(f"distance_matrix must be {n}x{n}, got shape {mat.shape}")
@@ -323,35 +355,24 @@ def _read_vertices(doc: dict) -> list[Vertex]:
     if not raw:
         raise ScenarioError("scenario must contain at least one vertex")
     vertices = []
-    cell_weights: dict[int, float] = {}
     for idx in range(len(raw)):
         where = f"vertices[{idx}]"
         entry = read_field(raw, idx, dict, "vertices")
         check_keys(entry, _VERTEX_KEYS, f"keys in {where}")
         reward = read_field(entry, "reward", float, where)
-        if reward < 0:
-            raise ScenarioError(f"{where} has negative reward {reward}")
         pairs = read_field(entry, "coverage", list, where, default=[])
-        coverage: dict[int, float] = {}
+        coverage = []
         for c in range(len(pairs)):
             pair_name = f"{where}.coverage[{c}]"
             pair = read_field(pairs, c, list, f"{where}.coverage")
             if len(pair) != 2:
                 raise ScenarioError(f"{pair_name} must be a [cell, weight] pair")
-            cell = read_field(pair, 0, int, pair_name)
-            weight = read_field(pair, 1, float, pair_name)
-            if cell in coverage:
-                raise ScenarioError(f"{pair_name} repeats cell {cell}")
-            if weight < 0:
-                raise ScenarioError(f"{where} has negative coverage weight for cell {cell}")
-            if cell_weights.setdefault(cell, weight) != weight:
-                raise ScenarioError(f"{pair_name} gives cell {cell} weight {weight}, "
-                                    f"another vertex gives it {cell_weights[cell]}")
-            coverage[cell] = weight
+            coverage.append((read_field(pair, 0, int, pair_name),
+                             read_field(pair, 1, float, pair_name)))
         vertices.append(Vertex(id=read_field(entry, "id", int, where),
                                x=read_field(entry, "x", float, where),
                                y=read_field(entry, "y", float, where), reward=reward,
-                               coverage=tuple(coverage.items())))
+                               coverage=tuple(coverage)))
     vertices.sort(key=lambda v: v.id)
     return vertices
 

@@ -52,9 +52,11 @@ class OpSolverConfig:
         return GCB_ETA_NOTE if self.method == "gcb" else None
 
 
-def _check_start(graph: MetricGraph, start: int) -> None:
+def _check_problem(graph: MetricGraph, start: int, budget: float) -> None:
     if not 0 <= start < graph.n:
         raise ValueError(f"start vertex {start} out of range 0..{graph.n - 1}")
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
 
 
 def _fold_cost(dist: list[list[float]], route: list[int]) -> float:
@@ -72,9 +74,7 @@ def solve_op_exact(graph: MetricGraph, model: RewardModel, start: int, budget: f
     incumbent (singleton sums upper-bound marginal gains). Ties break to the
     lexicographically smallest vertex sequence. Guarded to small graphs.
     """
-    _check_start(graph, start)
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
+    _check_problem(graph, start, budget)
     if graph.n > EXACT_SIZE_LIMIT:
         raise SizeGuardError(
             f"exact solver refuses |V|={graph.n} > {EXACT_SIZE_LIMIT}; use the gcb method")
@@ -156,9 +156,7 @@ def solve_op_gcb(graph: MetricGraph, model: RewardModel, start: int, budget: flo
     best single-hop path from the start, so one far-but-rich vertex cannot
     be starved out by the ratio rule.
     """
-    _check_start(graph, start)
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
+    _check_problem(graph, start, budget)
     n = graph.n
     dist = graph.distance.tolist()
     ev = IncrementalEval(model)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .graph import MetricGraph, Path, Scenario, path_cost
+from .graph import MetricGraph, Path, Scenario, ScenarioError, path_cost
 from .reward import RewardModel, eval_team, eval_vertex_set
 from .orienteering import OpSolverConfig, solve_op
 
@@ -187,23 +187,15 @@ def check_solution(scenario: Scenario, solution: Solution) -> list[str]:
     for i, path in enumerate(solution.paths):
         if path.robot != i:
             problems.append(f"path {i} is labeled for robot {path.robot}")
-        if not path.vertices:
-            problems.append(f"robot {i} has an empty path")
-            evaluable = False
-            continue
-        if path.vertices[0] != scenario.starts[i]:
+        if path.vertices and path.vertices[0] != scenario.starts[i]:
             problems.append(
                 f"robot {i} path starts at {path.vertices[0]}, expected {scenario.starts[i]}")
-        if len(set(path.vertices)) != len(path.vertices):
-            problems.append(f"robot {i} path repeats a vertex")
+        try:
+            true_cost = path_cost(graph, path.vertices)
+        except ScenarioError as exc:  # an empty path, or a repeated or unknown vertex
+            problems.append(f"robot {i}: {exc}")
             evaluable = False
             continue
-        bad_ids = [v for v in path.vertices if not 0 <= v < graph.n]
-        if bad_ids:
-            problems.append(f"robot {i} path visits unknown vertex {bad_ids[0]}")
-            evaluable = False
-            continue
-        true_cost = path_cost(graph, path.vertices)
         if abs(true_cost - path.cost) > INVARIANT_TOL:
             problems.append(
                 f"robot {i} stored cost {path.cost} differs from recomputed {true_cost}")

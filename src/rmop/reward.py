@@ -16,20 +16,18 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from .graph import Path, Scenario
-
-
-class RewardError(ValueError):
-    """An evaluation was asked for an invalid vertex id or inconsistent model."""
+from .graph import Path, RewardError, Scenario, check_cells
 
 
 @dataclass(frozen=True, eq=False)
 class RewardModel:
     """Vertex v covers the (cell, weight) pairs `cells[v]`.
 
-    Build models with `modular` or `coverage`, which validate the cells: no
-    negative weight, no cell listed twice by one vertex, and one weight per
-    cell. `with_masked` derives from a validated model and skips the check.
+    Build models from raw cells with `modular` or `coverage`, which run
+    check_cells: every weight finite and non-negative, no cell listed twice by
+    one vertex, and one weight per cell. `from_scenario` reads cells its
+    MetricGraph already checked, and `with_masked` derives from a checked
+    model; neither checks again.
     """
 
     cells: tuple[tuple[tuple[int, float], ...], ...]
@@ -46,25 +44,17 @@ class RewardModel:
     @classmethod
     def coverage(cls, cells: Sequence[Sequence[tuple[int, float]]]) -> "RewardModel":
         per_vertex = tuple(tuple((int(c), float(w)) for c, w in entry) for entry in cells)
-        seen: dict[int, tuple[float, int]] = {}  # cell -> (weight, last vertex listing it)
-        for v, entry in enumerate(per_vertex):
-            for cell, w in entry:
-                if not w >= 0.0:
-                    raise RewardError(f"cell {cell} has weight {w}; weights must be non-negative")
-                first_w, last_v = seen.get(cell, (w, -1))
-                if last_v == v:
-                    raise RewardError(f"vertex {v} lists cell {cell} more than once")
-                if first_w != w:
-                    raise RewardError(f"cell {cell} has inconsistent weights {first_w} and {w}")
-                seen[cell] = (w, v)
+        check_cells(per_vertex)
         return cls(cells=per_vertex)
 
     @classmethod
     def from_scenario(cls, scenario: Scenario) -> "RewardModel":
+        """The model `modular` or `coverage` builds from the vertices, without a second check."""
         vertices = scenario.graph.vertices
         if scenario.reward_kind == "modular":
-            return cls.modular([v.reward for v in vertices])
-        return cls.coverage([v.coverage for v in vertices])
+            return cls(cells=tuple(((v, float(vert.reward)),) for v, vert in enumerate(vertices)))
+        return cls(cells=tuple(tuple((int(c), float(w)) for c, w in vert.coverage)
+                               for vert in vertices))
 
     def with_masked(self, ids: Iterable[int]) -> "RewardModel":
         """Derived model whose listed vertices cover nothing, so contribute exactly zero."""

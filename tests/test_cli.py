@@ -53,6 +53,14 @@ class TestGen:
         assert code == 1
         assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0, got -1"]
 
+    def test_unwritable_out_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "s.json"
+        code = run_cli("gen", "--vertices", "12", "--robots", "3", "--alpha", "1",
+                       "--budget", "30", "--seed", "7", "--out", str(out))
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}: ")
+
     def test_benchmark_scale_generation(self, tmp_path):
         out = tmp_path / "big.json"
         code = run_cli("gen", "--vertices", "96", "--robots", "10", "--alpha", "3",

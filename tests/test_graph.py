@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import rmop.graph
 
@@ -76,6 +77,19 @@ class TestLoadScenario:
         doc = doc_4v()
         doc["vertices"][1]["reward"] = -1.0
         with pytest.raises(ScenarioError, match="negative reward"):
+            load_scenario(json.dumps(doc))
+
+    @pytest.mark.parametrize("coverage, message", [
+        ({1: [[4, 2.0], [4, 2.0]]}, "vertex 1 lists cell 4 more than once"),
+        ({1: [[4, -2.0]]}, "vertex 1 gives cell 4 weight -2.0; weights must be finite"),
+        ({1: [[4, 2.0]], 3: [[5, 1.0], [4, 3.0]]},
+         "vertex 3 gives cell 4 weight 3.0, inconsistent with 2.0 from vertex 1"),
+    ], ids=["repeated", "negative", "two weights"])
+    def test_bad_coverage_names_the_vertex_and_the_cell(self, coverage, message):
+        doc = doc_4v()
+        for v, pairs in coverage.items():
+            doc["vertices"][v]["coverage"] = pairs
+        with pytest.raises(ScenarioError, match=re.escape(message)):
             load_scenario(json.dumps(doc))
 
     def test_invalid_start_rejected(self):
@@ -201,6 +215,26 @@ class TestMetricGraph:
             verts[-1] = Vertex(n - 1, x, 0.0)
             with np.errstate(invalid="ignore"), pytest.raises(ScenarioError, match="finite"):
                 MetricGraph.from_positions(verts)
+
+    @pytest.mark.parametrize("fields, message", [
+        ([(math.nan, 0.0)], "vertex 0 has non-finite position (nan, 0.0)"),
+        ([(0.0, -math.inf)], "vertex 0 has non-finite position (0.0, -inf)"),
+        ([(0.0, 0.0, -3.0)], "vertex 0 has negative reward -3.0"),
+        ([(0.0, 0.0, math.nan)], "vertex 0 has non-finite reward nan"),
+        ([(0.0, 0.0, math.inf)], "vertex 0 has non-finite reward inf"),
+        ([(0.0, 0.0, 0.0, ((1, 2.0), (1, 2.0)))], "vertex 0 lists cell 1 more than once"),
+        ([(0.0, 0.0, 0.0, ((1, -2.0),))], "vertex 0 gives cell 1 weight -2.0; weights must"),
+        ([(0.0, 0.0, 0.0, ((1, math.nan),))], "vertex 0 gives cell 1 weight nan; weights must"),
+        ([(0.0, 0.0, 0.0, ((1, math.inf),))], "vertex 0 gives cell 1 weight inf; weights must"),
+        ([(0.0, 0.0, 0.0, ((1, 2.0),)), (1.0, 0.0, 0.0, ((1, 3.0),))],
+         "vertex 1 gives cell 1 weight 3.0, inconsistent with 2.0 from vertex 0"),
+    ], ids=["nan x", "-inf y", "negative reward", "nan reward", "inf reward", "repeated cell",
+            "negative weight", "nan weight", "inf weight", "two weights"])
+    def test_bad_vertex_data_is_refused(self, fields, message):
+        # An explicit finite matrix: a bad coordinate cannot surface as a bad distance.
+        verts = [Vertex(i, *f) for i, f in enumerate(fields)]
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            MetricGraph(verts, np.zeros((len(verts), len(verts))))
 
     def test_euclidean_is_derived_not_stated(self):
         verts = tuple(Vertex(i, 0.0, 0.0) for i in range(3))
@@ -448,6 +482,27 @@ def assert_round_trips(s):
     return json.loads(data)
 
 
+@st.composite
+def vertex_fields(draw):
+    """(x, y, reward, coverage) of 1-4 vertices; one number may be bad or one cell added.
+
+    The added cell may repeat one of its vertex's cells, give a cell a second weight, or
+    carry a negative or non-finite weight.
+    """
+    n = draw(st.integers(1, 4))
+    weight = draw(st.lists(st.sampled_from([0.0, 2.0, 3.0]), min_size=4, max_size=4))
+    fields = [[draw(st.floats(-50, 50)), draw(st.floats(-50, 50)), draw(st.floats(0, 100)),
+               [(c, weight[c]) for c in draw(st.lists(st.integers(0, 3), unique=True, max_size=3))]]
+              for _ in range(n)]
+    v, fault = draw(st.integers(0, n - 1)), draw(st.sampled_from([None, 0, 1, 2, 3]))
+    if fault == 3:
+        fields[v][3].append((draw(st.integers(0, 3)),
+                             draw(st.sampled_from([0.0, 2.0, 3.0, -2.0, math.nan, math.inf]))))
+    elif fault is not None:
+        fields[v][fault] = draw(st.sampled_from([-3.0, math.nan, math.inf, -math.inf]))
+    return fields
+
+
 class TestRoundTrip:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 25), st.integers(1, 4), st.data(), st.sampled_from(LAYOUTS),
@@ -473,6 +528,16 @@ class TestRoundTrip:
         off = Scenario(MetricGraph(verts, d), starts=(0,), budget=10.0, alpha=0)
         assert not off.graph.euclidean
         assert "distance_matrix" in assert_round_trips(off)
+
+    @settings(max_examples=200, deadline=None)
+    @given(vertex_fields(), st.sampled_from(REWARD_KINDS))
+    def test_a_graph_that_builds_round_trips(self, fields, kind):
+        verts = [Vertex(i, x, y, r, tuple(cells)) for i, (x, y, r, cells) in enumerate(fields)]
+        try:
+            graph = MetricGraph(verts, np.zeros((len(verts), len(verts))))
+        except ScenarioError:
+            return
+        assert_round_trips(Scenario(graph, starts=(0,), budget=1.0, alpha=0, reward_kind=kind))
 
 
 class TestPathCost:

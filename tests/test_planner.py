@@ -184,6 +184,18 @@ class TestCheckSolution:
         problems = check_solution(scenario, bad)
         assert any("overlap" in p for p in problems)
 
+    @pytest.mark.parametrize("vertices, problem", [
+        ((), "robot 1: path must contain at least one vertex"),
+        ((0, 1, 0), "robot 1: repeated vertex id 0 in path"),
+        ((0, 4), "robot 1: vertex id 4 out of range 0..3"),
+    ], ids=["empty", "repeated", "unknown"])
+    def test_unwalkable_path_is_one_problem(self, vertices, problem):
+        # Its cost and rewards are undefined, so none of them is compared.
+        scenario = line_scenario(n_robots=2, alpha=0)
+        solution = solve_sga(scenario, EXACT)
+        paths = (solution.paths[0], Path(robot=1, vertices=vertices, cost=0.0))
+        assert check_solution(scenario, dataclasses.replace(solution, paths=paths)) == [problem]
+
     def test_robot_ids_outside_the_team_reported_without_reward_order(self):
         # At seed 0 robot 2 scores least, so a -1 that wrapped to it would
         # also raise a bogus "outranks" complaint.

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rmop.graph import Path
+from rmop.graph import (LAYOUTS, REWARD_KINDS, Path, dump_scenario, generate_scenario,
+                        load_scenario)
 from rmop.reward import (CurvatureEstimate, IncrementalEval, RewardError, RewardModel,
                          curvature, eval_team, eval_vertex_set, team_curvature,
                          vertex_curvature)
@@ -58,6 +59,27 @@ class TestEvalVertexSet:
     def test_negative_weight_rejected(self):
         with pytest.raises(RewardError):
             RewardModel.modular([-1.0])
+
+    @pytest.mark.parametrize("w", [np.inf, np.nan])
+    def test_non_finite_weight_rejected(self, w):
+        for build in (lambda: RewardModel.modular([1.0, w]),
+                      lambda: RewardModel.coverage([[(0, 1.0)], [(1, w)]])):
+            with pytest.raises(RewardError, match=f"vertex 1 gives cell 1 weight {w}"):
+                build()
+
+
+class TestFromScenario:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 30), st.sampled_from(REWARD_KINDS), st.sampled_from(LAYOUTS),
+           st.integers(0, 2 ** 32 - 1))
+    def test_cells_are_those_the_checked_constructors_build(self, n, kind, layout, seed):
+        generated = generate_scenario(n, 1, 0, 10.0, layout=layout, seed=seed, reward_kind=kind)
+        for s in (generated, load_scenario(dump_scenario(generated))):
+            vertices = s.graph.vertices
+            checked = (RewardModel.modular([v.reward for v in vertices]) if kind == "modular"
+                       else RewardModel.coverage([v.coverage for v in vertices])).cells
+            cells = RewardModel.from_scenario(s).cells
+            assert cells == checked and repr(cells) == repr(checked)  # repr tells 1 from 1.0
 
 
 class TestEvalTeam:
