@@ -87,18 +87,28 @@ class MetricGraph:
 
     Every vertex has a finite position and a finite non-negative reward, and their
     coverage passes check_cells. Construction refuses anything else; verify_metric
-    reports whether the matrix is metric. `euclidean` is derived: the matrix is bit for
-    bit the one from_positions builds, and a dumped document then omits it.
+    reports whether the matrix is metric. Vertex numbers are stored as `float` and ids
+    and cells as `int` (`operator.index`), as a document reloads them. `euclidean` is
+    derived: the matrix is bit for bit the one from_positions builds, and a dumped
+    document then omits it.
     """
 
     vertices: tuple[Vertex, ...]
     distance: np.ndarray
 
     def __post_init__(self):
-        vertices = tuple(self.vertices)
+        vertices = list(self.vertices)
         n = len(vertices)
         for pos, v in enumerate(vertices):
-            if operator.index(v.id) != pos:
+            if not (type(v.id) is int and type(v.x) is type(v.y) is type(v.reward) is float
+                    and type(v.coverage) is tuple
+                    and all(type(p) is tuple and len(p) == 2 and type(p[0]) is int
+                            and type(p[1]) is float for p in v.coverage)):
+                # Generated and loaded vertices pass as they are; others are rebuilt.
+                cells = tuple((operator.index(c), float(w)) for c, w in v.coverage)
+                v = vertices[pos] = Vertex(operator.index(v.id), float(v.x), float(v.y),
+                                           float(v.reward), cells)
+            if v.id != pos:
                 raise ScenarioError(f"vertex ids must be dense 0..{n - 1}; found {v.id} at position {pos}")
             if not (math.isfinite(v.x) and math.isfinite(v.y)):
                 raise ScenarioError(f"vertex {pos} has non-finite position ({v.x}, {v.y})")
@@ -113,7 +123,7 @@ class MetricGraph:
             bad = np.argwhere(~np.isfinite(mat))[0]
             raise ScenarioError(f"distance_matrix must be finite, violated at ({bad[0]},{bad[1]})")
         mat.setflags(write=False)
-        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "vertices", tuple(vertices))
         object.__setattr__(self, "distance", mat)
 
     @property
@@ -126,8 +136,10 @@ class MetricGraph:
 
     @classmethod
     def from_positions(cls, vertices: Sequence[Vertex]) -> "MetricGraph":
-        """Build the graph with pairwise Euclidean distances."""
-        return cls(vertices, _euclidean_matrix(vertices))
+        """Build the graph with pairwise Euclidean distances, known to be `euclidean`."""
+        graph = cls(vertices, _euclidean_matrix(vertices))
+        graph.__dict__["euclidean"] = True  # its matrix is _euclidean_matrix's, copied bit for bit
+        return graph
 
 
 def _euclidean_matrix(vertices: Sequence[Vertex]) -> np.ndarray:
@@ -245,30 +257,34 @@ def verify_metric(graph: MetricGraph) -> MetricReport:
     Violations are returned as data, never raised; loaders turn them into errors.
     Triangle violations come out in (i, j, k) order, from the first check that applies:
 
-    1. An O(|V|^2) certificate: none, if the matrix is bit for bit `_euclidean_matrix` of
-       the vertices (`graph.euclidean`) and both coordinate spans are at most
-       `_CERTIFIED_SPAN`. Proof, u = eps/2: an entry is d = E(1+e) + a, E the exact
-       distance of the stored coordinates, |e| <= (1+u)^3 - 1 (a square's (1+u)^4 from
-       difference, product and sum, halved by the root, which rounds once), |a| < 1e-161
-       from underflow. E is a metric and fl(fl(d_ij + d_jk) + tol) >= (1-u)^2 (d_ij + d_jk)
-       + (1-u) tol, so d_ik exceeds it only if about 8u (E_ij + E_jk) >= (1-u) tol - 3a,
-       with E_ij + E_jk <= 2√2 span: only if span >= ~METRIC_TOL / (8√2 eps) ~ 4e5.
-    2. An exact check, in O(|V|^2) memory, of the rows a screen flags: O(|V|^3). The
-       screen, about a third of the arithmetic, runs on exactly symmetric matrices; on
-       any other matrix every row is checked.
+    1. An O(|V|) certificate: none at all, if the matrix is bit for bit `_euclidean_matrix`
+       of the vertices (`graph.euclidean`, known without a rebuild for a from_positions
+       graph) and both coordinate spans are at most `_CERTIFIED_SPAN`.
+       - Sign, diagonal, symmetry: fl(x_i - x_j) = -fl(x_j - x_i) exactly, so squares, sums
+         and roots are bitwise symmetric; sqrt returns >= +0; the diagonal is sqrt(+0) = 0.
+       - Triangles, u = eps/2: an entry is d = E(1+e) + a, E the exact distance of the
+         stored coordinates, |e| <= (1+u)^3 - 1 (a square's (1+u)^4 from difference,
+         product and sum, halved by the root, which rounds once), |a| < 1e-161 from
+         underflow. E is a metric and fl(fl(d_ij + d_jk) + tol) >= (1-u)^2 (d_ij + d_jk)
+         + (1-u) tol, so d_ik exceeds it only if about 8u (E_ij + E_jk) >= (1-u) tol - 3a,
+         with E_ij + E_jk <= 2√2 span: only if span >= ~METRIC_TOL / (8√2 eps) ~ 4e5.
+    2. O(|V|^2) scans for sign, diagonal and symmetry, then an exact triangle check, in
+       O(|V|^2) memory, of the rows a screen flags: O(|V|^3). The screen, about a third
+       of the arithmetic, runs on exactly symmetric matrices; on any other matrix every
+       row is checked.
     """
+    xs, ys = [v.x for v in graph.vertices], [v.y for v in graph.vertices]
+    if (xs and max(max(xs) - min(xs), max(ys) - min(ys)) <= _CERTIFIED_SPAN
+            and graph.euclidean):
+        return MetricReport()
     d = graph.distance
     tol = METRIC_TOL
     negative = tuple((int(i), int(j)) for i, j in np.argwhere(d < -tol))
     diagonal = tuple(int(i) for i in np.flatnonzero(np.abs(np.diagonal(d)) > tol))
     asym = np.argwhere(np.abs(d - d.T) > tol)
     asymmetry = tuple((int(i), int(j)) for i, j in asym if i < j)
-    xs, ys = [v.x for v in graph.vertices], [v.y for v in graph.vertices]
-    certified = (xs and max(max(xs) - min(xs), max(ys) - min(ys)) <= _CERTIFIED_SPAN
-                 and graph.euclidean)
-    triangle = () if certified else _triangle_violations(d, _triangle_rows(d, tol), tol)
     return MetricReport(negative=negative, diagonal=diagonal, asymmetry=asymmetry,
-                        triangle=triangle)
+                        triangle=_triangle_violations(d, _triangle_rows(d, tol), tol))
 
 
 def path_cost(graph: MetricGraph, vertices: Sequence[int]) -> float:

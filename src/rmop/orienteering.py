@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .graph import MetricGraph, Path
 from .reward import IncrementalEval, RewardModel, eval_vertex_set
 
@@ -52,17 +54,20 @@ class OpSolverConfig:
         return GCB_ETA_NOTE if self.method == "gcb" else None
 
 
-def _check_problem(graph: MetricGraph, start: int, budget: float) -> None:
+def _check_problem(graph: MetricGraph, model: RewardModel, start: int, budget: float) -> None:
     if not 0 <= start < graph.n:
         raise ValueError(f"start vertex {start} out of range 0..{graph.n - 1}")
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
+    if not budget >= 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
+    if model.n != graph.n:
+        raise ValueError(f"reward model has {model.n} vertices but the graph has {graph.n}")
 
 
-def _fold_cost(dist: list[list[float]], route: list[int]) -> float:
+def _fold_cost(dist: np.ndarray, route: list[int]) -> float:
+    """Travel cost of `route`, its edges added one by one from the start."""
     total = 0.0
-    for a, b in zip(route, route[1:]):
-        total += dist[a][b]
+    for step in dist[route[:-1], route[1:]].tolist():
+        total += step
     return total
 
 
@@ -74,7 +79,7 @@ def solve_op_exact(graph: MetricGraph, model: RewardModel, start: int, budget: f
     incumbent (singleton sums upper-bound marginal gains). Ties break to the
     lexicographically smallest vertex sequence. Guarded to small graphs.
     """
-    _check_problem(graph, start, budget)
+    _check_problem(graph, model, start, budget)
     if graph.n > EXACT_SIZE_LIMIT:
         raise SizeGuardError(
             f"exact solver refuses |V|={graph.n} > {EXACT_SIZE_LIMIT}; use the gcb method")
@@ -124,79 +129,65 @@ def solve_op_exact(graph: MetricGraph, model: RewardModel, start: int, budget: f
     return Path(robot=robot, vertices=tuple(best_seq), cost=best_cost)
 
 
-def _best_insertion(dist: list[list[float]], route: list[int], v: int) -> tuple[float, int]:
-    """Cheapest place to put v in an open rooted route: (cost delta, index)."""
-    row_v = dist[v]
-    best_delta = None
-    best_pos = None
-    for pos in range(1, len(route) + 1):
-        a = route[pos - 1]
-        if pos == len(route):
-            delta = dist[a][v]
-        else:
-            b = route[pos]
-            delta = dist[a][v] + row_v[b] - dist[a][b]
-        if delta < 0.0:
-            delta = 0.0
-        if best_delta is None or delta < best_delta:
-            best_delta = delta
-            best_pos = pos
-    return best_delta, best_pos
-
-
 def solve_op_gcb(graph: MetricGraph, model: RewardModel, start: int, budget: float,
                  robot: int = 0) -> Path:
     """Cost-benefit greedy: grow a cheapest-insertion route by gain/cost ratio.
 
-    Each round scores every unselected vertex with positive marginal gain by
-    gain over marginal insertion cost (zero cost counts as infinite ratio)
-    and picks the best, breaking ties toward the smaller id. The pick is
-    inserted if the route still fits the budget and permanently discarded
-    otherwise. The final answer is the better of the greedy route and the
-    best single-hop path from the start, so one far-but-rich vertex cannot
-    be starved out by the ratio rule.
+    Each round scores every unselected vertex u with positive marginal gain
+    by gain over its cheapest insertion cost: (D[a,u] + D[u,b]) - D[a,b],
+    clamped at 0, between route neighbours a and b, or D[a,u] after the last
+    vertex a, the first slot on ties; zero cost counts as infinite ratio. The
+    best, the smaller id on ties, is inserted if the route, its cost folded
+    edge by edge, still fits the budget, and permanently discarded otherwise.
+    A discard changes no other ratio, so the ratios are computed with numpy
+    once per insertion and walked in stable (-ratio, id) order until one fits.
+    The final answer is the better of the greedy route and the best
+    single-hop path from the start, so one far-but-rich vertex cannot be
+    starved out by the ratio rule.
     """
-    _check_problem(graph, start, budget)
-    n = graph.n
-    dist = graph.distance.tolist()
+    _check_problem(graph, model, start, budget)
+    dist = graph.distance
     ev = IncrementalEval(model)
     ev.add(start)
     route = [start]
     route_cost = 0.0
-    selected = {start}
-    discarded: set[int] = set()
+    open_ = np.ones(graph.n, dtype=bool)  # neither selected nor discarded
+    open_[start] = False
 
     while True:
-        best = None  # (ratio, vertex, position, delta)
-        for v in range(n):
-            if v in selected or v in discarded:
-                continue
-            g = ev.gain(v)
-            if g <= 0.0:
-                continue
-            delta, pos = _best_insertion(dist, route, v)
-            ratio = math.inf if delta == 0.0 else g / delta
-            if best is None or ratio > best[0]:
-                best = (ratio, v, pos, delta)
-        if best is None:
+        cand = np.flatnonzero(open_)
+        gain = np.array([ev.gain(v) for v in cand.tolist()], dtype=float)
+        open_[cand[gain <= 0.0]] = False  # a gain never rises as the route grows
+        cand, gain = cand[gain > 0.0], gain[gain > 0.0]
+        if not len(cand):
             break
-        _, v, pos, _ = best
-        candidate = route[:pos] + [v] + route[pos:]
-        candidate_cost = _fold_cost(dist, candidate)
-        if candidate_cost <= budget:
-            route = candidate
-            route_cost = candidate_cost
-            selected.add(v)
-            ev.add(v)
-        else:
-            discarded.add(v)
+        into = dist[np.ix_(route, cand)]  # D[a, u]
+        delta = np.empty((len(cand), len(route)))
+        np.add(into[:-1].T, dist[np.ix_(cand, route[1:])], out=delta[:, :-1])
+        delta[:, :-1] -= dist[route[:-1], route[1:]]
+        delta[:, -1] = into[-1]
+        delta[delta < 0.0] = 0.0
+        slot, cost = delta.argmin(axis=1), delta.min(axis=1)
+        ratio = np.full(len(cand), math.inf)
+        np.divide(gain, cost, out=ratio, where=cost != 0.0)
+        order = np.argsort(-ratio, kind="stable")
+        for v, pos in zip(cand[order].tolist(), (slot[order] + 1).tolist()):
+            open_[v] = False
+            candidate = route[:pos] + [v] + route[pos:]
+            candidate_cost = _fold_cost(dist, candidate)
+            if candidate_cost <= budget:
+                route = candidate
+                route_cost = candidate_cost
+                ev.add(v)
+                break
 
     greedy_reward = ev.value
 
+    from_start = dist[start].tolist()
     best_single = None
     best_single_reward = -math.inf
-    for v in range(n):
-        if v == start or dist[start][v] > budget:
+    for v in range(graph.n):
+        if v == start or from_start[v] > budget:
             continue
         value = eval_vertex_set(model, (start, v))
         if value > best_single_reward:
@@ -204,7 +195,7 @@ def solve_op_gcb(graph: MetricGraph, model: RewardModel, start: int, budget: flo
             best_single = v
 
     if best_single is not None and best_single_reward > greedy_reward:
-        return Path(robot=robot, vertices=(start, best_single), cost=dist[start][best_single])
+        return Path(robot=robot, vertices=(start, best_single), cost=from_start[best_single])
     return Path(robot=robot, vertices=tuple(route), cost=route_cost)
 
 

@@ -12,6 +12,7 @@ robot. Models are immutable; masked variants share the other vertices' cells.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -43,18 +44,21 @@ class RewardModel:
 
     @classmethod
     def coverage(cls, cells: Sequence[Sequence[tuple[int, float]]]) -> "RewardModel":
-        per_vertex = tuple(tuple((int(c), float(w)) for c, w in entry) for entry in cells)
+        per_vertex = tuple(tuple((operator.index(c), float(w)) for c, w in entry)
+                           for entry in cells)
         check_cells(per_vertex)
         return cls(cells=per_vertex)
 
     @classmethod
     def from_scenario(cls, scenario: Scenario) -> "RewardModel":
-        """The model `modular` or `coverage` builds from the vertices, without a second check."""
+        """The model `modular` or `coverage` builds from the vertices, without a second check.
+
+        MetricGraph already stores rewards and weights as float and cells as int.
+        """
         vertices = scenario.graph.vertices
         if scenario.reward_kind == "modular":
-            return cls(cells=tuple(((v, float(vert.reward)),) for v, vert in enumerate(vertices)))
-        return cls(cells=tuple(tuple((int(c), float(w)) for c, w in vert.coverage)
-                               for vert in vertices))
+            return cls(cells=tuple(((v, vert.reward),) for v, vert in enumerate(vertices)))
+        return cls(cells=tuple(vert.coverage for vert in vertices))
 
     def with_masked(self, ids: Iterable[int]) -> "RewardModel":
         """Derived model whose listed vertices cover nothing, so contribute exactly zero."""

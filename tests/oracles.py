@@ -1,9 +1,14 @@
-"""Team-level exact max-min oracle for desk-scale instances.
+"""Exact and reference oracles for checking the fast solvers and planners.
 
-A bitmask reward table over every vertex subset, every simple rooted path
-within budget per robot, and the max over path tuples of the min over
-removals. The size guards keep it to tiny instances; it exists to check the
-fast planners against the paper's worst-case guarantees, not to scale.
+A team-level exact max-min oracle for desk-scale instances: a bitmask reward
+table over every vertex subset, every simple rooted path within budget per
+robot, and the max over path tuples of the min over removals. The size guards
+keep it to tiny instances; it exists to check the fast planners against the
+paper's worst-case guarantees, not to scale.
+
+And the cost-benefit greedy as it was before scoring moved to once per
+insertion: every candidate rescored against every slot each round, in pure
+Python. `solve_op_gcb` must return the same path, bit for bit.
 """
 
 from __future__ import annotations
@@ -13,8 +18,8 @@ from itertools import combinations
 from typing import Optional
 
 from rmop.graph import MetricGraph, Path, Scenario
-from rmop.reward import RewardModel, eval_vertex_set
-from rmop.orienteering import SizeGuardError
+from rmop.reward import IncrementalEval, RewardModel, eval_vertex_set
+from rmop.orienteering import SizeGuardError, _check_problem
 
 PATH_PRODUCT_GUARD = 10 ** 7
 TABLE_SIZE_GUARD = 20
@@ -116,3 +121,94 @@ def brute_force_rmop(scenario: Scenario,
         Path(robot=i, vertices=entry[0], cost=entry[2]) for i, entry in enumerate(best_combo)
     )
     return best_val, witness
+
+
+def _fold_cost(dist: list[list[float]], route: list[int]) -> float:
+    total = 0.0
+    for a, b in zip(route, route[1:]):
+        total += dist[a][b]
+    return total
+
+
+def _best_insertion(dist: list[list[float]], route: list[int], v: int) -> tuple[float, int]:
+    """Cheapest place to put v in an open rooted route: (cost delta, index)."""
+    row_v = dist[v]
+    best_delta = None
+    best_pos = None
+    for pos in range(1, len(route) + 1):
+        a = route[pos - 1]
+        if pos == len(route):
+            delta = dist[a][v]
+        else:
+            b = route[pos]
+            delta = dist[a][v] + row_v[b] - dist[a][b]
+        if delta < 0.0:
+            delta = 0.0
+        if best_delta is None or delta < best_delta:
+            best_delta = delta
+            best_pos = pos
+    return best_delta, best_pos
+
+
+def solve_op_gcb_rescan(graph: MetricGraph, model: RewardModel, start: int, budget: float,
+                        robot: int = 0) -> Path:
+    """Cost-benefit greedy: grow a cheapest-insertion route by gain/cost ratio.
+
+    Each round scores every unselected vertex with positive marginal gain by
+    gain over marginal insertion cost (zero cost counts as infinite ratio)
+    and picks the best, breaking ties toward the smaller id. The pick is
+    inserted if the route still fits the budget and permanently discarded
+    otherwise. The final answer is the better of the greedy route and the
+    best single-hop path from the start, so one far-but-rich vertex cannot
+    be starved out by the ratio rule.
+    """
+    _check_problem(graph, model, start, budget)
+    n = graph.n
+    dist = graph.distance.tolist()
+    ev = IncrementalEval(model)
+    ev.add(start)
+    route = [start]
+    route_cost = 0.0
+    selected = {start}
+    discarded: set[int] = set()
+
+    while True:
+        best = None  # (ratio, vertex, position, delta)
+        for v in range(n):
+            if v in selected or v in discarded:
+                continue
+            g = ev.gain(v)
+            if g <= 0.0:
+                continue
+            delta, pos = _best_insertion(dist, route, v)
+            ratio = math.inf if delta == 0.0 else g / delta
+            if best is None or ratio > best[0]:
+                best = (ratio, v, pos, delta)
+        if best is None:
+            break
+        _, v, pos, _ = best
+        candidate = route[:pos] + [v] + route[pos:]
+        candidate_cost = _fold_cost(dist, candidate)
+        if candidate_cost <= budget:
+            route = candidate
+            route_cost = candidate_cost
+            selected.add(v)
+            ev.add(v)
+        else:
+            discarded.add(v)
+
+    greedy_reward = ev.value
+
+    best_single = None
+    best_single_reward = -math.inf
+    for v in range(n):
+        if v == start or dist[start][v] > budget:
+            continue
+        value = eval_vertex_set(model, (start, v))
+        if value > best_single_reward:
+            best_single_reward = value
+            best_single = v
+
+    if best_single is not None and best_single_reward > greedy_reward:
+        return Path(robot=robot, vertices=(start, best_single), cost=dist[start][best_single])
+    return Path(robot=robot, vertices=tuple(route), cost=route_cost)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rmop.graph import (LAYOUTS, REWARD_KINDS, MetricGraph, Scenario, ScenarioError, Vertex,
+from rmop.graph import (LAYOUTS, REWARD_KINDS, MetricGraph, MetricReport, Scenario,
+                        ScenarioError, Vertex,
                         dump_scenario, generate_scenario, load_scenario, path_cost,
                         resample_starts, scenario_to_document, verify_metric)
 
@@ -469,6 +470,29 @@ class TestVerifyMetric:
         verts = [Vertex(i, x, y, 0.0) for i, (x, y) in enumerate(points)]
         assert verify_metric(MetricGraph.from_positions(verts)).ok
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(st.floats(-50, 50), st.integers(-50, 50)),
+                              st.floats(-1e4, 1e4)), min_size=1, max_size=12))
+    def test_certified_matrix_needs_no_sign_diagonal_or_symmetry_scan(self, points):
+        # The certificate's claims, checked on the matrix itself: +0 and up, a zero
+        # diagonal and bitwise symmetry, whatever the rounding of the coordinates.
+        verts = [Vertex(i, x, y, 0.0) for i, (x, y) in enumerate(points + points[:2])]
+        graph = MetricGraph.from_positions(verts)
+        d = graph.distance
+        assert graph.euclidean and MetricGraph(graph.vertices, d).euclidean
+        assert not np.signbit(d).any()
+        assert not np.diagonal(d).any()
+        assert d.tobytes() == d.T.copy().tobytes()
+        assert verify_metric(graph) == MetricReport()
+
+    def test_a_position_built_map_builds_its_matrix_once(self, monkeypatch):
+        real, calls = rmop.graph._euclidean_matrix, []
+        monkeypatch.setattr(rmop.graph, "_euclidean_matrix",
+                            lambda vs: calls.append(len(vs)) or real(vs))
+        s = generate_scenario(30, 2, 1, 60.0, seed=4)
+        assert load_scenario(dump_scenario(s)).graph.euclidean
+        assert calls == [30, 30]  # one per from_positions: no check rebuilds it
+
 
 def assert_round_trips(s):
     data = dump_scenario(s)
@@ -538,6 +562,24 @@ class TestRoundTrip:
         except ScenarioError:
             return
         assert_round_trips(Scenario(graph, starts=(0,), budget=1.0, alpha=0, reward_kind=kind))
+
+    @pytest.mark.parametrize("field, value, stored", [
+        ("reward", True, 1.0), ("reward", np.float32(2.5), 2.5), ("reward", 3, 3.0),
+        ("x", np.float64(1.5), 1.5), ("y", 2, 2.0), ("id", np.int64(0), 0),
+        ("coverage", ((np.int64(1), 2),), ((1, 2.0),)),
+        ("coverage", [[1, np.float32(2.5)]], ((1, 2.5),)),
+    ])
+    def test_a_field_of_another_type_is_stored_as_a_document_reloads_it(self, field, value,
+                                                                       stored):
+        typed = Vertex(0, 0.0, 0.0, 1.0)
+        graph = MetricGraph([dataclasses.replace(typed, **{field: value})], [[0.0]])
+        assert repr(graph.vertices[0]) == repr(dataclasses.replace(typed, **{field: stored}))
+        assert_round_trips(Scenario(graph, starts=(0,), budget=1.0, alpha=0))
+        assert MetricGraph([typed], [[0.0]]).vertices[0] is typed
+
+    def test_a_float_cell_is_refused(self):
+        with pytest.raises(TypeError):
+            MetricGraph([Vertex(0, 0.0, 0.0, 0.0, ((1.5, 2.0),))], [[0.0]])
 
 
 class TestPathCost:

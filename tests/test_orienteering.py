@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rmop.graph import MetricGraph, Vertex, path_cost
+from rmop.graph import LAYOUTS, REWARD_KINDS, MetricGraph, Vertex, generate_scenario, path_cost
 from rmop.reward import RewardModel, eval_vertex_set
 from rmop.orienteering import (EXACT_SIZE_LIMIT, GCB_ETA, OpSolverConfig, SizeGuardError,
                                solve_op, solve_op_exact, solve_op_gcb)
 
 from helpers import line_instance, oracle_best_rooted_path, random_tiny_scenario
+from oracles import solve_op_gcb_rescan
 
 TOL = 1e-9
 
@@ -65,6 +67,22 @@ class TestExactSolver:
         graph, model = line_instance()
         with pytest.raises(ValueError, match="start vertex"):
             solve_op_exact(graph, model, 9, 1.0)
+
+    @pytest.mark.parametrize("method", ["exact", "gcb"])
+    @pytest.mark.parametrize("budget", [math.nan, -1.0])
+    def test_budget_that_is_not_non_negative_rejected(self, method, budget):
+        graph, model = line_instance()
+        with pytest.raises(ValueError, match=f"^budget must be non-negative, got {budget}$"):
+            solve_op(graph, model, 0, budget, OpSolverConfig(method=method))
+
+    @pytest.mark.parametrize("method", ["exact", "gcb"])
+    @pytest.mark.parametrize("n_model", [3, 5, 10])
+    def test_model_of_another_size_rejected(self, method, n_model):
+        graph, _ = line_instance()
+        model = RewardModel.modular([1.0] * n_model)
+        with pytest.raises(ValueError,
+                           match=f"^reward model has {n_model} vertices but the graph has 4$"):
+            solve_op(graph, model, 0, 2.0, OpSolverConfig(method=method))
 
     def test_matches_oracle_on_random_instances(self):
         rng = np.random.default_rng(17)
@@ -176,3 +194,62 @@ class TestSolverInvariants:
                     best_single = max(best_single, eval_vertex_set(model, {start, v}))
             assert gcb_val <= exact_val + TOL
             assert gcb_val >= best_single - TOL
+
+
+@st.composite
+def gcb_problems(draw):
+    """(graph, model, start, budget) for the gcb equivalence check.
+
+    Grid positions give many equal distances, so ratio and slot ties; an explicit
+    matrix is the Euclidean one with entries nudged by up to 1e-9, each side of the
+    diagonal on its own, as a loaded matrix may be. Coverage cells are shared between
+    vertices; a random set of vertices may be masked.
+    """
+    n = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        pos = rng.integers(0, 4, size=(n, 2)).astype(float)
+    else:
+        pos = rng.uniform(0.0, 10.0, size=(n, 2))
+    kind = draw(st.sampled_from(REWARD_KINDS))
+    if kind == "modular":
+        model = RewardModel.modular(rng.integers(0, 4, size=n).astype(float))
+    else:
+        weight = rng.integers(0, 5, size=6).astype(float)
+        model = RewardModel.coverage([[(c, weight[c]) for c in np.flatnonzero(row)]
+                                      for row in rng.random((n, 6)) < 0.4])
+    verts = [Vertex(v, x, y) for v, (x, y) in enumerate(pos)]
+    graph = MetricGraph.from_positions(verts)
+    if draw(st.booleans()):
+        d = graph.distance + rng.uniform(-1e-9, 1e-9, size=(n, n))
+        np.fill_diagonal(d, 0.0)
+        graph = MetricGraph(verts, d)
+    if draw(st.booleans()):
+        model = model.with_masked(np.flatnonzero(rng.random(n) < 0.3))
+    start = draw(st.integers(0, n - 1))
+    budget = draw(st.one_of(st.floats(0.0, 40.0), st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0])))
+    return graph, model, start, budget
+
+
+class TestGcbMatchesRescan:
+    """solve_op_gcb returns, bit for bit, the path of the greedy that rescans every round."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(gcb_problems())
+    def test_random_maps(self, problem):
+        graph, model, start, budget = problem
+        assert (solve_op_gcb(graph, model, start, budget, robot=3)
+                == solve_op_gcb_rescan(graph, model, start, budget, robot=3))
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("kind", REWARD_KINDS)
+    def test_generated_maps(self, layout, kind):
+        s = generate_scenario(96, 6, 1, 60.0, layout=layout, seed=5, reward_kind=kind)
+        model = RewardModel.from_scenario(s)
+        masked = model.with_masked(range(0, 96, 4))
+        for start in s.starts:
+            for budget in (15.0, 60.0, 120.0):
+                for m in (model, masked):
+                    path = solve_op_gcb(s.graph, m, start, budget)
+                    assert path == solve_op_gcb_rescan(s.graph, m, start, budget)
+                    assert type(path.cost) is float

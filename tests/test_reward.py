@@ -67,6 +67,13 @@ class TestEvalVertexSet:
             with pytest.raises(RewardError, match=f"vertex 1 gives cell 1 weight {w}"):
                 build()
 
+    def test_cell_id_must_be_an_integer(self):
+        with pytest.raises(TypeError):
+            RewardModel.coverage([[(1.7, 2.0)]])
+        cells = RewardModel.coverage([[(np.int64(2), np.float32(2.5)), (True, 1)]]).cells
+        assert cells == (((2, 2.5), (1, 1.0)),)
+        assert [tuple(map(type, p)) for p in cells[0]] == [(int, float), (int, float)]
+
 
 class TestFromScenario:
     @settings(max_examples=30, deadline=None)
