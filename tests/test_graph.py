@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rmop.graph import (LAYOUTS, REWARD_KINDS, MetricGraph, MetricReport, Scenario,
-                        ScenarioError, Vertex,
-                        dump_scenario, generate_scenario, load_scenario, path_cost,
-                        resample_starts, scenario_to_document, verify_metric)
+                        ScenarioError, Vertex, dump_scenario, generate_scenario,
+                        load_scenario, path_cost, resample_starts, scenario_to_document,
+                        verify_metric)
 
 from helpers import line_instance
 

@@ -68,22 +68,6 @@ class TestExactSolver:
         with pytest.raises(ValueError, match="start vertex"):
             solve_op_exact(graph, model, 9, 1.0)
 
-    @pytest.mark.parametrize("method", ["exact", "gcb"])
-    @pytest.mark.parametrize("budget", [math.nan, -1.0])
-    def test_budget_that_is_not_non_negative_rejected(self, method, budget):
-        graph, model = line_instance()
-        with pytest.raises(ValueError, match=f"^budget must be non-negative, got {budget}$"):
-            solve_op(graph, model, 0, budget, OpSolverConfig(method=method))
-
-    @pytest.mark.parametrize("method", ["exact", "gcb"])
-    @pytest.mark.parametrize("n_model", [3, 5, 10])
-    def test_model_of_another_size_rejected(self, method, n_model):
-        graph, _ = line_instance()
-        model = RewardModel.modular([1.0] * n_model)
-        with pytest.raises(ValueError,
-                           match=f"^reward model has {n_model} vertices but the graph has 4$"):
-            solve_op(graph, model, 0, 2.0, OpSolverConfig(method=method))
-
     def test_matches_oracle_on_random_instances(self):
         rng = np.random.default_rng(17)
         for trial in range(40):
@@ -164,6 +148,22 @@ class TestGcbSolver:
 
 
 class TestSolverInvariants:
+    @pytest.mark.parametrize("method", ["exact", "gcb"])
+    @pytest.mark.parametrize("budget", [math.nan, -1.0])
+    def test_budget_that_is_not_non_negative_rejected(self, method, budget):
+        graph, model = line_instance()
+        with pytest.raises(ValueError, match=f"^budget must be non-negative, got {budget}$"):
+            solve_op(graph, model, 0, budget, OpSolverConfig(method=method))
+
+    @pytest.mark.parametrize("method", ["exact", "gcb"])
+    @pytest.mark.parametrize("n_model", [3, 5, 10])
+    def test_model_of_another_size_rejected(self, method, n_model):
+        graph, _ = line_instance()
+        model = RewardModel.modular([1.0] * n_model)
+        with pytest.raises(ValueError,
+                           match=f"^reward model has {n_model} vertices but the graph has 4$"):
+            solve_op(graph, model, 0, 2.0, OpSolverConfig(method=method))
+
     @pytest.mark.parametrize("method", ["exact", "gcb"])
     def test_rooted_budgeted_simple(self, method):
         cfg = OpSolverConfig(method=method)
