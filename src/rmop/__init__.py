@@ -12,7 +12,7 @@ from .graph import (AREA_SIDE, MetricGraph, MetricReport, Path, Scenario, Scenar
                     dump_scenario, generate_scenario, load_scenario, path_cost, resample_starts,
                     scenario_from_document, scenario_to_document, verify_metric)
 from .reward import (CurvatureEstimate, IncrementalEval, RewardError, RewardModel,
-                     curvature, eval_team, eval_vertex_set, team_curvature, vertex_curvature)
+                     eval_team, eval_vertex_set, team_curvature, vertex_curvature)
 from .orienteering import (EXACT_SIZE_LIMIT, GCB_ETA, OpSolverConfig, SizeGuardError,
                            solve_op, solve_op_exact, solve_op_gcb)
 from .planner import (PlannerLoopError, SgaTrace, Solution, check_solution, sga,
@@ -21,6 +21,6 @@ from .attack import (ATTACK_MODELS, AttackOutcome, greedy_attack, random_attack,
                      worst_case_attack)
 from .bench import (AttackSpec, BoundReport, ExperimentRecord, ExperimentSpec,
                     bound_report, naive_greedy_baseline, plan, records_to_csv, rmop_bound,
-                    run_experiment, sga_bound, summarize, summary_to_json)
+                    run_experiment, sga_bound, summarize)
 
 __version__ = "0.1.0"

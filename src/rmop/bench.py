@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -39,10 +38,8 @@ def naive_greedy_baseline(scenario: Scenario) -> list[Path]:
     the budget, stopping when a full scan adds nothing. No masking between
     robots, so identical starts produce identical paths.
     """
-    model = RewardModel.from_scenario(scenario)
-    graph = scenario.graph
-    dist = graph.distance.tolist()
-    order = sorted(range(graph.n), key=lambda v: (-model.singleton(v), v))
+    dist = scenario.graph.distance.tolist()
+    order = np.argsort(-RewardModel.from_scenario(scenario).arrays.single, kind="stable").tolist()
     paths = []
     for robot, start in enumerate(scenario.starts):
         route = [start]
@@ -316,7 +313,3 @@ def summarize(records: Sequence[ExperimentRecord]) -> dict:
             "mean_f_S": float(rewards.mean()),
         })
     return {"groups": out}
-
-
-def summary_to_json(summary: dict) -> str:
-    return json.dumps(summary, sort_keys=True, indent=2) + "\n"

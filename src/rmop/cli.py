@@ -54,7 +54,7 @@ def _read_json(path: str):
 
 
 def _dump_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def scenario_digest(data: bytes) -> str:
@@ -200,11 +200,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
     try:
         spec = bench.ExperimentSpec.from_document(doc)
         records = bench.run_experiment(spec, measure_time=not args.no_timing)
+        summary = _dump_json(bench.summarize(records)) if args.out_summary else ""
     except (ValueError, SizeGuardError) as exc:
         raise CliError(str(exc)) from exc
     _write_text(args.out_csv, bench.records_to_csv(records))
     if args.out_summary:
-        _write_text(args.out_summary, bench.summary_to_json(bench.summarize(records)))
+        _write_text(args.out_summary, summary)
     print(f"wrote {len(records)} records to {args.out_csv}")
     return 0
 

@@ -19,7 +19,7 @@ import math
 import operator
 import reprlib
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -49,11 +49,17 @@ class RewardError(ScenarioError):
     """Reward data that is not a weighted coverage, or a reward query it cannot answer."""
 
 
+def _check_total(weights: Iterable[float], what: str) -> None:
+    """Refuse weights whose total, added left to right from 0.0 as the evaluators add, is inf."""
+    if functools.reduce(operator.add, weights, 0.0) == math.inf:
+        raise RewardError(f"{what} add up to inf; the total reward must be finite")
+
+
 def check_cells(cells: Sequence[Sequence[tuple[int, float]]]) -> None:
     """Refuse `cells`, where vertex v covers `cells[v]`, unless they are a weighted coverage.
 
-    Every weight is finite and non-negative, no vertex lists a cell twice, and every
-    vertex that lists a cell gives it the same weight.
+    Every weight is finite and non-negative, no vertex lists a cell twice, every vertex
+    that lists a cell gives it the same weight, and the cells' total is finite.
     """
     seen: dict[int, tuple[float, int]] = {}  # cell -> (weight, last vertex listing it)
     for v, entry in enumerate(cells):
@@ -68,6 +74,7 @@ def check_cells(cells: Sequence[Sequence[tuple[int, float]]]) -> None:
                 raise RewardError(f"vertex {v} gives cell {cell} weight {w}, inconsistent "
                                   f"with {first_w} from vertex {last_v}")
             seen[cell] = (w, v)
+    _check_total((seen[cell][0] for cell in sorted(seen)), "cell weights")
 
 
 @dataclass(frozen=True)
@@ -85,12 +92,12 @@ class Vertex:
 class MetricGraph:
     """Vertices with dense ids 0..n-1 and a finite n x n distance matrix.
 
-    Every vertex has a finite position and a finite non-negative reward, and their
-    coverage passes check_cells. Construction refuses anything else; verify_metric
-    reports whether the matrix is metric. Vertex numbers are stored as `float` and ids
-    and cells as `int` (`operator.index`), as a document reloads them. `euclidean` is
-    derived: the matrix is bit for bit the one from_positions builds, and a dumped
-    document then omits it.
+    Every vertex has a finite position and a finite non-negative reward, the rewards
+    add up to a finite total, and the coverage passes check_cells. Construction
+    refuses anything else; verify_metric reports whether the matrix is metric. Vertex
+    numbers are stored as `float` and ids and cells as `int` (`operator.index`), as a
+    document reloads them. `euclidean` is derived: the matrix is bit for bit the one
+    from_positions builds, and a dumped document then omits it.
     """
 
     vertices: tuple[Vertex, ...]
@@ -116,6 +123,7 @@ class MetricGraph:
                 raise RewardError(f"vertex {pos} has {'negative' if v.reward < 0 else 'non-finite'} "
                                   f"reward {v.reward}")
         check_cells([v.coverage for v in vertices])
+        _check_total((v.reward for v in vertices), "vertex rewards")
         mat = np.array(self.distance, dtype=float, order="C")  # a copy: the caller keeps theirs
         if mat.shape != (n, n):
             raise ScenarioError(f"distance_matrix must be {n}x{n}, got shape {mat.shape}")
@@ -460,7 +468,7 @@ def scenario_to_document(scenario: Scenario) -> dict:
 def dump_scenario(scenario: Scenario) -> bytes:
     """Canonical UTF-8 JSON bytes (stable key order) for hashing and storage."""
     doc = scenario_to_document(scenario)
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+    return (json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n").encode()
 
 
 @dataclass(frozen=True)

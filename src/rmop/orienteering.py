@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .graph import MetricGraph, Path
-from .reward import IncrementalEval, RewardModel, eval_vertex_set
+from .reward import IncrementalEval, RewardModel
 
 # Approximation factor credited to the cost-benefit greedy when budgets may
 # be relaxed; this implementation enforces the strict budget and reports the
@@ -85,13 +85,11 @@ def solve_op_exact(graph: MetricGraph, model: RewardModel, start: int, budget: f
             f"exact solver refuses |V|={graph.n} > {EXACT_SIZE_LIMIT}; use the gcb method")
     n = graph.n
     dist = graph.distance.tolist()
-    singles = [model.singleton(v) for v in range(n)]
+    singles = model.arrays.single.tolist()
     ev = IncrementalEval(model)
     ev.add(start)
 
-    best_seq = [start]
-    best_reward = ev.value
-    best_cost = 0.0
+    best_seq, best_reward, best_cost = [start], -math.inf, 0.0  # the root replaces them
     seq = [start]
     visited = [False] * n
     visited[start] = True
@@ -139,16 +137,18 @@ def solve_op_gcb(graph: MetricGraph, model: RewardModel, start: int, budget: flo
     vertex a, the first slot on ties; zero cost counts as infinite ratio. The
     best, the smaller id on ties, is inserted if the route, its cost folded
     edge by edge, still fits the budget, and permanently discarded otherwise.
-    A discard changes no other ratio, so the ratios are computed with numpy
-    once per insertion and walked in stable (-ratio, id) order until one fits.
-    The final answer is the better of the greedy route and the best
-    single-hop path from the start, so one far-but-rich vertex cannot be
-    starved out by the ratio rule.
+    A discard changes no other ratio, so gains and ratios are computed with
+    numpy once per insertion and walked in stable (-ratio, id) order until one
+    fits. The final answer is the better of the greedy route and the best
+    single-hop path from the start, all hops scored at once, so one
+    far-but-rich vertex cannot be starved out by the ratio rule.
     """
     _check_problem(graph, model, start, budget)
     dist = graph.distance
     ev = IncrementalEval(model)
     ev.add(start)
+    hop_values = np.where(dist[start] <= budget, ev.values_with(np.arange(graph.n)), -math.inf)
+    hop_values[start] = -math.inf
     route = [start]
     route_cost = 0.0
     open_ = np.ones(graph.n, dtype=bool)  # neither selected nor discarded
@@ -156,7 +156,7 @@ def solve_op_gcb(graph: MetricGraph, model: RewardModel, start: int, budget: flo
 
     while True:
         cand = np.flatnonzero(open_)
-        gain = np.array([ev.gain(v) for v in cand.tolist()], dtype=float)
+        gain = ev.gains(cand)
         open_[cand[gain <= 0.0]] = False  # a gain never rises as the route grows
         cand, gain = cand[gain > 0.0], gain[gain > 0.0]
         if not len(cand):
@@ -181,21 +181,9 @@ def solve_op_gcb(graph: MetricGraph, model: RewardModel, start: int, budget: flo
                 ev.add(v)
                 break
 
-    greedy_reward = ev.value
-
-    from_start = dist[start].tolist()
-    best_single = None
-    best_single_reward = -math.inf
-    for v in range(graph.n):
-        if v == start or from_start[v] > budget:
-            continue
-        value = eval_vertex_set(model, (start, v))
-        if value > best_single_reward:
-            best_single_reward = value
-            best_single = v
-
-    if best_single is not None and best_single_reward > greedy_reward:
-        return Path(robot=robot, vertices=(start, best_single), cost=from_start[best_single])
+    hop = int(np.argmax(hop_values))  # the first of the best, so the smallest id
+    if hop_values[hop] > ev.value:
+        return Path(robot=robot, vertices=(start, hop), cost=float(dist[start, hop]))
     return Path(robot=robot, vertices=tuple(route), cost=route_cost)
 
 

@@ -196,7 +196,7 @@ def check_solution(scenario: Scenario, solution: Solution) -> list[str]:
             problems.append(f"robot {i}: {exc}")
             evaluable = False
             continue
-        if abs(true_cost - path.cost) > INVARIANT_TOL:
+        if not abs(true_cost - path.cost) <= INVARIANT_TOL:
             problems.append(
                 f"robot {i} stored cost {path.cost} differs from recomputed {true_cost}")
         if true_cost > scenario.budget + INVARIANT_TOL:
@@ -222,10 +222,10 @@ def check_solution(scenario: Scenario, solution: Solution) -> list[str]:
 
     rewards = [eval_vertex_set(model, p.vertices) for p in solution.paths]
     for i, (got, expect) in enumerate(zip(solution.per_path_rewards, rewards)):
-        if abs(got - expect) > INVARIANT_TOL:
+        if not abs(got - expect) <= INVARIANT_TOL:
             problems.append(f"robot {i} stored reward {got} differs from recomputed {expect}")
     team = eval_team(model, solution.paths)
-    if abs(team - solution.team_reward) > INVARIANT_TOL:
+    if not abs(team - solution.team_reward) <= INVARIANT_TOL:
         problems.append(
             f"stored team reward {solution.team_reward} differs from recomputed {team}")
 

@@ -8,6 +8,9 @@ reward of the union of their vertex sets, so nothing is ever double
 counted. Masking empties chosen vertices' cells without touching the graph,
 which is how sequential planners hand "already collected" state to the next
 robot. Models are immutable; masked variants share the other vertices' cells.
+
+Every value is read from one array form, `RewardModel.arrays`, and summed by
+ascending cell id, so values, gains and curvatures agree to the last bit.
 """
 
 from __future__ import annotations
@@ -15,9 +18,38 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .graph import Path, RewardError, Scenario, check_cells
+
+
+def _totals(weights: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, added left to right from 0.0: the one order of every reward.
+
+    np.add.accumulate adds in sequence, np.sum pairwise; + 0.0 turns -0.0 into 0.0.
+    """
+    return np.add.accumulate(weights, axis=-1)[..., -1] + 0.0
+
+
+class CellArrays(NamedTuple):
+    """The read-only array form of a RewardModel: cells renumbered 0..C-1 by ascending id.
+
+    `weight[C]` is a zero-weight sentinel. Row v of `slots` lists vertex v's cells in ascending
+    order, padded with C to a width of at least 1; `single[v]` is the reward of v alone.
+    """
+
+    weight: np.ndarray
+    slots: np.ndarray
+    single: np.ndarray
+
+
+def _cell_arrays(weight: np.ndarray, slots: np.ndarray) -> CellArrays:
+    single = _totals(weight[slots])
+    for array in (weight, slots, single):
+        array.setflags(write=False)
+    return CellArrays(weight, slots, single)
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,9 +58,9 @@ class RewardModel:
 
     Build models from raw cells with `modular` or `coverage`, which run
     check_cells: every weight finite and non-negative, no cell listed twice by
-    one vertex, and one weight per cell. `from_scenario` reads cells its
-    MetricGraph already checked, and `with_masked` derives from a checked
-    model; neither checks again.
+    one vertex, one weight per cell, and a finite total. `from_scenario` reads
+    cells its MetricGraph already checked, and `with_masked` derives from a
+    checked model; neither checks again.
     """
 
     cells: tuple[tuple[tuple[int, float], ...], ...]
@@ -60,103 +92,82 @@ class RewardModel:
             return cls(cells=tuple(((v, vert.reward),) for v, vert in enumerate(vertices)))
         return cls(cells=tuple(vert.coverage for vert in vertices))
 
-    def with_masked(self, ids: Iterable[int]) -> "RewardModel":
-        """Derived model whose listed vertices cover nothing, so contribute exactly zero."""
-        masked = frozenset(int(i) for i in ids)
-        for i in masked:
-            self._check_id(i)
-        return RewardModel(cells=tuple(() if v in masked else entry
-                                       for v, entry in enumerate(self.cells)))
-
-    def _check_id(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise RewardError(f"vertex id {v} out of range 0..{self.n - 1}")
-
-    def singleton(self, v: int) -> float:
-        self._check_id(v)
-        return sum(w for _, w in self.cells[v])
-
     @cached_property
-    def _vertex_tables(self) -> tuple[tuple[float, ...], tuple[bool, ...]]:
-        """Each vertex's singleton reward, and whether no other vertex covers any of its cells.
+    def arrays(self) -> CellArrays:
+        """The array form every evaluator reads, built on first use and kept with the model."""
+        weights = dict(pair for entry in self.cells for pair in entry)
+        dense = {c: i for i, c in enumerate(sorted(weights))}
+        width = max(map(len, self.cells), default=0) or 1
+        slots = np.array([sorted(dense[c] for c, _ in entry) + [len(dense)] * (width - len(entry))
+                          for entry in self.cells], dtype=np.intp).reshape(self.n, width)
+        return _cell_arrays(np.array([weights[c] for c in dense] + [0.0]), slots)
 
-        Built on first use and kept with the model, so every solve on one model shares them.
+    def with_masked(self, ids: Iterable[int]) -> "RewardModel":
+        """Derived model whose listed vertices cover nothing, so contribute exactly zero.
+
+        Its array form is the parent's with those rows emptied.
         """
-        sharers: dict[int, int] = {}
-        for entry in self.cells:
-            for cell, _ in entry:
-                sharers[cell] = sharers.get(cell, 0) + 1
-        singles = tuple(sum(w for _, w in entry) for entry in self.cells)
-        private = tuple(all(sharers[cell] == 1 for cell, _ in entry) for entry in self.cells)
-        return singles, private
+        masked = self._index(ids)
+        gone = set(masked.tolist())
+        model = RewardModel(tuple(() if v in gone else e for v, e in enumerate(self.cells)))
+        weight, slots, _ = self.arrays
+        slots = slots.copy()
+        slots[masked] = len(weight) - 1
+        model.__dict__["arrays"] = _cell_arrays(weight, slots)
+        return model
+
+    def _index(self, ids: Iterable[int]) -> np.ndarray:
+        """`ids` as an index array, refused unless all are vertex ids 0..n-1."""
+        idx = np.fromiter(ids, dtype=np.intp)
+        if len(idx) and np.maximum.reduce(idx.view(np.uintp)) >= self.n:  # ids < 0 view as huge
+            bad = idx[(idx < 0) | (idx >= self.n)][0]
+            raise RewardError(f"vertex id {bad} out of range 0..{self.n - 1}")
+        return idx
 
 
 def eval_vertex_set(model: RewardModel, ids: Iterable[int]) -> float:
     """Reward of a vertex set: the weight of the cells it covers, each once."""
-    covered: dict[int, float] = {}
-    for v in set(ids):
-        model._check_id(v)
-        for cell, w in model.cells[v]:
-            covered[cell] = w
-    return sum(covered.values())
+    weight, slots, _ = model.arrays
+    covered = np.zeros(len(weight), dtype=bool)
+    covered[slots[model._index(ids)]] = True
+    covered[-1] = True  # the zero-weight sentinel: the sum is never empty, and adds 0.0 last
+    return float(_totals(weight[covered]))
 
 
 def eval_team(model: RewardModel, paths: Iterable[Path]) -> float:
     """Team reward: reward of the union of all path vertex sets."""
-    union: set[int] = set()
-    for p in paths:
-        union.update(p.vertices)
-    return eval_vertex_set(model, union)
+    return eval_vertex_set(model, [v for p in paths for v in p.vertices])
 
 
 @dataclass(frozen=True)
 class CurvatureEstimate:
-    """How far an evaluator is from additive, in [0, 1] (0 means modular)."""
+    """How far a reward is from additive, in [0, 1] (0 means modular)."""
 
     value: float
-    ground_set_size: int
     skipped_zero_singletons: int
 
 
-def curvature(ground_set: Sequence, evaluator: Callable[[Sequence], float]) -> CurvatureEstimate:
-    """1 - min over elements of (h(V) - h(V minus v)) / h({v}).
+def _curvature(weight: np.ndarray, rows: np.ndarray) -> CurvatureEstimate:
+    """1 - min over groups of (h(all) - h(all but the group)) / h(group), h the reward.
 
-    Elements whose singleton value is zero are skipped (the ratio is 0/0)
-    and counted in the estimate; if every singleton is zero the value is 0.
+    Row i of `rows` lists group i's cells, each once and ascending, padded with the
+    sentinel. The drop is the weight of the cells no other group covers, read from cell
+    counts. Groups of value zero are skipped (0/0) and counted; if all are, the value is 0.
     """
-    elements = list(ground_set)
-    if not elements:
+    if not len(rows):
         raise RewardError("curvature needs a non-empty ground set")
-    h_full = evaluator(elements)
-    worst = None
-    skipped = 0
-    for idx, v in enumerate(elements):
-        single = evaluator([v])
-        if single <= 0.0:
-            skipped += 1
-            continue
-        rest = elements[:idx] + elements[idx + 1:]
-        drop = h_full - evaluator(rest)
-        ratio = drop / single
-        if worst is None or ratio < worst:
-            worst = ratio
-    if worst is None:
-        return CurvatureEstimate(value=0.0, ground_set_size=len(elements),
-                                 skipped_zero_singletons=skipped)
-    value = min(1.0, max(0.0, 1.0 - worst))
-    return CurvatureEstimate(value=value, ground_set_size=len(elements),
-                             skipped_zero_singletons=skipped)
+    own = weight[rows]
+    single = _totals(own)
+    own[np.bincount(rows.ravel(), minlength=len(weight))[rows] != 1] = 0.0
+    counted = single > 0.0
+    ratios = _totals(own)[counted] / single[counted]
+    value = min(1.0, max(0.0, 1.0 - float(ratios.min()))) if len(ratios) else 0.0
+    return CurvatureEstimate(value=value, skipped_zero_singletons=int((~counted).sum()))
 
 
 def vertex_curvature(model: RewardModel) -> CurvatureEstimate:
     """Curvature of the single-robot reward over the whole vertex set."""
-    singles, private = model._vertex_tables
-    if all(private):
-        # No cell is shared, so the reward is additive: every leave-one-out
-        # drop equals the singleton.
-        return CurvatureEstimate(value=0.0, ground_set_size=model.n,
-                                 skipped_zero_singletons=sum(1 for s in singles if s <= 0.0))
-    return curvature(list(range(model.n)), lambda subset: eval_vertex_set(model, subset))
+    return _curvature(model.arrays.weight, model.arrays.slots)
 
 
 def team_curvature(model: RewardModel, paths: Sequence[Path]) -> CurvatureEstimate:
@@ -165,48 +176,46 @@ def team_curvature(model: RewardModel, paths: Sequence[Path]) -> CurvatureEstima
     The true ground set (every feasible path) is exponential, so callers use
     the solution's own paths as a reported surrogate.
     """
-    paths = list(paths)
-    return curvature(list(range(len(paths))),
-                     lambda idxs: eval_team(model, [paths[i] for i in idxs]))
+    weight, slots, _ = model.arrays
+    covers = np.zeros((len(paths), len(weight)), dtype=bool)
+    for i, p in enumerate(paths):
+        covers[i, slots[model._index(p.vertices)]] = True
+    return _curvature(weight, np.where(covers, np.arange(len(weight)), len(weight) - 1))
 
 
 class IncrementalEval:
-    """Marginal-gain evaluator over a mutable vertex set.
+    """Cell counts of a vertex set that a solver grows and shrinks one vertex at a time.
 
-    Tracks the running reward so solvers can query gains in O(cells covered)
-    instead of re-evaluating whole sets; a vertex whose cells no other vertex
-    covers gains its singleton reward until it joins. `value` always equals
-    eval_vertex_set(model, members).
+    `value` equals eval_vertex_set(model, members). Ids are the solver's own, so are not
+    range-checked: add only non-members and remove only members.
     """
 
     def __init__(self, model: RewardModel):
-        self.model = model
-        self.members: set[int] = set()
-        self.value = 0.0
-        self._cell_count: dict[int, int] = {}
-        self._singles, self._private = model._vertex_tables
+        self._weight, self._slots, _ = model.arrays
+        self._count = np.zeros(len(self._weight), dtype=np.intp)
 
-    def gain(self, v: int) -> float:
-        if v in self.members:
-            return 0.0
-        if self._private[v]:
-            return self._singles[v]
-        count = self._cell_count
-        return sum(w for cell, w in self.model.cells[v] if cell not in count)
+    @property
+    def value(self) -> float:
+        return float(_totals(np.where(self._count > 0, self._weight, 0.0)))
 
-    def add(self, v: int) -> float:
-        g = self.gain(v)
-        if v not in self.members:
-            self.members.add(v)
-            for cell, _ in self.model.cells[v]:
-                self._cell_count[cell] = self._cell_count.get(cell, 0) + 1
-            self.value += g
-        return g
+    def gains(self, ids: np.ndarray) -> np.ndarray:
+        """Each vertex's marginal gain: the weight of its cells no member covers."""
+        cells = self._slots[ids]
+        w = self._weight[cells]
+        w[self._count[cells] > 0] = 0.0
+        return _totals(w)
+
+    def values_with(self, ids: np.ndarray) -> np.ndarray:
+        """The value of the members plus each vertex in turn, one per vertex."""
+        members = np.flatnonzero(self._count > 0)
+        cells = np.hstack([np.broadcast_to(members, (len(ids), len(members))), self._slots[ids]])
+        cells.sort(axis=1, kind="stable")  # the sort code gcb's argsort already pages in
+        w = self._weight[cells]
+        w[:, 1:][cells[:, 1:] == cells[:, :-1]] = 0.0  # a cell listed twice counts once
+        return _totals(w)
+
+    def add(self, v: int) -> None:
+        self._count[self._slots[v]] += 1
 
     def remove(self, v: int) -> None:
-        self.members.remove(v)
-        for cell, w in self.model.cells[v]:
-            self._cell_count[cell] -= 1
-            if self._cell_count[cell] == 0:
-                del self._cell_count[cell]
-                self.value -= w
+        self._count[self._slots[v]] -= 1

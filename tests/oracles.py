@@ -6,9 +6,15 @@ robot, and the max over path tuples of the min over removals. The size guards
 keep it to tiny instances; it exists to check the fast planners against the
 paper's worst-case guarantees, not to scale.
 
-And the cost-benefit greedy as it was before scoring moved to once per
+The cost-benefit greedy as it was before scoring moved to once per
 insertion: every candidate rescored against every slot each round, in pure
-Python. `solve_op_gcb` must return the same path, bit for bit.
+Python. It reads rewards through the library's evaluator, so `solve_op_gcb`
+must return the same path, bit for bit.
+
+And the reward evaluators as they were before the array form: dicts keyed by
+cell id, summed in the order CPython iterates the vertex set or a vertex's
+own cell list. The array evaluators must match them exactly on integer
+weights, and to within a few ulps on fractional ones.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import math
 from itertools import combinations
 from typing import Optional
 
-from rmop.graph import MetricGraph, Path, Scenario
+from rmop.graph import MetricGraph, Path, RewardError, Scenario
 from rmop.reward import IncrementalEval, RewardModel, eval_vertex_set
 from rmop.orienteering import SizeGuardError, _check_problem
 
@@ -174,10 +180,11 @@ def solve_op_gcb_rescan(graph: MetricGraph, model: RewardModel, start: int, budg
 
     while True:
         best = None  # (ratio, vertex, position, delta)
+        gains = ev.gains(list(range(n))).tolist()
         for v in range(n):
             if v in selected or v in discarded:
                 continue
-            g = ev.gain(v)
+            g = gains[v]
             if g <= 0.0:
                 continue
             delta, pos = _best_insertion(dist, route, v)
@@ -197,7 +204,7 @@ def solve_op_gcb_rescan(graph: MetricGraph, model: RewardModel, start: int, budg
         else:
             discarded.add(v)
 
-    greedy_reward = ev.value
+    greedy_reward = eval_vertex_set(model, route)
 
     best_single = None
     best_single_reward = -math.inf
@@ -212,3 +219,63 @@ def solve_op_gcb_rescan(graph: MetricGraph, model: RewardModel, start: int, budg
     if best_single is not None and best_single_reward > greedy_reward:
         return Path(robot=robot, vertices=(start, best_single), cost=dist[start][best_single])
     return Path(robot=robot, vertices=tuple(route), cost=route_cost)
+
+
+def dict_eval_vertex_set(model: RewardModel, ids) -> float:
+    """Reward of a vertex set, its cells summed in the order CPython iterates set(ids)."""
+    covered: dict[int, float] = {}
+    for v in set(ids):
+        if not 0 <= v < model.n:
+            raise RewardError(f"vertex id {v} out of range 0..{model.n - 1}")
+        for cell, w in model.cells[v]:
+            covered[cell] = w
+    return sum(covered.values())
+
+
+class DictIncrementalEval:
+    """Marginal gains over a mutable vertex set, kept in a dict of cell counts.
+
+    A gain adds a vertex's uncovered cells in the order the vertex lists them;
+    `value` adds and subtracts gains as vertices come and go.
+    """
+
+    def __init__(self, model: RewardModel):
+        self.model = model
+        self.members: set[int] = set()
+        self.value = 0.0
+        self._cell_count: dict[int, int] = {}
+
+    def gain(self, v: int) -> float:
+        if v in self.members:
+            return 0.0
+        count = self._cell_count
+        return sum(w for cell, w in self.model.cells[v] if cell not in count)
+
+    def add(self, v: int) -> float:
+        g = self.gain(v)
+        if v not in self.members:
+            self.members.add(v)
+            for cell, _ in self.model.cells[v]:
+                self._cell_count[cell] = self._cell_count.get(cell, 0) + 1
+            self.value += g
+        return g
+
+    def remove(self, v: int) -> None:
+        self.members.remove(v)
+        for cell, w in self.model.cells[v]:
+            self._cell_count[cell] -= 1
+            if self._cell_count[cell] == 0:
+                del self._cell_count[cell]
+                self.value -= w
+
+
+def leave_one_out_curvature(ground_set, evaluator) -> float:
+    """1 - min over elements of (h(V) - h(V minus v)) / h({v}), by re-evaluating h.
+
+    Elements whose singleton value is zero are skipped; if every one is, the value is 0.
+    """
+    elements = list(ground_set)
+    h_full = evaluator(elements)
+    ratios = [(h_full - evaluator(elements[:i] + elements[i + 1:])) / evaluator([v])
+              for i, v in enumerate(elements) if evaluator([v]) > 0.0]
+    return min(1.0, max(0.0, 1.0 - min(ratios))) if ratios else 0.0

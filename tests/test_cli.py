@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -112,6 +113,29 @@ class TestSolve:
         doc = json.loads(out.read_text())
         assert doc["bound_report"] is None
         assert "baseline" in doc["bound_note"]
+
+    @pytest.mark.parametrize("planner", PLANNER_NAMES)
+    def test_rewards_adding_up_to_inf_are_one_error_line(self, tmp_path, capsys, planner):
+        # Each reward is finite and loads alone; their total, the team reward, is not.
+        scenario = tmp_path / "s.json"
+        assert run_cli("gen", "--vertices", "6", "--robots", "3", "--alpha", "1",
+                       "--budget", "100", "--seed", "1", "--out", str(scenario)) == 0
+        doc = json.loads(scenario.read_text())
+        for vertex in doc["vertices"]:
+            vertex["reward"] = 1.5e308
+        scenario.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "r.json"
+        code = run_cli("solve", "--scenario", str(scenario), "--planner", planner,
+                       "--out", str(out))
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {scenario}: vertex rewards add up to inf; the total reward must be finite"]
+
+    def test_no_writer_emits_a_non_json_number(self):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                rmop.cli._dump_json({"team_reward": value})
 
     def test_coverage_scenario_end_to_end(self, tmp_path, capsys):
         scenario = tmp_path / "cov.json"
@@ -271,6 +295,27 @@ class TestBench:
         spec.write_text(json.dumps(doc))
         assert run_cli("bench", "--spec", str(spec), "--out-csv", str(tmp_path / "o.csv")) == 1
         assert "unknown planner" in capsys.readouterr().err
+
+    def test_an_overflowed_summary_is_one_error_line(self, tmp_path, capsys):
+        # The residuals are finite, but their variance overflows to inf.
+        scenario = tmp_path / "s.json"
+        assert run_cli("gen", "--vertices", "8", "--robots", "3", "--alpha", "1",
+                       "--budget", "30", "--seed", "4", "--out", str(scenario)) == 0
+        doc = json.loads(scenario.read_text())
+        for i, vertex in enumerate(doc["vertices"]):
+            vertex["reward"] = (1 + i) * 1e200
+        scenario.write_text(json.dumps(doc))
+        spec = dict(self.spec_doc(trials=3), scenario={"path": str(scenario)})
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        capsys.readouterr()
+        summary = tmp_path / "summary.json"
+        with np.errstate(over="ignore"):
+            code = run_cli("bench", "--spec", str(spec_path), "--out-csv",
+                           str(tmp_path / "o.csv"), "--out-summary", str(summary))
+        assert code == 1 and not summary.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "error: Out of range float values are not JSON compliant: inf"]
 
 
     def test_crossover_output_is_pinned(self, tmp_path):

@@ -229,13 +229,22 @@ class TestMetricGraph:
         ([(0.0, 0.0, 0.0, ((1, math.inf),))], "vertex 0 gives cell 1 weight inf; weights must"),
         ([(0.0, 0.0, 0.0, ((1, 2.0),)), (1.0, 0.0, 0.0, ((1, 3.0),))],
          "vertex 1 gives cell 1 weight 3.0, inconsistent with 2.0 from vertex 0"),
+        ([(0.0, 0.0, 1.5e308), (1.0, 0.0, 1.5e308)],
+         "vertex rewards add up to inf; the total reward must be finite"),
+        ([(0.0, 0.0, 0.0, ((1, 1.5e308),)), (1.0, 0.0, 0.0, ((2, 1.5e308),))],
+         "cell weights add up to inf; the total reward must be finite"),
     ], ids=["nan x", "-inf y", "negative reward", "nan reward", "inf reward", "repeated cell",
-            "negative weight", "nan weight", "inf weight", "two weights"])
+            "negative weight", "nan weight", "inf weight", "two weights", "reward total",
+            "weight total"])
     def test_bad_vertex_data_is_refused(self, fields, message):
         # An explicit finite matrix: a bad coordinate cannot surface as a bad distance.
         verts = [Vertex(i, *f) for i, f in enumerate(fields)]
         with pytest.raises(ScenarioError, match=re.escape(message)):
             MetricGraph(verts, np.zeros((len(verts), len(verts))))
+
+    def test_a_shared_cell_counts_once_in_the_weight_total(self):
+        verts = [Vertex(i, 0.0, 0.0, 0.0, ((1, 1.5e308),)) for i in range(2)]
+        assert MetricGraph(verts, np.zeros((2, 2))).n == 2
 
     def test_euclidean_is_derived_not_stated(self):
         verts = tuple(Vertex(i, 0.0, 0.0) for i in range(3))

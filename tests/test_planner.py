@@ -184,6 +184,18 @@ class TestCheckSolution:
         problems = check_solution(scenario, bad)
         assert any("overlap" in p for p in problems)
 
+    def test_nan_stored_values_are_reported(self):
+        # abs(nan - x) > tol is false, so each comparison must ask for <= tol instead.
+        scenario = line_scenario()
+        solution = solve_rmop(scenario, EXACT)
+        nan = float("nan")
+        doctored = dataclasses.replace(
+            solution, team_reward=nan, per_path_rewards=(nan,) + solution.per_path_rewards[1:],
+            paths=(dataclasses.replace(solution.paths[0], cost=nan),) + solution.paths[1:])
+        problems = check_solution(scenario, doctored)
+        assert [p.split(" differs")[0] for p in problems] == [
+            "robot 0 stored cost nan", "robot 0 stored reward nan", "stored team reward nan"]
+
     @pytest.mark.parametrize("vertices, problem", [
         ((), "robot 1: path must contain at least one vertex"),
         ((0, 1, 0), "robot 1: repeated vertex id 0 in path"),

@@ -1,20 +1,30 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rmop.graph import (LAYOUTS, REWARD_KINDS, Path, dump_scenario, generate_scenario,
-                        load_scenario)
-from rmop.reward import (CurvatureEstimate, IncrementalEval, RewardError, RewardModel,
-                         curvature, eval_team, eval_vertex_set, team_curvature,
-                         vertex_curvature)
+from rmop.graph import (LAYOUTS, REWARD_KINDS, MetricGraph, Path, Scenario, Vertex,
+                        dump_scenario, generate_scenario, load_scenario)
+from rmop.reward import (IncrementalEval, RewardError, RewardModel, eval_team,
+                         eval_vertex_set, team_curvature, vertex_curvature)
 
 from helpers import oracle_eval, random_tiny_scenario
+from oracles import DictIncrementalEval, dict_eval_vertex_set, leave_one_out_curvature
 
 TOL = 1e-9
 
 
 def path_of(robot, *vertices):
     return Path(robot=robot, vertices=tuple(vertices), cost=0.0)
+
+
+def sequential_sum(weights):
+    """Left to right from 0.0, the evaluators' order (Python 3.12's sum() compensates)."""
+    total = 0.0
+    for w in weights:
+        total += w
+    return total
 
 
 def random_coverage_model(rng, n=6, n_cells=5):
@@ -45,8 +55,9 @@ class TestEvalVertexSet:
 
     def test_invalid_id_rejected(self):
         m = RewardModel.modular([1.0])
-        with pytest.raises(RewardError, match="out of range"):
-            eval_vertex_set(m, {3})
+        for ids, bad in (({3}, 3), ({-1}, -1), ((0, -1), -1)):  # numpy would wrap -1 to 0
+            with pytest.raises(RewardError, match=f"vertex id {bad} out of range"):
+                eval_vertex_set(m, ids)
 
     def test_inconsistent_cell_weights_rejected(self):
         with pytest.raises(RewardError, match="inconsistent"):
@@ -139,9 +150,11 @@ class TestCurvature:
         assert est.value == 0.0
         assert est.skipped_zero_singletons == 2
 
-    def test_generic_curvature_empty_ground_set_rejected(self):
-        with pytest.raises(RewardError):
-            curvature([], lambda xs: 0.0)
+    def test_empty_ground_set_rejected(self):
+        with pytest.raises(RewardError, match="non-empty ground set"):
+            team_curvature(RewardModel.modular([1.0]), [])
+        with pytest.raises(RewardError, match="non-empty ground set"):
+            vertex_curvature(RewardModel.modular([]))
 
     def test_team_curvature_of_duplicate_paths_is_one(self):
         m = RewardModel.modular([1.0, 2.0])
@@ -219,14 +232,12 @@ class TestIncrementalEval:
         members = set()
         for add, v in ops:
             if add and v not in members:
-                gain = ev.gain(v)
-                assert ev.add(v) == gain
+                ev.add(v)
                 members.add(v)
             elif not add and v in members:
                 ev.remove(v)
                 members.discard(v)
-            assert ev.value == pytest.approx(eval_vertex_set(m, members), abs=1e-12)
-            assert ev.members == members
+            assert ev.value == eval_vertex_set(m, members)
 
     def test_gain_matches_marginal(self):
         m = random_coverage_model(np.random.default_rng(2), n=6)
@@ -235,20 +246,25 @@ class TestIncrementalEval:
         for v in [0, 3, 5]:
             ev.add(v)
             base.add(v)
+        gains = ev.gains(list(range(6)))
         for v in range(6):
             expected = eval_vertex_set(m, base | {v}) - eval_vertex_set(m, base)
-            assert ev.gain(v) == pytest.approx(expected, abs=1e-12)
+            assert gains[v] == pytest.approx(expected, abs=1e-12)
 
     def test_evaluators_on_one_model_share_its_tables(self):
-        # The per-vertex tables depend only on the model, so every solve on one
-        # model reuses them; a masked model is a new model and builds its own.
-        m = RewardModel.coverage([[(0, 1.0)], [(0, 1.0), (1, 2.0)], [(2, 3.0)]])
-        a, b = IncrementalEval(m), IncrementalEval(m)
-        assert a._singles is b._singles and a._private is b._private
-        assert a._private == (False, False, True)
-        masked = IncrementalEval(m.with_masked([0]))
-        assert masked._singles is not a._singles
-        assert masked._private == (True, True, True)
+        # The array form depends only on the model, so every solve on one model
+        # reuses it; a masked model derives its own from the parent's weights.
+        m = RewardModel.coverage([[(7, 1.0)], [(7, 1.0), (-2, 2.0)], [(40, 3.0)]])
+        a = m.arrays
+        assert m.arrays is a and IncrementalEval(m)._slots is a.slots
+        assert a.weight.tolist() == [2.0, 1.0, 3.0, 0.0]  # cells -2, 7, 40, then the sentinel
+        assert a.slots.tolist() == [[1, 3], [0, 1], [2, 3]]
+        assert a.single.tolist() == [1.0, 3.0, 3.0]
+        masked = m.with_masked([0]).arrays
+        assert masked.weight is a.weight
+        assert masked.slots.tolist() == [[3, 3], [0, 1], [2, 3]]
+        assert masked.single.tolist() == [0.0, 3.0, 3.0]
+        assert not (a.weight.flags.writeable or a.slots.flags.writeable)
 
 
 @st.composite
@@ -276,10 +292,10 @@ class TestModularIsPrivateCellCoverage:
         ids = data.draw(st.lists(st.integers(0, len(weights) - 1), max_size=12))
         masked = data.draw(st.sets(st.integers(0, len(weights) - 1)))
         model = RewardModel.modular(weights)
-        # Summed in the iteration order of set(ids), as eval_vertex_set does.
-        assert eval_vertex_set(model, ids) == sum(weights[v] for v in set(ids))
-        assert eval_vertex_set(model.with_masked(masked), ids) == sum(
-            weights[v] for v in set(ids) if v not in masked)
+        # Summed left to right by ascending cell id, which for modular weights is the vertex id.
+        assert eval_vertex_set(model, ids) == sequential_sum(weights[v] for v in sorted(set(ids)))
+        assert eval_vertex_set(model.with_masked(masked), ids) == sequential_sum(
+            weights[v] for v in sorted(set(ids)) if v not in masked)
 
     @settings(max_examples=200, deadline=None)
     @given(masked_instances())
@@ -293,10 +309,80 @@ class TestModularIsPrivateCellCoverage:
                 ev.add(v)
             base = eval_vertex_set(m, members)
             assert ev.value == base
+            gains = ev.gains(list(range(m.n)))
             for v in range(m.n):
-                assert ev.gain(v) == eval_vertex_set(m, members + [v]) - base
+                assert gains[v] == eval_vertex_set(m, members + [v]) - base
 
     def test_with_masked_keeps_the_other_cells(self):
         model = RewardModel.coverage([[(0, 1.0)], [(0, 1.0), (1, 2.0)]])
         assert model.with_masked([1]).cells == (((0, 1.0),), ())
         assert RewardModel.modular([4.0, 0.0]).cells == (((0, 4.0),), ((1, 0.0),))
+
+
+@st.composite
+def listed_cells(draw, integer):
+    """A model whose vertices list shared cells in random order, with integer or fractional weights.
+
+    Cell ids are sparse and may be negative, so the array form must renumber them.
+    """
+    ids = draw(st.lists(st.integers(-5, 2 ** 40), min_size=1, max_size=6, unique=True))
+    weights = st.integers(0, 1000).map(float) if integer else st.floats(0.0, 1e6)
+    weight = {c: draw(weights) for c in ids}
+    n = draw(st.integers(1, 6))
+    cells = [draw(st.permutations(ids))[:draw(st.integers(0, len(ids)))] for _ in range(n)]
+    return RewardModel.coverage([[(c, weight[c]) for c in entry] for entry in cells])
+
+
+class TestArrayFormMatchesTheDictOracles:
+    """The array evaluators against the dict evaluators they replaced.
+
+    Any order of integer weights below 2^53 sums exactly, so those must agree to the
+    bit. Fractional sums may differ by the rounding of each order: a few ulps of the
+    total per term added.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.booleans(), st.data())
+    def test_values_gains_and_curvatures(self, integer, data):
+        model = data.draw(listed_cells(integer))
+        ids = data.draw(st.lists(st.integers(0, model.n - 1), max_size=8))
+        toggles = data.draw(st.lists(st.integers(0, model.n - 1), max_size=10))
+        terms = sum(len(entry) for entry in model.cells) + len(toggles)
+        ulp = math.ulp(dict_eval_vertex_set(model, range(model.n)))
+
+        def agree(new, old):
+            assert new == old if integer else abs(new - old) <= 2 * terms * ulp, (new, old)
+
+        agree(eval_vertex_set(model, ids), dict_eval_vertex_set(model, ids))
+        ev, oracle = IncrementalEval(model), DictIncrementalEval(model)
+        for v in toggles:
+            if v in oracle.members:
+                ev.remove(v)
+                oracle.remove(v)
+            else:
+                ev.add(v)
+                oracle.add(v)
+            agree(ev.value, oracle.value)
+            for u, gain in enumerate(ev.gains(list(range(model.n)))):
+                agree(gain, oracle.gain(u))
+        if integer:
+            assert vertex_curvature(model).value == leave_one_out_curvature(
+                range(model.n), lambda xs: dict_eval_vertex_set(model, xs))
+            paths = [path_of(0, *ids), path_of(1, *toggles[:3]), path_of(2, *toggles[3:])]
+            assert team_curvature(model, paths).value == leave_one_out_curvature(
+                range(3), lambda xs: dict_eval_vertex_set(
+                    model, [v for i in xs for v in paths[i].vertices]))
+
+
+def test_fractional_weights_are_pinned():
+    # Cell-id order moves these from the dict evaluators' 3.4999999999999996,
+    # 0.49999999999999967 and 0.22222222222222232.
+    coverage = [((4, 0.3), (1, 0.6), (10, 0.05)), ((3, 0.2), (2, 0.7), (11, 0.6)),
+                ((0, 0.05), (12, 0.7)), ((5, 0.1), (4, 0.3), (13, 0.2))]
+    graph = MetricGraph.from_positions([Vertex(v, float(v), 0.0, 0.0, cells)
+                                        for v, cells in enumerate(coverage)])
+    model = RewardModel.from_scenario(Scenario(graph, (0, 3), 3.0, 1, "coverage"))
+    assert eval_vertex_set(model, range(4)) == 3.5
+    assert vertex_curvature(model).value == 0.5
+    paths = [path_of(0, 0, 1), path_of(1, 3, 2)]
+    assert team_curvature(model, paths).value == 0.2222222222222221
