@@ -58,15 +58,9 @@ def worst_case_attack(model: RewardModel, solution: Solution, size: int) -> Atta
         raise SizeGuardError(
             f"C({n},{size}) removal subsets exceed the guard of {SUBSET_GUARD}; "
             "use greedy_attack instead")
-    best_set = frozenset(range(size))
-    best_residual = _residual(model, solution, best_set)
-    for combo in combinations(range(n), size):
-        removed = frozenset(combo)
-        residual = _residual(model, solution, removed)
-        if residual < best_residual:
-            best_residual = residual
-            best_set = removed
-    return AttackOutcome(removed=best_set, residual=best_residual, model="worst-exhaustive")
+    residual, removed = min((_residual(model, solution, c), c)
+                            for c in combinations(range(n), size))
+    return AttackOutcome(removed=frozenset(removed), residual=residual, model="worst-exhaustive")
 
 
 def greedy_attack(model: RewardModel, solution: Solution, size: int) -> AttackOutcome:

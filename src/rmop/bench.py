@@ -39,7 +39,7 @@ def naive_greedy_baseline(scenario: Scenario) -> list[Path]:
     robots, so identical starts produce identical paths.
     """
     dist = scenario.graph.distance.tolist()
-    order = np.argsort(-RewardModel.from_scenario(scenario).arrays.single, kind="stable").tolist()
+    order = np.argsort(-RewardModel.from_scenario(scenario).single, kind="stable").tolist()
     paths = []
     for robot, start in enumerate(scenario.starts):
         route = [start]
@@ -303,13 +303,14 @@ def summarize(records: Sequence[ExperimentRecord]) -> dict:
     for (planner, attack_model, size), rs in sorted(groups.items()):
         residuals = np.array([r.residual for r in rs])
         rewards = np.array([r.f_S for r in rs])
-        out.append({
-            "planner": planner,
-            "attack_model": attack_model,
-            "attack_size": size,
-            "trials": len(rs),
-            "mean_residual": float(residuals.mean()),
-            "variance_residual": float(residuals.var()),
-            "mean_f_S": float(rewards.mean()),
-        })
+        with np.errstate(over="ignore"):  # an overflow is inf, which the JSON writer refuses
+            out.append({
+                "planner": planner,
+                "attack_model": attack_model,
+                "attack_size": size,
+                "trials": len(rs),
+                "mean_residual": float(residuals.mean()),
+                "variance_residual": float(residuals.var()),
+                "mean_f_S": float(rewards.mean()),
+            })
     return {"groups": out}

@@ -85,7 +85,7 @@ def solve_op_exact(graph: MetricGraph, model: RewardModel, start: int, budget: f
             f"exact solver refuses |V|={graph.n} > {EXACT_SIZE_LIMIT}; use the gcb method")
     n = graph.n
     dist = graph.distance.tolist()
-    singles = model.arrays.single.tolist()
+    singles = model.single.tolist()
     ev = IncrementalEval(model)
     ev.add(start)
 
@@ -127,6 +127,7 @@ def solve_op_exact(graph: MetricGraph, model: RewardModel, start: int, budget: f
     return Path(robot=robot, vertices=tuple(best_seq), cost=best_cost)
 
 
+@np.errstate(over="ignore")  # a ratio or cost past the largest float is inf, and ranks as such
 def solve_op_gcb(graph: MetricGraph, model: RewardModel, start: int, budget: float,
                  robot: int = 0) -> Path:
     """Cost-benefit greedy: grow a cheapest-insertion route by gain/cost ratio.

@@ -7,18 +7,18 @@ one private cell carrying its weight. The team reward of a path set is the
 reward of the union of their vertex sets, so nothing is ever double
 counted. Masking empties chosen vertices' cells without touching the graph,
 which is how sequential planners hand "already collected" state to the next
-robot. Models are immutable; masked variants share the other vertices' cells.
+robot. Models are immutable; a masked variant shares its parent's weight
+vector and copies only the vertex × slot array.
 
-Every value is read from one array form, `RewardModel.arrays`, and summed by
-ascending cell id, so values, gains and curvatures agree to the last bit.
+A model is its array form, `weight`, `slots` and `single`, and every value is
+summed by ascending cell id, so values, gains and curvatures agree to the last bit.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -33,28 +33,13 @@ def _totals(weights: np.ndarray) -> np.ndarray:
     return np.add.accumulate(weights, axis=-1)[..., -1] + 0.0
 
 
-class CellArrays(NamedTuple):
-    """The read-only array form of a RewardModel: cells renumbered 0..C-1 by ascending id.
-
-    `weight[C]` is a zero-weight sentinel. Row v of `slots` lists vertex v's cells in ascending
-    order, padded with C to a width of at least 1; `single[v]` is the reward of v alone.
-    """
-
-    weight: np.ndarray
-    slots: np.ndarray
-    single: np.ndarray
-
-
-def _cell_arrays(weight: np.ndarray, slots: np.ndarray) -> CellArrays:
-    single = _totals(weight[slots])
-    for array in (weight, slots, single):
-        array.setflags(write=False)
-    return CellArrays(weight, slots, single)
-
-
 @dataclass(frozen=True, eq=False)
 class RewardModel:
-    """Vertex v covers the (cell, weight) pairs `cells[v]`.
+    """Weighted coverage in read-only array form: cells renumbered 0..C-1 by ascending id.
+
+    `weight[C]` is a zero-weight sentinel. Row v of `slots` lists vertex v's cells in
+    ascending order, padded with C to a width of at least 1; `single[v]` is the reward
+    of v alone.
 
     Build models from raw cells with `modular` or `coverage`, which run
     check_cells: every weight finite and non-negative, no cell listed twice by
@@ -63,11 +48,18 @@ class RewardModel:
     checked model; neither checks again.
     """
 
-    cells: tuple[tuple[tuple[int, float], ...], ...]
+    weight: np.ndarray
+    slots: np.ndarray
+    single: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "single", _totals(self.weight[self.slots]))
+        for array in (self.weight, self.slots, self.single):
+            array.setflags(write=False)
 
     @property
     def n(self) -> int:
-        return len(self.cells)
+        return len(self.slots)
 
     @classmethod
     def modular(cls, weights: Sequence[float]) -> "RewardModel":
@@ -76,10 +68,9 @@ class RewardModel:
 
     @classmethod
     def coverage(cls, cells: Sequence[Sequence[tuple[int, float]]]) -> "RewardModel":
-        per_vertex = tuple(tuple((operator.index(c), float(w)) for c, w in entry)
-                           for entry in cells)
+        per_vertex = [[(operator.index(c), float(w)) for c, w in entry] for entry in cells]
         check_cells(per_vertex)
-        return cls(cells=per_vertex)
+        return cls._from_cells(per_vertex)
 
     @classmethod
     def from_scenario(cls, scenario: Scenario) -> "RewardModel":
@@ -89,32 +80,27 @@ class RewardModel:
         """
         vertices = scenario.graph.vertices
         if scenario.reward_kind == "modular":
-            return cls(cells=tuple(((v, vert.reward),) for v, vert in enumerate(vertices)))
-        return cls(cells=tuple(vert.coverage for vert in vertices))
+            return cls._from_cells([((v, vert.reward),) for v, vert in enumerate(vertices)])
+        return cls._from_cells([vert.coverage for vert in vertices])
 
-    @cached_property
-    def arrays(self) -> CellArrays:
-        """The array form every evaluator reads, built on first use and kept with the model."""
-        weights = dict(pair for entry in self.cells for pair in entry)
+    @classmethod
+    def _from_cells(cls, cells: Sequence[Sequence[tuple[int, float]]]) -> "RewardModel":
+        """The model of checked cells: vertex v covers the (cell, weight) pairs `cells[v]`."""
+        weights = dict(pair for entry in cells for pair in entry)
         dense = {c: i for i, c in enumerate(sorted(weights))}
-        width = max(map(len, self.cells), default=0) or 1
+        width = max(map(len, cells), default=0) or 1
         slots = np.array([sorted(dense[c] for c, _ in entry) + [len(dense)] * (width - len(entry))
-                          for entry in self.cells], dtype=np.intp).reshape(self.n, width)
-        return _cell_arrays(np.array([weights[c] for c in dense] + [0.0]), slots)
+                          for entry in cells], dtype=np.intp).reshape(len(cells), width)
+        return cls(np.array([weights[c] for c in dense] + [0.0]), slots)
 
     def with_masked(self, ids: Iterable[int]) -> "RewardModel":
         """Derived model whose listed vertices cover nothing, so contribute exactly zero.
 
-        Its array form is the parent's with those rows emptied.
+        It shares the parent's `weight`; the listed rows of `slots` point at the sentinel.
         """
-        masked = self._index(ids)
-        gone = set(masked.tolist())
-        model = RewardModel(tuple(() if v in gone else e for v, e in enumerate(self.cells)))
-        weight, slots, _ = self.arrays
-        slots = slots.copy()
-        slots[masked] = len(weight) - 1
-        model.__dict__["arrays"] = _cell_arrays(weight, slots)
-        return model
+        slots = self.slots.copy()
+        slots[self._index(ids)] = len(self.weight) - 1
+        return RewardModel(self.weight, slots)
 
     def _index(self, ids: Iterable[int]) -> np.ndarray:
         """`ids` as an index array, refused unless all are vertex ids 0..n-1."""
@@ -127,11 +113,10 @@ class RewardModel:
 
 def eval_vertex_set(model: RewardModel, ids: Iterable[int]) -> float:
     """Reward of a vertex set: the weight of the cells it covers, each once."""
-    weight, slots, _ = model.arrays
-    covered = np.zeros(len(weight), dtype=bool)
-    covered[slots[model._index(ids)]] = True
+    covered = np.zeros(len(model.weight), dtype=bool)
+    covered[model.slots[model._index(ids)]] = True
     covered[-1] = True  # the zero-weight sentinel: the sum is never empty, and adds 0.0 last
-    return float(_totals(weight[covered]))
+    return float(_totals(model.weight[covered]))
 
 
 def eval_team(model: RewardModel, paths: Iterable[Path]) -> float:
@@ -167,7 +152,7 @@ def _curvature(weight: np.ndarray, rows: np.ndarray) -> CurvatureEstimate:
 
 def vertex_curvature(model: RewardModel) -> CurvatureEstimate:
     """Curvature of the single-robot reward over the whole vertex set."""
-    return _curvature(model.arrays.weight, model.arrays.slots)
+    return _curvature(model.weight, model.slots)
 
 
 def team_curvature(model: RewardModel, paths: Sequence[Path]) -> CurvatureEstimate:
@@ -176,10 +161,10 @@ def team_curvature(model: RewardModel, paths: Sequence[Path]) -> CurvatureEstima
     The true ground set (every feasible path) is exponential, so callers use
     the solution's own paths as a reported surrogate.
     """
-    weight, slots, _ = model.arrays
+    weight = model.weight
     covers = np.zeros((len(paths), len(weight)), dtype=bool)
     for i, p in enumerate(paths):
-        covers[i, slots[model._index(p.vertices)]] = True
+        covers[i, model.slots[model._index(p.vertices)]] = True
     return _curvature(weight, np.where(covers, np.arange(len(weight)), len(weight) - 1))
 
 
@@ -191,7 +176,7 @@ class IncrementalEval:
     """
 
     def __init__(self, model: RewardModel):
-        self._weight, self._slots, _ = model.arrays
+        self._weight, self._slots = model.weight, model.slots
         self._count = np.zeros(len(self._weight), dtype=np.intp)
 
     @property

@@ -35,11 +35,21 @@ def line_scenario(n_robots=2, alpha=1, budget=2.0):
                     alpha=alpha, reward_kind="modular")
 
 
-def oracle_eval(model, ids):
-    """Reward of a vertex set, recomputed straight from the model tables."""
+def vertex_cells(graph, kind="modular"):
+    """Each vertex's raw (cell, weight) pairs, read from the graph's vertices.
+
+    A modular vertex covers one private cell, its own id, of its reward.
+    """
+    if kind == "modular":
+        return [[(v.id, v.reward)] for v in graph.vertices]
+    return [list(v.coverage) for v in graph.vertices]
+
+
+def oracle_eval(cells, ids):
+    """Reward of a vertex set, recomputed straight from the raw per-vertex cells."""
     seen = {}
     for v in set(ids):
-        for cell, w in model.cells[v]:
+        for cell, w in cells[v]:
             seen[cell] = w
     return float(sum(seen.values()))
 
@@ -61,26 +71,26 @@ def oracle_rooted_paths(graph, start, budget):
     return out
 
 
-def oracle_best_rooted_path(graph, model, start, budget):
+def oracle_best_rooted_path(graph, cells, start, budget):
     """Max-reward feasible rooted path via the permutation oracle."""
     best_val = -math.inf
     best_seq = None
     for seq, _ in oracle_rooted_paths(graph, start, budget):
-        val = oracle_eval(model, seq)
+        val = oracle_eval(cells, seq)
         if val > best_val or (val == best_val and seq < best_seq):
             best_val = val
             best_seq = seq
     return best_seq, best_val
 
 
-def oracle_team_value(model, vertex_sets):
+def oracle_team_value(cells, vertex_sets):
     union = set()
     for vs in vertex_sets:
         union.update(vs)
-    return oracle_eval(model, union)
+    return oracle_eval(cells, union)
 
 
-def oracle_max_min(graph, model, starts, budget, alpha):
+def oracle_max_min(graph, cells, starts, budget, alpha):
     """Exhaustive max-min value over all rooted path tuples; independent of
     the library's bitmask-table oracle."""
     per_robot = [oracle_rooted_paths(graph, s, budget) for s in starts]
@@ -89,12 +99,12 @@ def oracle_max_min(graph, model, starts, budget, alpha):
     for combo in itertools.product(*per_robot):
         sets = [set(seq) for seq, _ in combo]
         if alpha == 0:
-            value = oracle_team_value(model, sets)
+            value = oracle_team_value(cells, sets)
         else:
             value = math.inf
             for removed in itertools.combinations(range(n), alpha):
                 keep = [sets[i] for i in range(n) if i not in removed]
-                value = min(value, oracle_team_value(model, keep))
+                value = min(value, oracle_team_value(cells, keep))
         best = max(best, value)
     return best
 

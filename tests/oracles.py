@@ -13,7 +13,8 @@ must return the same path, bit for bit.
 
 And the reward evaluators as they were before the array form: dicts keyed by
 cell id, summed in the order CPython iterates the vertex set or a vertex's
-own cell list. The array evaluators must match them exactly on integer
+own cell list. They read the raw per-vertex cells a model is built from,
+never the model. The array evaluators must match them exactly on integer
 weights, and to within a few ulps on fractional ones.
 """
 
@@ -221,13 +222,16 @@ def solve_op_gcb_rescan(graph: MetricGraph, model: RewardModel, start: int, budg
     return Path(robot=robot, vertices=tuple(route), cost=route_cost)
 
 
-def dict_eval_vertex_set(model: RewardModel, ids) -> float:
-    """Reward of a vertex set, its cells summed in the order CPython iterates set(ids)."""
+def dict_eval_vertex_set(cells, ids) -> float:
+    """Reward of a vertex set, its cells summed in the order CPython iterates set(ids).
+
+    Vertex v covers the raw (cell, weight) pairs `cells[v]` that the model was built from.
+    """
     covered: dict[int, float] = {}
     for v in set(ids):
-        if not 0 <= v < model.n:
-            raise RewardError(f"vertex id {v} out of range 0..{model.n - 1}")
-        for cell, w in model.cells[v]:
+        if not 0 <= v < len(cells):
+            raise RewardError(f"vertex id {v} out of range 0..{len(cells) - 1}")
+        for cell, w in cells[v]:
             covered[cell] = w
     return sum(covered.values())
 
@@ -235,12 +239,13 @@ def dict_eval_vertex_set(model: RewardModel, ids) -> float:
 class DictIncrementalEval:
     """Marginal gains over a mutable vertex set, kept in a dict of cell counts.
 
-    A gain adds a vertex's uncovered cells in the order the vertex lists them;
-    `value` adds and subtracts gains as vertices come and go.
+    Vertex v covers the raw (cell, weight) pairs `cells[v]`. A gain adds a vertex's
+    uncovered cells in the order the vertex lists them; `value` adds and subtracts
+    gains as vertices come and go.
     """
 
-    def __init__(self, model: RewardModel):
-        self.model = model
+    def __init__(self, cells):
+        self.cells = cells
         self.members: set[int] = set()
         self.value = 0.0
         self._cell_count: dict[int, int] = {}
@@ -249,20 +254,20 @@ class DictIncrementalEval:
         if v in self.members:
             return 0.0
         count = self._cell_count
-        return sum(w for cell, w in self.model.cells[v] if cell not in count)
+        return sum(w for cell, w in self.cells[v] if cell not in count)
 
     def add(self, v: int) -> float:
         g = self.gain(v)
         if v not in self.members:
             self.members.add(v)
-            for cell, _ in self.model.cells[v]:
+            for cell, _ in self.cells[v]:
                 self._cell_count[cell] = self._cell_count.get(cell, 0) + 1
             self.value += g
         return g
 
     def remove(self, v: int) -> None:
         self.members.remove(v)
-        for cell, w in self.model.cells[v]:
+        for cell, w in self.cells[v]:
             self._cell_count[cell] -= 1
             if self._cell_count[cell] == 0:
                 del self._cell_count[cell]

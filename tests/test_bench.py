@@ -13,7 +13,8 @@ from rmop.attack import worst_case_attack
 from rmop.bench import (ExperimentSpec, bound_report, naive_greedy_baseline, plan,
                         records_to_csv, rmop_bound, run_experiment, sga_bound, summarize)
 
-from helpers import (line_instance, line_scenario, oracle_max_min, random_tiny_scenario)
+from helpers import (line_instance, line_scenario, oracle_max_min, random_tiny_scenario,
+                     vertex_cells)
 from oracles import brute_force_rmop, enumerate_feasible_paths
 
 EXACT = OpSolverConfig(method="exact")
@@ -110,7 +111,8 @@ class TestBruteForceOracles:
         model = RewardModel.from_scenario(scenario)
         assert eval_team(model, witness) == 12.0
         # Independent permutation-based enumeration agrees.
-        assert oracle_max_min(scenario.graph, model, [0, 0], 2.0, alpha=0) == 12.0
+        assert oracle_max_min(scenario.graph, vertex_cells(scenario.graph), [0, 0], 2.0,
+                              alpha=0) == 12.0
 
     def test_mop_single_robot_equals_exact_solver(self):
         scenario = line_scenario(n_robots=1, alpha=0)
@@ -145,9 +147,9 @@ class TestBruteForceOracles:
             scenario = random_tiny_scenario(14_000 + trial, n_range=(4, 5),
                                             robots_range=(2, 2), budget_range=(0.4, 0.8),
                                             kind="coverage" if trial % 2 else "modular")
-            model = RewardModel.from_scenario(scenario)
-            expected = oracle_max_min(scenario.graph, model, scenario.starts,
-                                      scenario.budget, scenario.alpha)
+            expected = oracle_max_min(scenario.graph,
+                                      vertex_cells(scenario.graph, scenario.reward_kind),
+                                      scenario.starts, scenario.budget, scenario.alpha)
             assert brute_force_rmop(scenario)[0] == pytest.approx(expected, abs=1e-9)
 
     def test_guard_trips_on_large_products(self):

@@ -1,10 +1,15 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
+import os
+import sys
+import tempfile
 
-import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rmop.cli
 import rmop.graph
@@ -310,9 +315,8 @@ class TestBench:
         spec_path.write_text(json.dumps(spec))
         capsys.readouterr()
         summary = tmp_path / "summary.json"
-        with np.errstate(over="ignore"):
-            code = run_cli("bench", "--spec", str(spec_path), "--out-csv",
-                           str(tmp_path / "o.csv"), "--out-summary", str(summary))
+        code = run_cli("bench", "--spec", str(spec_path), "--out-csv",
+                       str(tmp_path / "o.csv"), "--out-summary", str(summary))
         assert code == 1 and not summary.exists()
         assert capsys.readouterr().err.splitlines() == [
             "error: Out of range float values are not JSON compliant: inf"]
@@ -422,3 +426,98 @@ class TestRoundTrips:
             again = load_scenario(path.read_bytes())
             assert scenario_to_document(again) == scenario_to_document(scenario)
             assert dump_scenario(again) == dump_scenario(scenario)
+
+
+def strict_json(text):
+    """A JSON document, refused if it holds a token (NaN, Infinity) that no reader accepts."""
+    def refuse(token):
+        raise ValueError(f"non-JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def chain_step(*argv):
+    """Run one command; it exits 0 quietly on stderr, or 1 with exactly one `error:` line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    lines = err.getvalue().splitlines()
+    assert (code, lines) == (0, []) or (code == 1 and len(lines) == 1
+                                        and lines[0].startswith("error: ")), (argv, code, lines)
+    return code
+
+
+NEAR_MAX = st.floats(1e300, sys.float_info.max)  # finite, and near the largest float
+
+
+def edit_scenario(path, data):
+    """Redraw some of a generated document's rewards, weights, distances and budget.
+
+    Returns whether anything was edited. Rewards and weights go near the largest float,
+    distances become subnormal multiples of a line metric, and the budget becomes 0 or
+    near the largest float. Edited documents may be refused, with one `error:` line.
+    """
+    with open(path) as fh:
+        doc = json.load(fh)
+    edited = False
+    if data.draw(st.booleans(), label="huge rewards"):
+        for vertex in doc["vertices"]:
+            vertex["reward"] = data.draw(NEAR_MAX)
+        edited = True
+    if data.draw(st.booleans(), label="huge weights"):
+        cells = sorted({c for vertex in doc["vertices"] for c, _ in vertex.get("coverage", [])})
+        weight = {c: data.draw(NEAR_MAX) for c in cells}
+        for vertex in doc["vertices"]:
+            vertex["coverage"] = [[c, weight[c]] for c, _ in vertex.get("coverage", [])]
+        edited = edited or bool(cells)
+    if data.draw(st.booleans(), label="subnormal distances"):
+        n = len(doc["vertices"])
+        at = data.draw(st.permutations(range(n)))
+        step = data.draw(st.integers(1, 3)) * 5e-324  # the smallest subnormal
+        doc["distance_matrix"] = [[abs(at[i] - at[j]) * step for j in range(n)]
+                                  for i in range(n)]
+        edited = True
+    budget = data.draw(st.one_of(st.none(), st.just(0.0), NEAR_MAX), label="budget")
+    if budget is not None:
+        doc["budget"] = budget
+        edited = True
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    return edited
+
+
+class TestCommandChain:
+    """gen → solve → attack → verify, each document read by the next command."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_every_document_loads_in_the_next_command(self, data):
+        n, robots = data.draw(st.integers(2, 6)), data.draw(st.integers(1, 3))
+        with tempfile.TemporaryDirectory() as tmp:
+            scenario = os.path.join(tmp, "s.json")
+            assert chain_step(
+                "gen", "--vertices", str(n), "--robots", str(robots),
+                "--alpha", str(data.draw(st.integers(0, robots - 1))),
+                "--budget", repr(data.draw(st.sampled_from([0.0, 1.0, 30.0, 300.0]))),
+                "--layout", data.draw(st.sampled_from(LAYOUTS)),
+                "--reward-kind", data.draw(st.sampled_from(REWARD_KINDS)),
+                "--seed", str(data.draw(st.integers(0, 2 ** 32 - 1))), "--out", scenario) == 0
+            edited = edit_scenario(scenario, data)
+            for planner in PLANNER_NAMES:
+                solution = os.path.join(tmp, f"{planner}.json")
+                code = chain_step("solve", "--scenario", scenario, "--planner", planner,
+                                  "--out", solution)
+                assert code == 0 or edited  # gen's own document always solves
+                if code:
+                    assert not os.path.exists(solution)
+                    continue
+                with open(solution) as fh:
+                    strict_json(fh.read())
+                report = os.path.join(tmp, f"{planner}-attack.json")
+                code = chain_step("attack", solution, "--scenario", scenario,
+                                  "--model", data.draw(st.sampled_from(ATTACK_MODELS)),
+                                  "--size", str(data.draw(st.integers(0, robots))),
+                                  "--seed", str(data.draw(st.integers(0, 99))), "--out", report)
+                if code == 0:
+                    with open(report) as fh:
+                        assert strict_json(fh.read())["residual"] >= 0.0
+                assert chain_step("verify", "--scenario", scenario, "--solution", solution) == 0

@@ -9,7 +9,7 @@ from rmop.reward import RewardModel, eval_vertex_set
 from rmop.orienteering import (EXACT_SIZE_LIMIT, GCB_ETA, OpSolverConfig, SizeGuardError,
                                solve_op, solve_op_exact, solve_op_gcb)
 
-from helpers import line_instance, oracle_best_rooted_path, random_tiny_scenario
+from helpers import line_instance, oracle_best_rooted_path, random_tiny_scenario, vertex_cells
 from oracles import solve_op_gcb_rescan
 
 TOL = 1e-9
@@ -36,7 +36,7 @@ class TestExactSolver:
     def test_line_instance_optimum(self):
         graph, model = line_instance()
         # Independent oracle: permutation enumeration over all rooted paths.
-        seq, val = oracle_best_rooted_path(graph, model, 0, 2.0)
+        seq, val = oracle_best_rooted_path(graph, vertex_cells(graph), 0, 2.0)
         assert seq == (0, 1, 2) and val == 8.0
         path = solve_op_exact(graph, model, 0, 2.0)
         assert path.vertices == (0, 1, 2)
@@ -75,7 +75,8 @@ class TestExactSolver:
                                             kind="coverage" if trial % 2 else "modular")
             model = RewardModel.from_scenario(scenario)
             start = scenario.starts[0]
-            _, oracle_val = oracle_best_rooted_path(scenario.graph, model, start,
+            cells = vertex_cells(scenario.graph, scenario.reward_kind)
+            _, oracle_val = oracle_best_rooted_path(scenario.graph, cells, start,
                                                     scenario.budget)
             path = solve_op_exact(scenario.graph, model, start, scenario.budget)
             assert eval_vertex_set(model, path.vertices) == pytest.approx(oracle_val, abs=TOL)

@@ -12,7 +12,7 @@ from rmop.planner import (INVARIANT_TOL, Solution, check_solution, sga, solve_rm
 from rmop.attack import worst_case_attack
 
 from helpers import (line_instance, line_scenario, oracle_max_min, oracle_rooted_paths,
-                     oracle_team_value, random_tiny_scenario)
+                     oracle_team_value, random_tiny_scenario, vertex_cells)
 
 EXACT = OpSolverConfig(method="exact")
 GCB = OpSolverConfig(method="gcb")
@@ -29,7 +29,7 @@ class TestSga:
         assert trace.gains == (8.0, 4.0)
         assert trace.masked_counts == (0, 3)
         # Exhaustive check: no pair of rooted budget-2 paths beats 12.
-        best = oracle_max_min(graph, model, [0, 0], 2.0, alpha=0)
+        best = oracle_max_min(graph, vertex_cells(graph), [0, 0], 2.0, alpha=0)
         assert best == 12.0
 
     def test_single_robot_equals_bare_solver(self):
@@ -74,7 +74,8 @@ class TestSolveRmop:
         outcome = worst_case_attack(model, solution, 1)
         assert outcome.residual == 8.0
         # Exhaustive max-min over all rooted path pairs confirms 8 is optimal.
-        assert oracle_max_min(scenario.graph, model, [0, 0], 2.0, alpha=1) == 8.0
+        assert oracle_max_min(scenario.graph, vertex_cells(scenario.graph), [0, 0], 2.0,
+                              alpha=1) == 8.0
 
     def test_alpha_zero_equals_sga(self):
         for trial in range(10):

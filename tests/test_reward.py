@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -27,13 +28,14 @@ def sequential_sum(weights):
     return total
 
 
-def random_coverage_model(rng, n=6, n_cells=5):
+def random_coverage_cells(rng, n=6, n_cells=5):
     weights = rng.integers(0, 11, size=n_cells).astype(float)
     cover = rng.random((n, n_cells)) < 0.5
-    return RewardModel.coverage([
-        [(c, float(weights[c])) for c in range(n_cells) if cover[v, c]]
-        for v in range(n)
-    ])
+    return [[(c, float(weights[c])) for c in range(n_cells) if cover[v, c]] for v in range(n)]
+
+
+def random_coverage_model(rng, n=6, n_cells=5):
+    return RewardModel.coverage(random_coverage_cells(rng, n, n_cells))
 
 
 class TestEvalVertexSet:
@@ -81,9 +83,10 @@ class TestEvalVertexSet:
     def test_cell_id_must_be_an_integer(self):
         with pytest.raises(TypeError):
             RewardModel.coverage([[(1.7, 2.0)]])
-        cells = RewardModel.coverage([[(np.int64(2), np.float32(2.5)), (True, 1)]]).cells
-        assert cells == (((2, 2.5), (1, 1.0)),)
-        assert [tuple(map(type, p)) for p in cells[0]] == [(int, float), (int, float)]
+        m = RewardModel.coverage([[(np.int64(2), np.float32(2.5)), (True, 1)]])
+        assert (m.weight.dtype, m.slots.dtype, m.single.dtype) == (np.float64, np.intp, np.float64)
+        assert m.weight.tolist() == [1.0, 2.5, 0.0]  # True is cell 1, np.int64(2) cell 2
+        assert m.slots.tolist() == [[0, 1]] and m.single.tolist() == [3.5]
 
 
 class TestFromScenario:
@@ -95,9 +98,12 @@ class TestFromScenario:
         for s in (generated, load_scenario(dump_scenario(generated))):
             vertices = s.graph.vertices
             checked = (RewardModel.modular([v.reward for v in vertices]) if kind == "modular"
-                       else RewardModel.coverage([v.coverage for v in vertices])).cells
-            cells = RewardModel.from_scenario(s).cells
-            assert cells == checked and repr(cells) == repr(checked)  # repr tells 1 from 1.0
+                       else RewardModel.coverage([v.coverage for v in vertices]))
+            model = RewardModel.from_scenario(s)
+            for name in ("weight", "slots", "single"):
+                got, want = getattr(model, name), getattr(checked, name)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()  # every bit: -0.0 is not 0.0
 
 
 class TestEvalTeam:
@@ -131,15 +137,16 @@ class TestCurvature:
         # Independent evaluation of the leave-one-out definition.
         rng = np.random.default_rng(42)
         for _ in range(20):
-            m = random_coverage_model(rng)
-            n = m.n
-            full = oracle_eval(m, range(n))
+            cells = random_coverage_cells(rng)
+            m = RewardModel.coverage(cells)
+            n = len(cells)
+            full = oracle_eval(cells, range(n))
             ratios = []
             for v in range(n):
-                single = oracle_eval(m, [v])
+                single = oracle_eval(cells, [v])
                 if single > 0:
                     rest = [u for u in range(n) if u != v]
-                    ratios.append((full - oracle_eval(m, rest)) / single)
+                    ratios.append((full - oracle_eval(cells, rest)) / single)
             expected = 1.0 - min(ratios) if ratios else 0.0
             got = vertex_curvature(m).value
             assert got == pytest.approx(min(1.0, max(0.0, expected)), abs=1e-12)
@@ -252,19 +259,25 @@ class TestIncrementalEval:
             assert gains[v] == pytest.approx(expected, abs=1e-12)
 
     def test_evaluators_on_one_model_share_its_tables(self):
-        # The array form depends only on the model, so every solve on one model
-        # reuses it; a masked model derives its own from the parent's weights.
+        # The arrays are the model, so every solve on one model reads the same ones;
+        # a masked model shares its parent's weight vector and copies only the slots.
         m = RewardModel.coverage([[(7, 1.0)], [(7, 1.0), (-2, 2.0)], [(40, 3.0)]])
-        a = m.arrays
-        assert m.arrays is a and IncrementalEval(m)._slots is a.slots
-        assert a.weight.tolist() == [2.0, 1.0, 3.0, 0.0]  # cells -2, 7, 40, then the sentinel
-        assert a.slots.tolist() == [[1, 3], [0, 1], [2, 3]]
-        assert a.single.tolist() == [1.0, 3.0, 3.0]
-        masked = m.with_masked([0]).arrays
-        assert masked.weight is a.weight
+        ev = IncrementalEval(m)
+        assert ev._weight is m.weight and ev._slots is m.slots
+        assert m.weight.tolist() == [2.0, 1.0, 3.0, 0.0]  # cells -2, 7, 40, then the sentinel
+        assert m.slots.tolist() == [[1, 3], [0, 1], [2, 3]]
+        assert m.single.tolist() == [1.0, 3.0, 3.0]
+        masked = m.with_masked([0])
+        assert masked.weight is m.weight
         assert masked.slots.tolist() == [[3, 3], [0, 1], [2, 3]]
         assert masked.single.tolist() == [0.0, 3.0, 3.0]
-        assert not (a.weight.flags.writeable or a.slots.flags.writeable)
+        assert m.slots.tolist() == [[1, 3], [0, 1], [2, 3]]  # the parent is untouched
+        for model in (m, masked):
+            for array in (model.weight, model.slots, model.single):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                model.weight = np.zeros(4)
 
 
 @st.composite
@@ -315,13 +328,17 @@ class TestModularIsPrivateCellCoverage:
 
     def test_with_masked_keeps_the_other_cells(self):
         model = RewardModel.coverage([[(0, 1.0)], [(0, 1.0), (1, 2.0)]])
-        assert model.with_masked([1]).cells == (((0, 1.0),), ())
-        assert RewardModel.modular([4.0, 0.0]).cells == (((0, 4.0),), ((1, 0.0),))
+        masked = model.with_masked([1])
+        assert masked.weight is model.weight and model.weight.tolist() == [1.0, 2.0, 0.0]
+        assert masked.slots.tolist() == [[0, 2], [2, 2]]  # vertex 0 keeps cell 0
+        assert masked.single.tolist() == [1.0, 0.0] and eval_vertex_set(masked, [0, 1]) == 1.0
+        modular = RewardModel.modular([4.0, 0.0])
+        assert modular.weight.tolist() == [4.0, 0.0, 0.0] and modular.slots.tolist() == [[0], [1]]
 
 
 @st.composite
 def listed_cells(draw, integer):
-    """A model whose vertices list shared cells in random order, with integer or fractional weights.
+    """Raw cells whose vertices list shared cells in random order, integer or fractional weights.
 
     Cell ids are sparse and may be negative, so the array form must renumber them.
     """
@@ -330,7 +347,7 @@ def listed_cells(draw, integer):
     weight = {c: draw(weights) for c in ids}
     n = draw(st.integers(1, 6))
     cells = [draw(st.permutations(ids))[:draw(st.integers(0, len(ids)))] for _ in range(n)]
-    return RewardModel.coverage([[(c, weight[c]) for c in entry] for entry in cells])
+    return [[(c, weight[c]) for c in entry] for entry in cells]
 
 
 class TestArrayFormMatchesTheDictOracles:
@@ -344,17 +361,18 @@ class TestArrayFormMatchesTheDictOracles:
     @settings(max_examples=200, deadline=None)
     @given(st.booleans(), st.data())
     def test_values_gains_and_curvatures(self, integer, data):
-        model = data.draw(listed_cells(integer))
+        cells = data.draw(listed_cells(integer))
+        model = RewardModel.coverage(cells)
         ids = data.draw(st.lists(st.integers(0, model.n - 1), max_size=8))
         toggles = data.draw(st.lists(st.integers(0, model.n - 1), max_size=10))
-        terms = sum(len(entry) for entry in model.cells) + len(toggles)
-        ulp = math.ulp(dict_eval_vertex_set(model, range(model.n)))
+        terms = sum(len(entry) for entry in cells) + len(toggles)
+        ulp = math.ulp(dict_eval_vertex_set(cells, range(model.n)))
 
         def agree(new, old):
             assert new == old if integer else abs(new - old) <= 2 * terms * ulp, (new, old)
 
-        agree(eval_vertex_set(model, ids), dict_eval_vertex_set(model, ids))
-        ev, oracle = IncrementalEval(model), DictIncrementalEval(model)
+        agree(eval_vertex_set(model, ids), dict_eval_vertex_set(cells, ids))
+        ev, oracle = IncrementalEval(model), DictIncrementalEval(cells)
         for v in toggles:
             if v in oracle.members:
                 ev.remove(v)
@@ -367,11 +385,11 @@ class TestArrayFormMatchesTheDictOracles:
                 agree(gain, oracle.gain(u))
         if integer:
             assert vertex_curvature(model).value == leave_one_out_curvature(
-                range(model.n), lambda xs: dict_eval_vertex_set(model, xs))
+                range(model.n), lambda xs: dict_eval_vertex_set(cells, xs))
             paths = [path_of(0, *ids), path_of(1, *toggles[:3]), path_of(2, *toggles[3:])]
             assert team_curvature(model, paths).value == leave_one_out_curvature(
                 range(3), lambda xs: dict_eval_vertex_set(
-                    model, [v for i in xs for v in paths[i].vertices]))
+                    cells, [v for i in xs for v in paths[i].vertices]))
 
 
 def test_fractional_weights_are_pinned():
