@@ -4,8 +4,8 @@ All documents are UTF-8 JSON with stable key order; the bench command also
 emits RFC-4180 CSV. Every random choice flows from an explicit --seed flag.
 Solution and attack documents embed a digest of the scenario bytes they were
 computed from, so a stale or swapped scenario is refused instead of silently
-mis-scored. Exit codes: 0 success, 1 validation/verification failure,
-2 usage error.
+mis-scored. Exit codes: 0 success, 1 validation/verification failure or a
+request larger than memory, 2 usage error.
 """
 
 from __future__ import annotations
@@ -304,8 +304,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CliError, MemoryError) as exc:  # numpy's MemoryError names the array it refused
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

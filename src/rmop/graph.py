@@ -487,13 +487,12 @@ def field_value(bumps: Sequence[GaussianBump], x: float, y: float) -> float:
     return total
 
 
-def _grid_positions(n: int, side: float) -> np.ndarray:
+def _grid_positions(n: int, side: float) -> list[tuple[float, float]]:
     cols = math.ceil(math.sqrt(n))
     rows = math.ceil(n / cols)
-    xs = np.linspace(0.0, side, cols) if cols > 1 else np.array([side / 2.0])
-    ys = np.linspace(0.0, side, rows) if rows > 1 else np.array([side / 2.0])
-    pos = [(xs[k % cols], ys[k // cols]) for k in range(n)]
-    return np.array(pos, dtype=float)
+    xs = np.linspace(0.0, side, cols).tolist() if cols > 1 else [side / 2.0]
+    ys = np.linspace(0.0, side, rows).tolist() if rows > 1 else [side / 2.0]
+    return [(xs[k % cols], ys[k // cols]) for k in range(n)]
 
 
 def generate_scenario(n_vertices: int, n_robots: int, alpha: int, budget: float,
@@ -501,15 +500,16 @@ def generate_scenario(n_vertices: int, n_robots: int, alpha: int, budget: float,
                       reward_kind: str = "modular") -> Scenario:
     """Deterministically generate a scenario from parameters and a seed.
 
-    Vertices live on an AREA_SIDE x AREA_SIDE area, laid out on a grid or
-    uniformly at random. Rewards sample an importance field rescaled to
-    integers in [0, 100]. The field is `bumps` concentrated Gaussian bumps of
-    comparable height at seeded locations plus one broad low background bump,
-    mimicking a concentration map with a few hotspots over a mildly
-    interesting sea. Coverage scenarios overlay a cell lattice: each vertex
-    covers nearby cells and cell weights sample the same field. Robot starts
-    are drawn uniformly from the vertices (shared starts allowed). The same
-    arguments and seed always produce a byte-identical scenario.
+    Vertices live on an AREA_SIDE x AREA_SIDE area, laid out on a grid or uniformly at
+    random. Rewards sample an importance field rescaled to integers in [0, 100]. The field
+    is `bumps` concentrated Gaussian bumps of comparable height at seeded locations plus
+    one broad low background bump, mimicking a concentration map with a few hotspots over
+    a mildly interesting sea. Coverage scenarios overlay a cell lattice: each vertex covers
+    nearby cells and cell weights sample the same field. Robot starts are drawn uniformly
+    from the vertices (shared starts allowed). The same arguments and seed always produce
+    a byte-identical scenario: field values and cell distances are Python floats, one point
+    at a time, with `** 2` as libm `pow`, `math.exp` and `math.hypot`. They are not
+    vectorized: numpy's `exp`, `hypot` and `x * x` round some inputs differently.
     """
     if n_vertices < 1:
         raise ScenarioError("n_vertices must be >= 1")
@@ -535,13 +535,13 @@ def generate_scenario(n_vertices: int, n_robots: int, alpha: int, budget: float,
     ) + (GaussianBump(cx=side / 2.0, cy=side / 2.0, amplitude=0.3, sigma=0.9 * side),)
 
     pos = (_grid_positions(n_vertices, side) if layout == "grid"
-           else rng.uniform(0.0, side, size=(n_vertices, 2)))
+           else rng.uniform(0.0, side, size=(n_vertices, 2)).tolist())
 
     values = np.array([field_value(bump_list, x, y) for x, y in pos])
     peak = float(values.max())
-    rewards = np.rint(100.0 * values / peak) if peak > 0 else np.zeros(n_vertices)
+    rewards = (np.rint(100.0 * values / peak) if peak > 0 else np.zeros(n_vertices)).tolist()
 
-    coverage: list[tuple[tuple[int, float], ...]] = [() for _ in range(n_vertices)]
+    coverage: list[tuple[tuple[int, float], ...]] = [()] * n_vertices
     if reward_kind == "coverage":
         cells_per_side = max(2, math.ceil(math.sqrt(n_vertices) / 2))
         pitch = side / cells_per_side
@@ -549,14 +549,14 @@ def generate_scenario(n_vertices: int, n_robots: int, alpha: int, budget: float,
                    for j in range(cells_per_side) for i in range(cells_per_side)]
         cell_vals = np.array([field_value(bump_list, cx, cy) for cx, cy in centers])
         cell_peak = float(cell_vals.max())
-        cell_w = np.rint(100.0 * cell_vals / cell_peak) if cell_peak > 0 else np.zeros(len(centers))
+        cell_w = (np.rint(100.0 * cell_vals / cell_peak) if cell_peak > 0
+                  else np.zeros(len(centers))).tolist()
         radius = 1.3 * pitch
-        for k in range(n_vertices):
-            coverage[k] = tuple((c, float(cell_w[c])) for c, (cx, cy) in enumerate(centers)
-                                if math.hypot(pos[k][0] - cx, pos[k][1] - cy) <= radius)
+        coverage = [tuple((c, cell_w[c]) for c, (cx, cy) in enumerate(centers)
+                          if math.hypot(x - cx, y - cy) <= radius) for x, y in pos]
 
-    vertices = [Vertex(id=k, x=float(pos[k][0]), y=float(pos[k][1]), reward=float(rewards[k]),
-                       coverage=coverage[k]) for k in range(n_vertices)]
+    vertices = [Vertex(k, x, y, reward, cells)
+                for k, ((x, y), reward, cells) in enumerate(zip(pos, rewards, coverage))]
     graph, starts = MetricGraph.from_positions(vertices), rng.integers(0, n_vertices, size=n_robots)
     return _verified(Scenario(graph, starts, budget, alpha, reward_kind))
 

@@ -16,6 +16,10 @@ cell id, summed in the order CPython iterates the vertex set or a vertex's
 own cell list. They read the raw per-vertex cells a model is built from,
 never the model. The array evaluators must match them exactly on integer
 weights, and to within a few ulps on fractional ones.
+
+And the scenario generator as it was before it computed on Python floats:
+positions, rewards and cell weights read one numpy scalar at a time, with its
+own copy of the importance field. `generate_scenario` must dump the same bytes.
 """
 
 from __future__ import annotations
@@ -24,7 +28,10 @@ import math
 from itertools import combinations
 from typing import Optional
 
-from rmop.graph import MetricGraph, Path, RewardError, Scenario
+import numpy as np
+
+from rmop.graph import (AREA_SIDE, GaussianBump, MetricGraph, Path, RewardError, Scenario,
+                        Vertex, _verified)
 from rmop.reward import IncrementalEval, RewardModel, eval_vertex_set
 from rmop.orienteering import SizeGuardError, _check_problem
 
@@ -284,3 +291,68 @@ def leave_one_out_curvature(ground_set, evaluator) -> float:
     ratios = [(h_full - evaluator(elements[:i] + elements[i + 1:])) / evaluator([v])
               for i, v in enumerate(elements) if evaluator([v]) > 0.0]
     return min(1.0, max(0.0, 1.0 - min(ratios))) if ratios else 0.0
+
+
+def numpy_scalar_field_value(bumps, x, y) -> float:
+    """The importance field as `generate_scenario` evaluated it on numpy scalars."""
+    total = 0.0
+    for b in bumps:
+        r2 = (x - b.cx) ** 2 + (y - b.cy) ** 2
+        total += b.amplitude * math.exp(-r2 / (2.0 * b.sigma ** 2))
+    return total
+
+
+def _numpy_scalar_grid_positions(n: int, side: float) -> np.ndarray:
+    cols = math.ceil(math.sqrt(n))
+    rows = math.ceil(n / cols)
+    xs = np.linspace(0.0, side, cols) if cols > 1 else np.array([side / 2.0])
+    ys = np.linspace(0.0, side, rows) if rows > 1 else np.array([side / 2.0])
+    pos = [(xs[k % cols], ys[k // cols]) for k in range(n)]
+    return np.array(pos, dtype=float)
+
+
+def generate_scenario_on_numpy_scalars(n_vertices: int, n_robots: int, alpha: int,
+                                       budget: float, layout: str = "grid", bumps: int = 3,
+                                       seed: int = 0, reward_kind: str = "modular") -> Scenario:
+    """`generate_scenario` as it was before it moved to Python floats, for valid arguments.
+
+    It reads positions, rewards and cell weights one numpy scalar at a time out of their
+    arrays; the library must dump the same bytes for the same arguments.
+    """
+    side = AREA_SIDE
+    rng = np.random.default_rng(seed)
+    bump_list = tuple(
+        GaussianBump(
+            cx=float(rng.uniform(0.15 * side, 0.85 * side)),
+            cy=float(rng.uniform(0.15 * side, 0.85 * side)),
+            amplitude=float(rng.uniform(0.9, 1.0)),
+            sigma=float(rng.uniform(side / 9.0, side / 6.4)),
+        )
+        for _ in range(bumps)
+    ) + (GaussianBump(cx=side / 2.0, cy=side / 2.0, amplitude=0.3, sigma=0.9 * side),)
+
+    pos = (_numpy_scalar_grid_positions(n_vertices, side) if layout == "grid"
+           else rng.uniform(0.0, side, size=(n_vertices, 2)))
+
+    values = np.array([numpy_scalar_field_value(bump_list, x, y) for x, y in pos])
+    peak = float(values.max())
+    rewards = np.rint(100.0 * values / peak) if peak > 0 else np.zeros(n_vertices)
+
+    coverage: list[tuple[tuple[int, float], ...]] = [() for _ in range(n_vertices)]
+    if reward_kind == "coverage":
+        cells_per_side = max(2, math.ceil(math.sqrt(n_vertices) / 2))
+        pitch = side / cells_per_side
+        centers = [((i + 0.5) * pitch, (j + 0.5) * pitch)
+                   for j in range(cells_per_side) for i in range(cells_per_side)]
+        cell_vals = np.array([numpy_scalar_field_value(bump_list, cx, cy) for cx, cy in centers])
+        cell_peak = float(cell_vals.max())
+        cell_w = np.rint(100.0 * cell_vals / cell_peak) if cell_peak > 0 else np.zeros(len(centers))
+        radius = 1.3 * pitch
+        for k in range(n_vertices):
+            coverage[k] = tuple((c, float(cell_w[c])) for c, (cx, cy) in enumerate(centers)
+                                if math.hypot(pos[k][0] - cx, pos[k][1] - cy) <= radius)
+
+    vertices = [Vertex(id=k, x=float(pos[k][0]), y=float(pos[k][1]), reward=float(rewards[k]),
+                       coverage=coverage[k]) for k in range(n_vertices)]
+    graph, starts = MetricGraph.from_positions(vertices), rng.integers(0, n_vertices, size=n_robots)
+    return _verified(Scenario(graph, starts, budget, alpha, reward_kind))

@@ -11,6 +11,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rmop.bench
 import rmop.cli
 import rmop.graph
 from rmop.attack import ATTACK_MODELS, run_attack
@@ -20,6 +21,10 @@ from rmop.graph import (LAYOUTS, REWARD_KINDS, dump_scenario, generate_scenario,
                         scenario_to_document)
 from rmop.orienteering import SUBROUTINES
 from rmop.reward import RewardModel
+
+
+NUMPY_MEMORY_MESSAGE = ("Unable to allocate 298. GiB for an array with shape (200000, 200000) "
+                        "and data type float64")
 
 
 def run_cli(*argv):
@@ -66,6 +71,22 @@ class TestGen:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}: ")
+
+    @pytest.mark.parametrize("message, line", [
+        (NUMPY_MEMORY_MESSAGE, "error: " + NUMPY_MEMORY_MESSAGE), ("", "error: out of memory")],
+        ids=["numpy", "bare"])
+    def test_a_map_larger_than_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                                        message, line):
+        # `gen --vertices 200000` asks numpy for a 298 GiB matrix; nothing that size is allocated.
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(rmop.cli, "generate_scenario", refuse)
+        out = tmp_path / "s.json"
+        code = run_cli("gen", "--vertices", "200000", "--robots", "3", "--alpha", "1",
+                       "--budget", "30", "--seed", "7", "--out", str(out))
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err.splitlines() == [line]
 
     def test_benchmark_scale_generation(self, tmp_path):
         out = tmp_path / "big.json"
@@ -300,6 +321,19 @@ class TestBench:
         spec.write_text(json.dumps(doc))
         assert run_cli("bench", "--spec", str(spec), "--out-csv", str(tmp_path / "o.csv")) == 1
         assert "unknown planner" in capsys.readouterr().err
+
+    def test_an_experiment_larger_than_memory_is_one_error_line(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        def refuse(*args, **kwargs):
+            raise MemoryError(NUMPY_MEMORY_MESSAGE)
+
+        monkeypatch.setattr(rmop.bench, "run_experiment", refuse)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(self.spec_doc()))
+        csv_out = tmp_path / "o.csv"
+        assert run_cli("bench", "--spec", str(spec), "--out-csv", str(csv_out)) == 1
+        assert not csv_out.exists()
+        assert capsys.readouterr().err.splitlines() == ["error: " + NUMPY_MEMORY_MESSAGE]
 
     def test_an_overflowed_summary_is_one_error_line(self, tmp_path, capsys):
         # The residuals are finite, but their variance overflows to inf.

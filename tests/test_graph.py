@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -9,12 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rmop.graph import (LAYOUTS, REWARD_KINDS, MetricGraph, MetricReport, Scenario,
-                        ScenarioError, Vertex, dump_scenario, generate_scenario,
+from rmop.graph import (LAYOUTS, REWARD_KINDS, GaussianBump, MetricGraph, MetricReport,
+                        Scenario, ScenarioError, Vertex, dump_scenario, field_value,
+                        generate_scenario,
                         load_scenario, path_cost, resample_starts, scenario_to_document,
                         verify_metric)
 
 from helpers import line_instance
+from oracles import generate_scenario_on_numpy_scalars, numpy_scalar_field_value
 
 
 def doc_4v(**overrides):
@@ -640,6 +643,33 @@ class TestGenerateScenario:
         rewards = [v.reward for v in s.graph.vertices]
         assert all(r == int(r) and 0 <= r <= 100 for r in rewards)
         assert max(rewards) == 100.0
+
+    @pytest.mark.parametrize("rounded", [True, False], ids=["rounded", "raw field values"])
+    @pytest.mark.parametrize("kind", REWARD_KINDS)
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_documents_match_the_numpy_scalar_generator(self, monkeypatch, layout, kind, rounded):
+        # Byte for byte. Rounding to integers hides a last-bit change in the field (`x * x` or
+        # `np.exp` for `** 2` and `math.exp`), so without it the rewards are the raw values.
+        if not rounded:
+            monkeypatch.setattr(np, "rint", lambda values: values)
+        for seed, n, bumps in itertools.product(range(5), (1, 2, 7, 30, 64, 97), (1, 3)):
+            args = (n, 3, 1, 40.0)
+            kwargs = dict(layout=layout, bumps=bumps, seed=seed, reward_kind=kind)
+            scenario = generate_scenario(*args, **kwargs)
+            assert (dump_scenario(scenario)
+                    == dump_scenario(generate_scenario_on_numpy_scalars(*args, **kwargs))), kwargs
+        rewards = [v.reward for v in scenario.graph.vertices]
+        assert rounded == all(r == int(r) for r in rewards)
+
+    def test_field_values_match_the_numpy_scalar_field(self):
+        # Where rounding hides a change: `x * x` for `** 2` moves about 0.04% of values.
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            bumps = [GaussianBump(*b)
+                     for b in rng.uniform([0, 0, 0.9, 10], [90, 90, 1, 14], (4, 4)).tolist()]
+            points = rng.uniform(0.0, rmop.graph.AREA_SIDE, size=(300, 2))
+            assert ([field_value(bumps, x, y) for x, y in points.tolist()]
+                    == [numpy_scalar_field_value(bumps, x, y) for x, y in points])
 
     def test_same_seed_is_byte_identical(self):
         a = dump_scenario(generate_scenario(30, 4, 2, 20.0, seed=11))

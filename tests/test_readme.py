@@ -1,0 +1,35 @@
+"""The README's examples run as written."""
+
+import json
+import re
+from pathlib import Path
+
+from rmop.bench import ExperimentSpec
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def fenced(language, text=README):
+    return re.findall(rf"^```{language}\n(.*?)^```$", text, flags=re.MULTILINE | re.DOTALL)
+
+
+def section(title):
+    return README.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_library_in_one_minute_runs(capsys):
+    (block,) = fenced("python", section("Library in one minute"))
+    names = {}
+    exec(compile(block, "README.md", "exec"), names)
+    solution, hit, scenario = names["solution"], names["hit"], names["scenario"]
+    assert len(hit.removed) == scenario.alpha
+    assert 0.0 <= hit.residual <= solution.team_reward
+    assert capsys.readouterr().out == (
+        f"{solution.team_reward} {hit.residual} {sorted(hit.removed)}\n")
+
+
+def test_experiment_specs_parse_and_build_their_scenario():
+    specs = [ExperimentSpec.from_document(json.loads(block)) for block in fenced("json")]
+    assert len(specs) == 2
+    for spec in specs:
+        assert spec.base_scenario().graph.n == spec.scenario_params["n_vertices"]
