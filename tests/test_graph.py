@@ -12,9 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from rmop.graph import (LAYOUTS, REWARD_KINDS, GaussianBump, MetricGraph, MetricReport,
                         Scenario, ScenarioError, Vertex, dump_scenario, field_value,
-                        generate_scenario,
-                        load_scenario, path_cost, resample_starts, scenario_to_document,
-                        verify_metric)
+                        generate_scenario, load_scenario, path_cost, resample_starts,
+                        scenario_to_document, verify_metric)
 
 from helpers import line_instance
 from oracles import generate_scenario_on_numpy_scalars, numpy_scalar_field_value
@@ -648,8 +647,8 @@ class TestGenerateScenario:
     @pytest.mark.parametrize("kind", REWARD_KINDS)
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_documents_match_the_numpy_scalar_generator(self, monkeypatch, layout, kind, rounded):
-        # Byte for byte. Rounding to integers hides a last-bit change in the field (`x * x` or
-        # `np.exp` for `** 2` and `math.exp`), so without it the rewards are the raw values.
+        # Byte for byte, as generated and with rounding off: rounding rewards and weights to
+        # integers hides a last-bit change in the field, such as `np.exp` for `math.exp`.
         if not rounded:
             monkeypatch.setattr(np, "rint", lambda values: values)
         for seed, n, bumps in itertools.product(range(5), (1, 2, 7, 30, 64, 97), (1, 3)):
@@ -662,7 +661,7 @@ class TestGenerateScenario:
         assert rounded == all(r == int(r) for r in rewards)
 
     def test_field_values_match_the_numpy_scalar_field(self):
-        # Where rounding hides a change: `x * x` for `** 2` moves about 0.04% of values.
+        # `x * x` for `** 2` moves about 0.04% of field values, too few for the documents above.
         rng = np.random.default_rng(0)
         for _ in range(100):
             bumps = [GaussianBump(*b)
