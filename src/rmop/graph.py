@@ -96,12 +96,14 @@ class MetricGraph:
     add up to a finite total, and the coverage passes check_cells. Construction
     refuses anything else; verify_metric reports whether the matrix is metric. Vertex
     numbers are stored as `float` and ids and cells as `int` (`operator.index`), as a
-    document reloads them. `euclidean` is derived: the matrix is bit for bit the one
-    from_positions builds, and a dumped document then omits it.
+    document reloads them. Without a `distance` matrix the graph builds the pairwise
+    Euclidean one of its positions. `euclidean` is set at construction: the matrix is bit
+    for bit that Euclidean one, and a dumped document then omits it.
     """
 
     vertices: tuple[Vertex, ...]
-    distance: np.ndarray
+    distance: Optional[np.ndarray] = None
+    euclidean: bool = dataclasses.field(init=False)
 
     def __post_init__(self):
         vertices = list(self.vertices)
@@ -124,38 +126,35 @@ class MetricGraph:
                                   f"reward {v.reward}")
         check_cells([v.coverage for v in vertices])
         _check_total((v.reward for v in vertices), "vertex rewards")
-        mat = np.array(self.distance, dtype=float, order="C")  # a copy: the caller keeps theirs
+        built = self.distance is None
+        mat = (_euclidean_matrix(vertices) if built  # else a copy: the caller keeps theirs
+               else np.array(self.distance, dtype=float, order="C"))
         if mat.shape != (n, n):
             raise ScenarioError(f"distance_matrix must be {n}x{n}, got shape {mat.shape}")
         if not np.isfinite(mat).all():
-            bad = np.argwhere(~np.isfinite(mat))[0]
-            raise ScenarioError(f"distance_matrix must be finite, violated at ({bad[0]},{bad[1]})")
+            i, j = np.argwhere(~np.isfinite(mat))[0]
+            raise ScenarioError(
+                f"vertices {i} and {j} are too far apart for a finite distance" if built
+                else f"distance_matrix must be finite, violated at ({i},{j})")
         mat.setflags(write=False)
         object.__setattr__(self, "vertices", tuple(vertices))
         object.__setattr__(self, "distance", mat)
+        object.__setattr__(self, "euclidean",
+                           built or np.array_equal(mat, _euclidean_matrix(vertices)))
 
     @property
     def n(self) -> int:
         return len(self.vertices)
 
-    @functools.cached_property
-    def euclidean(self) -> bool:
-        return np.array_equal(self.distance, _euclidean_matrix(self.vertices))
-
-    @classmethod
-    def from_positions(cls, vertices: Sequence[Vertex]) -> "MetricGraph":
-        """Build the graph with pairwise Euclidean distances, known to be `euclidean`."""
-        graph = cls(vertices, _euclidean_matrix(vertices))
-        graph.__dict__["euclidean"] = True  # its matrix is _euclidean_matrix's, copied bit for bit
-        return graph
-
 
 def _euclidean_matrix(vertices: Sequence[Vertex]) -> np.ndarray:
+    """Pairwise distances of the positions; a pair too far apart for a float gets inf."""
     x, y = np.array([[v.x, v.y] for v in vertices], dtype=float).reshape(-1, 2).T
-    dx, dy = x[:, None] - x, y[:, None] - y
-    dx *= dx  # sqrt(dx * dx + dy * dy) in place: two n^2 buffers, not five
-    dx += np.square(dy, out=dy)
-    return np.sqrt(dx, out=dx)
+    with np.errstate(over="ignore"):
+        dx, dy = x[:, None] - x, y[:, None] - y
+        dx *= dx  # sqrt(dx * dx + dy * dy) in place: two n^2 buffers, not five
+        dx += np.square(dy, out=dy)
+        return np.sqrt(dx, out=dx)
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,8 +265,8 @@ def verify_metric(graph: MetricGraph) -> MetricReport:
     Triangle violations come out in (i, j, k) order, from the first check that applies:
 
     1. An O(|V|) certificate: none at all, if the matrix is bit for bit `_euclidean_matrix`
-       of the vertices (`graph.euclidean`, known without a rebuild for a from_positions
-       graph) and both coordinate spans are at most `_CERTIFIED_SPAN`.
+       of the vertices (`graph.euclidean`, set when the graph was built) and both
+       coordinate spans are at most `_CERTIFIED_SPAN`.
        - Sign, diagonal, symmetry: fl(x_i - x_j) = -fl(x_j - x_i) exactly, so squares, sums
          and roots are bitwise symmetric; sqrt returns >= +0; the diagonal is sqrt(+0) = 0.
        - Triangles, u = eps/2: an entry is d = E(1+e) + a, E the exact distance of the
@@ -431,7 +430,7 @@ def scenario_from_document(doc: dict) -> Scenario:
     check_keys(doc, _SCENARIO_KEYS, "scenario keys")
     vertices = _read_vertices(doc)
     graph = (MetricGraph(vertices, _read_distance_matrix(doc, len(vertices)))
-             if "distance_matrix" in doc else MetricGraph.from_positions(vertices))
+             if "distance_matrix" in doc else MetricGraph(vertices))
     return _verified(Scenario(graph, read_ints(doc, "starts"), read_field(doc, "budget", float),
                               read_field(doc, "alpha", int), read_field(doc, "reward_kind", str)))
 
@@ -537,9 +536,9 @@ def generate_scenario(n_vertices: int, n_robots: int, alpha: int, budget: float,
     pos = (_grid_positions(n_vertices, side) if layout == "grid"
            else rng.uniform(0.0, side, size=(n_vertices, 2)).tolist())
 
+    # Both peaks are > 0: the background bump alone keeps the field >= 0.3 * exp(-4050 / 13122) ~ 0.22.
     values = np.array([field_value(bump_list, x, y) for x, y in pos])
-    peak = float(values.max())
-    rewards = (np.rint(100.0 * values / peak) if peak > 0 else np.zeros(n_vertices)).tolist()
+    rewards = np.rint(100.0 * values / float(values.max())).tolist()
 
     coverage: list[tuple[tuple[int, float], ...]] = [()] * n_vertices
     if reward_kind == "coverage":
@@ -548,16 +547,14 @@ def generate_scenario(n_vertices: int, n_robots: int, alpha: int, budget: float,
         centers = [((i + 0.5) * pitch, (j + 0.5) * pitch)
                    for j in range(cells_per_side) for i in range(cells_per_side)]
         cell_vals = np.array([field_value(bump_list, cx, cy) for cx, cy in centers])
-        cell_peak = float(cell_vals.max())
-        cell_w = (np.rint(100.0 * cell_vals / cell_peak) if cell_peak > 0
-                  else np.zeros(len(centers))).tolist()
+        cell_w = np.rint(100.0 * cell_vals / float(cell_vals.max())).tolist()
         radius = 1.3 * pitch
         coverage = [tuple((c, cell_w[c]) for c, (cx, cy) in enumerate(centers)
                           if math.hypot(x - cx, y - cy) <= radius) for x, y in pos]
 
     vertices = [Vertex(k, x, y, reward, cells)
                 for k, ((x, y), reward, cells) in enumerate(zip(pos, rewards, coverage))]
-    graph, starts = MetricGraph.from_positions(vertices), rng.integers(0, n_vertices, size=n_robots)
+    graph, starts = MetricGraph(vertices), rng.integers(0, n_vertices, size=n_robots)
     return _verified(Scenario(graph, starts, budget, alpha, reward_kind))
 
 

@@ -24,7 +24,7 @@ def line_instance():
         Vertex(2, 2.0, 0.0, 3.0),
         Vertex(3, 0.0, 2.0, 4.0),
     ]
-    graph = MetricGraph.from_positions(verts)
+    graph = MetricGraph(verts)
     model = RewardModel.modular([0.0, 5.0, 3.0, 4.0])
     return graph, model
 
@@ -148,7 +148,7 @@ def random_tiny_scenario(seed, kind="modular", n_range=(4, 6), robots_range=(2, 
                    float(rewards[v]) if kind == "modular" else 0.0, coverage[v])
             for v in range(n)
         ]
-        graph = MetricGraph.from_positions(vertices)
+        graph = MetricGraph(vertices)
         n_robots = int(rng.integers(robots_range[0], robots_range[1] + 1))
         a = alpha if alpha is not None else int(rng.integers(1, n_robots))
         budget = float(rng.uniform(*budget_range))

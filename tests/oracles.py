@@ -354,5 +354,5 @@ def generate_scenario_on_numpy_scalars(n_vertices: int, n_robots: int, alpha: in
 
     vertices = [Vertex(id=k, x=float(pos[k][0]), y=float(pos[k][1]), reward=float(rewards[k]),
                        coverage=coverage[k]) for k in range(n_vertices)]
-    graph, starts = MetricGraph.from_positions(vertices), rng.integers(0, n_vertices, size=n_robots)
+    graph, starts = MetricGraph(vertices), rng.integers(0, n_vertices, size=n_robots)
     return _verified(Scenario(graph, starts, budget, alpha, reward_kind))

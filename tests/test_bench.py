@@ -125,7 +125,7 @@ class TestBruteForceOracles:
         graph, _ = line_instance()
         verts = [dataclasses.replace(v, reward=0.0) for v in graph.vertices]
         from rmop.graph import MetricGraph
-        zero = Scenario(graph=MetricGraph.from_positions(verts), starts=(0, 0),
+        zero = Scenario(graph=MetricGraph(verts), starts=(0, 0),
                         budget=2.0, alpha=0, reward_kind="modular")
         assert brute_force_rmop(zero.with_alpha(0))[0] == 0.0
 

@@ -1,7 +1,9 @@
-"""The package imports nothing beyond numpy and the standard library.
+"""The package imports nothing beyond numpy and the standard library, and keeps no lazy cache.
 
 scipy and networkx may be installed where the tests run, so a stray import
 of either would otherwise pass here and fail for a user with numpy alone.
+A cache would let a timed call skip real work, and a value written through
+`__dict__` bypasses the frozen types that check every field once.
 """
 
 import ast
@@ -10,6 +12,7 @@ import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "rmop"
 ALLOWED = {"numpy"} | set(sys.stdlib_module_names)
+CACHES = {"cache", "lru_cache", "cached_property"}
 
 
 def foreign_imports(source):
@@ -23,6 +26,21 @@ def foreign_imports(source):
     return [name for name in names if name not in ALLOWED]
 
 
+def lazy_caches(source):
+    """`functools` caches that `source` names, and its assignments through `<expr>.__dict__[...]`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [f"functools.{a.name}" for a in node.names if a.name in CACHES]
+        elif (isinstance(node, ast.Attribute) and node.attr in CACHES
+              and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            found.append(f"functools.{node.attr}")
+        elif (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Attribute) and node.value.attr == "__dict__"):
+            found.append(f"__dict__ write at line {node.lineno}")
+    return found
+
+
 def test_package_imports_only_numpy_and_the_standard_library():
     modules = sorted(SRC.glob("*.py"))
     assert modules
@@ -34,3 +52,21 @@ def test_a_stray_import_is_caught():
     source = ("import numpy as np\nimport math\nfrom . import graph\nfrom .reward import eval_team\n"
               "import scipy.sparse\nfrom networkx import Graph\n")
     assert foreign_imports(source) == ["scipy", "networkx"]
+
+
+def test_package_keeps_no_lazy_cache():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    found = {m.name: lazy_caches(m.read_text(encoding="utf-8")) for m in modules}
+    assert {name: bad for name, bad in found.items() if bad} == {}
+
+
+def test_a_stray_cache_is_caught():
+    source = ("import functools\nfrom functools import reduce, lru_cache\n"
+              "total = functools.reduce(max, [1])\nvalue = obj.__dict__['x']\n"
+              "@functools.cached_property\ndef f(self): return 1\n"
+              "@functools.cache\ndef g(): return 2\n"
+              "self.__dict__['euclidean'] = True\n")
+    assert sorted(lazy_caches(source)) == sorted([
+        "functools.lru_cache", "functools.cached_property", "functools.cache",
+        "__dict__ write at line 9"])

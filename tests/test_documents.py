@@ -41,6 +41,7 @@ SCENARIO_CASES = [
     ("null-starts", ("starts",), None),
     ("cell-with-two-weights", ("vertices", 1, "coverage"), [[0, 2.0]]),
     ("cell-repeated-in-one-vertex", ("vertices", 0, "coverage"), [[0, 1.0], [0, 1.0]]),
+    ("far-apart-x", ("vertices", 1, "x"), 1e300),
 ]
 SOLUTION_CASES = [
     ("fractional-path-vertex", ("paths", 0, "vertices", 0), 0.5),

@@ -189,7 +189,7 @@ class TestMetricGraph:
     def test_float_vertex_id_is_refused(self):
         verts = (Vertex(0, 0.0, 0.0), Vertex(1.0, 1.0, 0.0))
         with pytest.raises(TypeError):
-            MetricGraph.from_positions(verts)
+            MetricGraph(verts)
 
     @pytest.mark.parametrize("matrix", [np.zeros((3, 3)), np.zeros(4), np.zeros((2, 3)),
                                         np.zeros((2, 2, 1)), 0.0],
@@ -212,12 +212,22 @@ class TestMetricGraph:
 
     @pytest.mark.parametrize("x", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_coordinates_are_refused(self, x):
-        # A non-finite coordinate makes its own diagonal entry NaN, even on one vertex.
+        # Refused before the matrix is built, so no NaN distance is computed, even on one vertex.
         for n in (1, 3):
             verts = [Vertex(i, 1.0 * i, 0.0) for i in range(n)]
             verts[-1] = Vertex(n - 1, x, 0.0)
-            with np.errstate(invalid="ignore"), pytest.raises(ScenarioError, match="finite"):
-                MetricGraph.from_positions(verts)
+            with pytest.raises(ScenarioError, match="non-finite position"):
+                MetricGraph(verts)
+
+    @pytest.mark.parametrize("xs, pair", [((1e308, -1e308), "0 and 1"),
+                                          ((0.0, 1.0, 1e200), "0 and 2")],
+                             ids=["subtraction", "square"])
+    def test_positions_too_far_apart_are_refused(self, xs, pair):
+        # Numpy's overflow stays silent: the inf distance reaches the finiteness check.
+        verts = [Vertex(i, x, 0.0) for i, x in enumerate(xs)]
+        with pytest.raises(ScenarioError, match=f"^vertices {pair} are too far apart"):
+            MetricGraph(verts)
+        assert not MetricGraph(verts, np.zeros((len(xs), len(xs)))).euclidean
 
     @pytest.mark.parametrize("fields, message", [
         ([(math.nan, 0.0)], "vertex 0 has non-finite position (nan, 0.0)"),
@@ -255,7 +265,7 @@ class TestMetricGraph:
             MetricGraph(verts, mat, euclidean=True)
         graph = MetricGraph(verts, mat)
         assert not graph.euclidean
-        assert MetricGraph.from_positions(verts).euclidean
+        assert MetricGraph(verts).euclidean
         assert MetricGraph(verts, np.zeros((3, 3))).euclidean
         s = Scenario(graph, starts=(0,), budget=1.0, alpha=0)
         assert load_scenario(dump_scenario(s)).graph.distance.tobytes() == mat.tobytes()
@@ -263,7 +273,7 @@ class TestMetricGraph:
 
 def scenario_1v(**overrides):
     """One vertex, two robots: the smallest graph every bad field can be tried on."""
-    fields = dict(graph=MetricGraph.from_positions([Vertex(0, 0.0, 0.0, 1.0)]), starts=(0, 0),
+    fields = dict(graph=MetricGraph([Vertex(0, 0.0, 0.0, 1.0)]), starts=(0, 0),
                   budget=1.0, alpha=1, reward_kind="modular")
     return Scenario(**{**fields, **overrides})
 
@@ -434,12 +444,11 @@ class TestVerifyMetric:
     @settings(max_examples=15, deadline=None)
     @given(st.integers(2, 40), st.integers(0, 2 ** 32 - 1), st.booleans())
     def test_position_certificate_matches_full_broadcast(self, layout, scale, n, seed, plant):
-        # A from_positions map, or its matrix with one edge an ulp above the violation
+        # A position-built map, or its matrix with one edge an ulp above the violation
         # threshold of its cheapest detour.
         rng = np.random.default_rng(seed)
         pos = map_positions(layout, n, scale, rng)
-        graph = MetricGraph.from_positions(
-            [Vertex(v, float(x), float(y)) for v, (x, y) in enumerate(pos)])
+        graph = MetricGraph([Vertex(v, float(x), float(y)) for v, (x, y) in enumerate(pos)])
         if plant and n >= 3:
             d = graph.distance.copy()
             i, k = rng.choice(n, size=2, replace=False)
@@ -457,8 +466,7 @@ class TestVerifyMetric:
         # At side 1e9 rounding alone breaks the triangle check: the span guard is needed.
         seen = spy_triangle_rows(monkeypatch)
         pos = rmop.graph._grid_positions(100, 1e9)
-        graph = MetricGraph.from_positions(
-            [Vertex(v, float(x), float(y)) for v, (x, y) in enumerate(pos)])
+        graph = MetricGraph([Vertex(v, float(x), float(y)) for v, (x, y) in enumerate(pos)])
         report = verify_metric(graph)
         assert len(seen) == 1
         assert len(report.triangle) == 656
@@ -471,7 +479,7 @@ class TestVerifyMetric:
             pos = rng.uniform(-1.0, 1.0, size=(n, 2)) * scale
             verts = [Vertex(i, float(x), float(y), 0.0) for i, (x, y) in enumerate(pos)]
             diff = pos[:, None, :] - pos[None, :, :]
-            assert (MetricGraph.from_positions(verts).distance.tobytes()
+            assert (MetricGraph(verts).distance.tobytes()
                     == np.sqrt((diff ** 2).sum(axis=2)).tobytes())
 
     @settings(max_examples=30, deadline=None)
@@ -479,7 +487,7 @@ class TestVerifyMetric:
                     min_size=2, max_size=8))
     def test_any_euclidean_position_set_is_metric(self, points):
         verts = [Vertex(i, x, y, 0.0) for i, (x, y) in enumerate(points)]
-        assert verify_metric(MetricGraph.from_positions(verts)).ok
+        assert verify_metric(MetricGraph(verts)).ok
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.one_of(st.floats(-50, 50), st.integers(-50, 50)),
@@ -488,7 +496,7 @@ class TestVerifyMetric:
         # The certificate's claims, checked on the matrix itself: +0 and up, a zero
         # diagonal and bitwise symmetry, whatever the rounding of the coordinates.
         verts = [Vertex(i, x, y, 0.0) for i, (x, y) in enumerate(points + points[:2])]
-        graph = MetricGraph.from_positions(verts)
+        graph = MetricGraph(verts)
         d = graph.distance
         assert graph.euclidean and MetricGraph(graph.vertices, d).euclidean
         assert not np.signbit(d).any()
@@ -502,7 +510,19 @@ class TestVerifyMetric:
                             lambda vs: calls.append(len(vs)) or real(vs))
         s = generate_scenario(30, 2, 1, 60.0, seed=4)
         assert load_scenario(dump_scenario(s)).graph.euclidean
-        assert calls == [30, 30]  # one per from_positions: no check rebuilds it
+        assert calls == [30, 30]  # one per MetricGraph(vertices): no check rebuilds it
+
+    def test_a_callers_matrix_is_compared_once_at_construction(self, monkeypatch):
+        verts = [Vertex(i, float(i % 3), float(i // 3), 1.0) for i in range(7)]
+        mat = MetricGraph(verts).distance.copy()
+        real, calls = rmop.graph._euclidean_matrix, []
+        monkeypatch.setattr(rmop.graph, "_euclidean_matrix",
+                            lambda vs: calls.append(len(vs)) or real(vs))
+        s = Scenario(MetricGraph(verts, mat), starts=(0,), budget=1.0, alpha=0)
+        assert s.graph.euclidean and calls == [7]
+        assert verify_metric(s.graph).ok
+        assert "distance_matrix" not in json.loads(dump_scenario(s))
+        assert calls == [7]
 
 
 def assert_round_trips(s):
@@ -554,7 +574,7 @@ class TestRoundTrip:
     def test_explicit_matrix(self, points, seed):
         rng = np.random.default_rng(seed)
         verts = [Vertex(i, x, y, 1.0) for i, (x, y) in enumerate(points)]
-        d = MetricGraph.from_positions(verts).distance.copy()
+        d = MetricGraph(verts).distance.copy()
         copy = Scenario(MetricGraph(verts, d), starts=(0,), budget=10.0, alpha=0)
         assert copy.graph.euclidean
         assert "distance_matrix" not in assert_round_trips(copy)
@@ -625,7 +645,7 @@ class TestPathCost:
         verts = [None] * graph.n
         for old, v in enumerate(graph.vertices):
             verts[perm[old]] = Vertex(perm[old], v.x, v.y, v.reward, v.coverage)
-        relabeled = MetricGraph.from_positions(verts)
+        relabeled = MetricGraph(verts)
         route = [0, 1, 3]
         assert path_cost(relabeled, [perm[v] for v in route]) == pytest.approx(
             path_cost(graph, route), abs=1e-12)

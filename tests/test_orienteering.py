@@ -58,7 +58,7 @@ class TestExactSolver:
     def test_size_guard(self):
         n = EXACT_SIZE_LIMIT + 1
         verts = [Vertex(i, float(i), 0.0, 1.0) for i in range(n)]
-        graph = MetricGraph.from_positions(verts)
+        graph = MetricGraph(verts)
         model = RewardModel.modular([1.0] * n)
         with pytest.raises(SizeGuardError, match="exact solver refuses"):
             solve_op_exact(graph, model, 0, 1.0)
@@ -100,7 +100,7 @@ def decoy_trap_instance():
         Vertex(3, 0.15, 0.0, 1.0),
         Vertex(4, -10.0, 0.0, 100.0),
     ]
-    graph = MetricGraph.from_positions(verts)
+    graph = MetricGraph(verts)
     model = RewardModel.modular([0.0, 1.0, 1.0, 1.0, 100.0])
     return graph, model
 
@@ -139,7 +139,7 @@ class TestGcbSolver:
         # the infinite gain ratio must pick it up even with zero budget.
         verts = [Vertex(0, 0.0, 0.0, 0.0), Vertex(1, 0.0, 0.0, 2.0),
                  Vertex(2, 5.0, 0.0, 9.0)]
-        graph = MetricGraph.from_positions(verts)
+        graph = MetricGraph(verts)
         model = RewardModel.modular([0.0, 2.0, 9.0])
         path = solve_op_gcb(graph, model, 0, 0.0)
         assert path.vertices == (0, 1)
@@ -220,7 +220,7 @@ def gcb_problems(draw):
         model = RewardModel.coverage([[(c, weight[c]) for c in np.flatnonzero(row)]
                                       for row in rng.random((n, 6)) < 0.4])
     verts = [Vertex(v, x, y) for v, (x, y) in enumerate(pos)]
-    graph = MetricGraph.from_positions(verts)
+    graph = MetricGraph(verts)
     if draw(st.booleans()):
         d = graph.distance + rng.uniform(-1e-9, 1e-9, size=(n, n))
         np.fill_diagonal(d, 0.0)

@@ -397,8 +397,7 @@ def test_fractional_weights_are_pinned():
     # 0.49999999999999967 and 0.22222222222222232.
     coverage = [((4, 0.3), (1, 0.6), (10, 0.05)), ((3, 0.2), (2, 0.7), (11, 0.6)),
                 ((0, 0.05), (12, 0.7)), ((5, 0.1), (4, 0.3), (13, 0.2))]
-    graph = MetricGraph.from_positions([Vertex(v, float(v), 0.0, 0.0, cells)
-                                        for v, cells in enumerate(coverage)])
+    graph = MetricGraph([Vertex(v, float(v), 0.0, 0.0, cells) for v, cells in enumerate(coverage)])
     model = RewardModel.from_scenario(Scenario(graph, (0, 3), 3.0, 1, "coverage"))
     assert eval_vertex_set(model, range(4)) == 3.5
     assert vertex_curvature(model).value == 0.5
