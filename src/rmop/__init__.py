@@ -11,12 +11,11 @@ checks the planners lives in the test suite, in `tests/oracles.py`.
 from .graph import (AREA_SIDE, MetricGraph, MetricReport, Path, Scenario, ScenarioError, Vertex,
                     dump_scenario, generate_scenario, load_scenario, path_cost, resample_starts,
                     scenario_from_document, scenario_to_document, verify_metric)
-from .reward import (CurvatureEstimate, IncrementalEval, RewardError, RewardModel,
-                     eval_team, eval_vertex_set, team_curvature, vertex_curvature)
+from .reward import (IncrementalEval, RewardError, RewardModel, eval_team, eval_vertex_set,
+                     team_curvature, vertex_curvature)
 from .orienteering import (EXACT_SIZE_LIMIT, GCB_ETA, OpSolverConfig, SizeGuardError,
                            solve_op, solve_op_exact, solve_op_gcb)
-from .planner import (PlannerLoopError, SgaTrace, Solution, check_solution, sga,
-                      solve_rmop, solve_sga)
+from .planner import PlannerLoopError, Solution, check_solution, sga, solve_rmop, solve_sga
 from .attack import (ATTACK_MODELS, AttackOutcome, greedy_attack, random_attack, run_attack,
                      worst_case_attack)
 from .bench import (AttackSpec, BoundReport, ExperimentRecord, ExperimentSpec,

@@ -101,8 +101,8 @@ def bound_report(model: RewardModel, solution: Solution, eta: float,
     Raises ValueError when either curvature estimate reaches 1 (fully
     redundant paths or vertices), where the fractions are undefined.
     """
-    k_g = vertex_curvature(model).value
-    k_f = team_curvature(model, solution.paths).value
+    k_g = vertex_curvature(model)
+    k_f = team_curvature(model, solution.paths)
     return BoundReport(
         k_f=k_f, k_g=k_g, eta=eta, alpha=alpha, n_robots=n_robots,
         robust_fraction=rmop_bound(k_f, k_g, eta, alpha, n_robots),

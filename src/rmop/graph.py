@@ -286,12 +286,14 @@ def verify_metric(graph: MetricGraph) -> MetricReport:
         return MetricReport()
     d = graph.distance
     tol = METRIC_TOL
-    negative = tuple((int(i), int(j)) for i, j in np.argwhere(d < -tol))
-    diagonal = tuple(int(i) for i in np.flatnonzero(np.abs(np.diagonal(d)) > tol))
-    asym = np.argwhere(np.abs(d - d.T) > tol)
-    asymmetry = tuple((int(i), int(j)) for i, j in asym if i < j)
-    return MetricReport(negative=negative, diagonal=diagonal, asymmetry=asymmetry,
-                        triangle=_triangle_violations(d, _triangle_rows(d, tol), tol))
+    # A sum that overflows to +inf hides no violation; one to -inf, or a difference to inf, is one.
+    with np.errstate(over="ignore"):
+        negative = tuple((int(i), int(j)) for i, j in np.argwhere(d < -tol))
+        diagonal = tuple(int(i) for i in np.flatnonzero(np.abs(np.diagonal(d)) > tol))
+        asym = np.argwhere(np.abs(d - d.T) > tol)
+        asymmetry = tuple((int(i), int(j)) for i, j in asym if i < j)
+        return MetricReport(negative=negative, diagonal=diagonal, asymmetry=asymmetry,
+                            triangle=_triangle_violations(d, _triangle_rows(d, tol), tol))
 
 
 def path_cost(graph: MetricGraph, vertices: Sequence[int]) -> float:

@@ -30,17 +30,8 @@ class PlannerLoopError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SgaTrace:
-    """Per-step diagnostics of a sequential greedy run."""
-
-    order: tuple[int, ...]
-    gains: tuple[float, ...]
-    masked_counts: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Solution:
-    """Paths for every robot plus the redundancy/coverage split and diagnostics."""
+    """Paths for every robot, the redundancy/coverage split, the rewards and the loop count."""
 
     paths: tuple[Path, ...]
     s1_robots: frozenset[int]
@@ -48,7 +39,6 @@ class Solution:
     team_reward: float
     loop_iterations: int
     per_path_rewards: tuple[float, ...]
-    loop_history: tuple[tuple[float, ...], ...] = ()
 
     @property
     def n_robots(self) -> int:
@@ -56,8 +46,7 @@ class Solution:
 
     @classmethod
     def from_paths(cls, model: RewardModel, paths: Sequence[Path], s1: Sequence[int] = (),
-                   loop_iterations: int = 0,
-                   loop_history: Sequence[tuple[float, ...]] = ()) -> "Solution":
+                   loop_iterations: int = 0) -> "Solution":
         """Score `paths` under `model`; robots outside the redundancy set `s1` cover."""
         paths = tuple(paths)
         s1_robots = frozenset(s1)
@@ -68,19 +57,15 @@ class Solution:
             team_reward=eval_team(model, paths),
             loop_iterations=loop_iterations,
             per_path_rewards=tuple(eval_vertex_set(model, p.vertices) for p in paths),
-            loop_history=tuple(loop_history),
         )
 
 
 def sga(graph: MetricGraph, model: RewardModel, starts: Sequence[int], budget: float,
-        solver: OpSolverConfig, robots: Optional[Sequence[int]] = None,
-        ) -> tuple[tuple[Path, ...], SgaTrace]:
+        solver: OpSolverConfig, robots: Optional[Sequence[int]] = None) -> tuple[Path, ...]:
     """Plan robots one at a time, zeroing the rewards each path collects.
 
     Robots are served in the order given. After each path is found, its
     vertices are masked so later robots only chase what is still uncovered.
-    Trace gains are the true team-reward increments; masked counts record
-    how many vertices were already masked when each robot planned.
 
     Known limitation: masking empties the visited *vertices*, not the *cells*
     they covered, so on coverage rewards a later robot is still paid for a
@@ -94,27 +79,17 @@ def sga(graph: MetricGraph, model: RewardModel, starts: Sequence[int], budget: f
         raise ValueError("robots and starts must have equal length")
     masked = model
     paths = []
-    gains = []
-    masked_counts = []
-    collected: set[int] = set()
-    before = 0.0
     for robot, start in zip(robots, starts):
-        masked_counts.append(len(collected))
         path = solve_op(graph, masked, start, budget, solver, robot=robot)
         paths.append(path)
-        collected.update(path.vertices)
-        after = eval_vertex_set(model, collected)
-        gains.append(after - before)
-        before = after
         masked = masked.with_masked(path.vertices)
-    trace = SgaTrace(order=tuple(robots), gains=tuple(gains), masked_counts=tuple(masked_counts))
-    return tuple(paths), trace
+    return tuple(paths)
 
 
 def solve_sga(scenario: Scenario, solver: OpSolverConfig) -> Solution:
     """Plain sequential planning for the whole team; no redundancy set."""
     model = RewardModel.from_scenario(scenario)
-    paths, _ = sga(scenario.graph, model, scenario.starts, scenario.budget, solver)
+    paths = sga(scenario.graph, model, scenario.starts, scenario.budget, solver)
     return Solution.from_paths(model, paths)
 
 
@@ -143,19 +118,18 @@ def solve_rmop(scenario: Scenario, solver: OpSolverConfig) -> Solution:
 
     cap = LOOP_CAP_PER_ROBOT * n
     iterations = 0
-    history: list[tuple[float, ...]] = []
+    rewards: list[float] = []
     while True:
         iterations += 1
         if iterations > cap:
             raise PlannerLoopError(
-                f"reassignment loop exceeded {cap} iterations; pool rewards {history[-1]}")
+                f"reassignment loop exceeded {cap} iterations; pool rewards {tuple(rewards)}")
         rewards = [eval_vertex_set(model, p.vertices) for p in pool]
-        history.append(tuple(rewards))
         order = sorted(range(n), key=lambda i: (-rewards[i], i))
         s1 = order[:alpha]
         rest = sorted(order[alpha:])
-        s2_paths, _ = sga(graph, model, [scenario.starts[j] for j in rest],
-                          scenario.budget, solver, robots=rest)
+        s2_paths = sga(graph, model, [scenario.starts[j] for j in rest],
+                       scenario.budget, solver, robots=rest)
 
         min_s1 = min(rewards[i] for i in s1)
         replaced = False
@@ -168,8 +142,7 @@ def solve_rmop(scenario: Scenario, solver: OpSolverConfig) -> Solution:
             final_paths = tuple(
                 pool[i] if i in s1 else by_robot[i] for i in range(n)
             )
-            return Solution.from_paths(model, final_paths, s1=s1, loop_iterations=iterations,
-                                       loop_history=history)
+            return Solution.from_paths(model, final_paths, s1=s1, loop_iterations=iterations)
 
 
 def check_solution(scenario: Scenario, solution: Solution) -> list[str]:

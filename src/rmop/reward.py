@@ -124,20 +124,13 @@ def eval_team(model: RewardModel, paths: Iterable[Path]) -> float:
     return eval_vertex_set(model, [v for p in paths for v in p.vertices])
 
 
-@dataclass(frozen=True)
-class CurvatureEstimate:
-    """How far a reward is from additive, in [0, 1] (0 means modular)."""
-
-    value: float
-    skipped_zero_singletons: int
-
-
-def _curvature(weight: np.ndarray, rows: np.ndarray) -> CurvatureEstimate:
+def _curvature(weight: np.ndarray, rows: np.ndarray) -> float:
     """1 - min over groups of (h(all) - h(all but the group)) / h(group), h the reward.
 
-    Row i of `rows` lists group i's cells, each once and ascending, padded with the
-    sentinel. The drop is the weight of the cells no other group covers, read from cell
-    counts. Groups of value zero are skipped (0/0) and counted; if all are, the value is 0.
+    The result lies in [0, 1], and 0 means modular. Row i of `rows` lists group i's
+    cells, each once and ascending, padded with the sentinel. The drop is the weight of
+    the cells no other group covers, read from cell counts. Groups of value zero are
+    skipped (0/0); if all are, the value is 0.
     """
     if not len(rows):
         raise RewardError("curvature needs a non-empty ground set")
@@ -146,16 +139,15 @@ def _curvature(weight: np.ndarray, rows: np.ndarray) -> CurvatureEstimate:
     own[np.bincount(rows.ravel(), minlength=len(weight))[rows] != 1] = 0.0
     counted = single > 0.0
     ratios = _totals(own)[counted] / single[counted]
-    value = min(1.0, max(0.0, 1.0 - float(ratios.min()))) if len(ratios) else 0.0
-    return CurvatureEstimate(value=value, skipped_zero_singletons=int((~counted).sum()))
+    return min(1.0, max(0.0, 1.0 - float(ratios.min()))) if len(ratios) else 0.0
 
 
-def vertex_curvature(model: RewardModel) -> CurvatureEstimate:
+def vertex_curvature(model: RewardModel) -> float:
     """Curvature of the single-robot reward over the whole vertex set."""
     return _curvature(model.weight, model.slots)
 
 
-def team_curvature(model: RewardModel, paths: Sequence[Path]) -> CurvatureEstimate:
+def team_curvature(model: RewardModel, paths: Sequence[Path]) -> float:
     """Curvature of the team reward with the given paths as the ground set.
 
     The true ground set (every feasible path) is exponential, so callers use

@@ -66,7 +66,7 @@ def _solved_bound_family():
         model = RewardModel.from_scenario(scenario)
         solution = _solve_rmop_tracked(scenario, EXACT)
         residual = worst_case_attack(model, solution, scenario.alpha).residual
-        k_g = vertex_curvature(model).value
+        k_g = vertex_curvature(model)
         out.append((scenario, model, solution, residual, k_g))
     return out
 
@@ -79,7 +79,7 @@ def test_criterion_1_robust_guarantee_holds():
     degenerate = 0
     checked = 0
     for scenario, model, solution, residual, k_g in _solved_bound_family():
-        k_f = team_curvature(model, solution.paths).value
+        k_f = team_curvature(model, solution.paths)
         f_star, _ = brute_force_rmop(scenario)
         if k_f >= 1.0 or k_g >= 1.0:
             # Fully redundant paths or vertices: the fraction's limit is 0,
@@ -107,7 +107,7 @@ def test_criterion_2_sequential_guarantee_holds():
     checked = 0
     for scenario, model, _, _, k_g in _solved_bound_family():
         solution = solve_sga(scenario, EXACT)
-        k_f = team_curvature(model, solution.paths).value
+        k_f = team_curvature(model, solution.paths)
         q_star, _ = brute_force_rmop(scenario.with_alpha(0))
         if k_f >= 1.0 or k_g >= 1.0:
             degenerate += 1
@@ -133,7 +133,7 @@ def test_criterion_3_residual_lower_bounds():
     def check(scenario, model, solution, residual):
         nonlocal violations, runs
         runs += 1
-        k_f = team_curvature(model, solution.paths).value
+        k_f = team_curvature(model, solution.paths)
         s2_paths = [solution.paths[i] for i in sorted(solution.s2_robots)]
         f_s2 = eval_team(model, s2_paths)
         alpha, n = scenario.alpha, scenario.n_robots
@@ -255,9 +255,9 @@ def test_criterion_7_set_function_laws():
     curvature_ok = True
     for kind, model in models:
         est = vertex_curvature(model)
-        if not 0.0 <= est.value <= 1.0:
+        if not 0.0 <= est <= 1.0:
             curvature_ok = False
-        if kind == "modular" and est.value != 0.0:
+        if kind == "modular" and est != 0.0:
             curvature_ok = False
     _report("criterion 7 (set-function laws)",
             sub_viol == 0 and mono_viol == 0 and curvature_ok,

@@ -418,6 +418,40 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "(0,1,2)" in out and "(2,1,0)" in out
 
+    @pytest.mark.parametrize("matrix, fails", [
+        ([[0.0, 1e308, 1e308], [1e308, 0.0, 1e308], [1e308, 1e308, 0.0]], []),
+        ([[0.0, 1.0, 1.0], [1.0, -1e308, 1.0], [1.0, 1.0, 0.0]],
+         ["graph is not metric: negative distance at (1,1); nonzero diagonal at 1",
+          "negative distance at (1,1)", "nonzero diagonal at 1"]),
+        ([[0.0, -1e308, 1.0], [1e308, 0.0, 1.0], [1.0, 1.0, 0.0]],
+         ["graph is not metric: negative distance at (0,1); asymmetric distance at (0,1); "
+          "triangle inequality violated at (0,1,2); triangle inequality violated at (1,2,0); "
+          "triangle inequality violated at (2,0,1)",
+          "negative distance at (0,1)", "asymmetric distance at (0,1)",
+          "triangle inequality violated at (0,1,2)", "triangle inequality violated at (1,2,0)",
+          "triangle inequality violated at (2,0,1)"]),
+    ], ids=["near-max", "negative-diagonal", "opposite-signs"])
+    def test_a_matrix_near_the_largest_float_warns_nothing(self, matrix, fails, tmp_path,
+                                                           capsys):
+        # Sums and differences of these entries overflow inside the metric check.
+        doc = {
+            "vertices": [{"id": i, "x": float(i), "y": 0.0, "reward": 1.0} for i in range(3)],
+            "distance_matrix": matrix,
+            "starts": [0, 1], "budget": 3.0, "alpha": 1, "reward_kind": "modular",
+        }
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        code = run_cli("verify", "--scenario", str(path))
+        out, err = capsys.readouterr()
+        assert (code, out.splitlines(), err) == (
+            (1, [f"FAIL: {line}" for line in fails], "") if fails
+            else (0, ["OK: all checks passed"], ""))
+        code = run_cli("solve", "--scenario", str(path), "--planner", "rmop",
+                       "--out", str(tmp_path / "plan.json"))
+        err = capsys.readouterr().err
+        assert (code, err.splitlines()) == ((1, [f"error: {path}: {fails[0]}"]) if fails
+                                            else (0, []))
+
     def test_valid_scenario_is_metric_checked_only_by_its_load(self, scenario_file,
                                                                monkeypatch):
         calls = []
@@ -487,8 +521,9 @@ def edit_scenario(path, data):
     """Redraw some of a generated document's rewards, weights, distances and budget.
 
     Returns whether anything was edited. Rewards and weights go near the largest float,
-    distances become subnormal multiples of a line metric, and the budget becomes 0 or
-    near the largest float. Edited documents may be refused, with one `error:` line.
+    distances become subnormal multiples of a line metric or a symmetric matrix near the
+    largest float, and the budget becomes 0 or near the largest float. Edited documents
+    may be refused, with one `error:` line.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -509,6 +544,12 @@ def edit_scenario(path, data):
         step = data.draw(st.integers(1, 3)) * 5e-324  # the smallest subnormal
         doc["distance_matrix"] = [[abs(at[i] - at[j]) * step for j in range(n)]
                                   for i in range(n)]
+        edited = True
+    if data.draw(st.booleans(), label="huge distances"):
+        n = len(doc["vertices"])
+        upper = {(i, j): data.draw(NEAR_MAX) for i in range(n) for j in range(i + 1, n)}
+        doc["distance_matrix"] = [[upper[min(i, j), max(i, j)] if i != j else 0.0
+                                   for j in range(n)] for i in range(n)]
         edited = True
     budget = data.draw(st.one_of(st.none(), st.just(0.0), NEAR_MAX), label="budget")
     if budget is not None:

@@ -1,9 +1,11 @@
-"""The package imports nothing beyond numpy and the standard library, and keeps no lazy cache.
+"""The package imports nothing beyond numpy and the standard library, keeps no lazy cache,
+and reads every dataclass field it stores.
 
 scipy and networkx may be installed where the tests run, so a stray import
 of either would otherwise pass here and fail for a user with numpy alone.
 A cache would let a timed call skip real work, and a value written through
-`__dict__` bypasses the frozen types that check every field once.
+`__dict__` bypasses the frozen types that check every field once. A field
+that no production code reads is work that no output shows.
 """
 
 import ast
@@ -13,6 +15,8 @@ import sys
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "rmop"
 ALLOWED = {"numpy"} | set(sys.stdlib_module_names)
 CACHES = {"cache", "lru_cache", "cached_property"}
+# cli.solution_to_document writes a BoundReport whole, through dataclasses.asdict.
+READ_WHOLE = {"BoundReport"}
 
 
 def foreign_imports(source):
@@ -39,6 +43,31 @@ def lazy_caches(source):
               and isinstance(node.value, ast.Attribute) and node.value.attr == "__dict__"):
             found.append(f"__dict__ write at line {node.lineno}")
     return found
+
+
+def is_dataclass(decorator):
+    """Whether `decorator` is `dataclass` or `dataclasses.dataclass`, called or bare."""
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+
+def unread_fields(sources):
+    """`Class.field` for each dataclass field in `sources` whose name no attribute load reads.
+
+    The match is by name alone, across all of `sources`: a field passes when any
+    attribute of that name is read, so `SgaTrace.gains` once passed because
+    `IncrementalEval.gains` is read. Classes in READ_WHOLE are skipped.
+    """
+    fields, loaded = [], set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.ClassDef) and node.name not in READ_WHOLE
+                    and any(is_dataclass(d) for d in node.decorator_list)):
+                fields += [f"{node.name}.{stmt.target.id}" for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    return [name for name in fields if name.split(".")[1] not in loaded]
 
 
 def test_package_imports_only_numpy_and_the_standard_library():
@@ -70,3 +99,20 @@ def test_a_stray_cache_is_caught():
     assert sorted(lazy_caches(source)) == sorted([
         "functools.lru_cache", "functools.cached_property", "functools.cache",
         "__dict__ write at line 9"])
+
+
+def test_package_reads_every_dataclass_field():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    assert unread_fields(m.read_text(encoding="utf-8") for m in modules) == []
+
+
+def test_an_unread_field_is_caught():
+    source = ("import dataclasses\nfrom dataclasses import dataclass\n"
+              "@dataclass(frozen=True)\nclass Kept:\n    read: int\n    stray: int\n"
+              "    LIMIT = 3\n    def twice(self): return 2 * self.read\n"
+              "@dataclasses.dataclass\nclass Also:\n    unused: float\n"
+              "class Plain:\n    ignored: int\n"
+              "@dataclass\nclass BoundReport:\n    written_whole: float\n"
+              "def f(kept): kept.stray = 1\n")
+    assert unread_fields([source]) == ["Kept.stray", "Also.unused"]

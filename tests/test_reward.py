@@ -125,13 +125,11 @@ class TestEvalTeam:
 class TestCurvature:
     def test_modular_model_is_exactly_zero(self):
         m = RewardModel.modular([3.0, 1.0, 2.5, 0.0])
-        est = vertex_curvature(m)
-        assert est.value == 0.0
-        assert est.skipped_zero_singletons == 1
+        assert vertex_curvature(m) == 0.0
 
     def test_fully_redundant_pair_is_one(self):
         m = RewardModel.coverage([[(0, 1.0)], [(0, 1.0)]])
-        assert vertex_curvature(m).value == 1.0
+        assert vertex_curvature(m) == 1.0
 
     def test_matches_direct_definition_on_random_coverage(self):
         # Independent evaluation of the leave-one-out definition.
@@ -148,14 +146,12 @@ class TestCurvature:
                     rest = [u for u in range(n) if u != v]
                     ratios.append((full - oracle_eval(cells, rest)) / single)
             expected = 1.0 - min(ratios) if ratios else 0.0
-            got = vertex_curvature(m).value
+            got = vertex_curvature(m)
             assert got == pytest.approx(min(1.0, max(0.0, expected)), abs=1e-12)
 
-    def test_all_zero_singletons_reported(self):
+    def test_all_zero_singletons_give_zero(self):
         m = RewardModel.modular([0.0, 0.0])
-        est = vertex_curvature(m)
-        assert est.value == 0.0
-        assert est.skipped_zero_singletons == 2
+        assert vertex_curvature(m) == 0.0
 
     def test_empty_ground_set_rejected(self):
         with pytest.raises(RewardError, match="non-empty ground set"):
@@ -166,14 +162,14 @@ class TestCurvature:
     def test_team_curvature_of_duplicate_paths_is_one(self):
         m = RewardModel.modular([1.0, 2.0])
         paths = [path_of(0, 0, 1), path_of(1, 0, 1)]
-        assert team_curvature(m, paths).value == 1.0
+        assert team_curvature(m, paths) == 1.0
 
     def test_value_always_in_unit_interval(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             m = random_coverage_model(rng, n=int(rng.integers(2, 7)))
-            est = vertex_curvature(m)
-            assert 0.0 <= est.value <= 1.0
+            k = vertex_curvature(m)
+            assert type(k) is float and 0.0 <= k <= 1.0
 
 
 def random_subset(rng, n):
@@ -219,7 +215,7 @@ class TestSetFunctionLaws:
         for _ in range(5):
             scenario = random_tiny_scenario(int(rng.integers(0, 10_000)), kind=kind)
             m = RewardModel.from_scenario(scenario)
-            k = vertex_curvature(m).value
+            k = vertex_curvature(m)
             for _ in range(200):
                 a = random_subset(rng, m.n)
                 singles = sum(eval_vertex_set(m, {v}) for v in a)
@@ -384,10 +380,10 @@ class TestArrayFormMatchesTheDictOracles:
             for u, gain in enumerate(ev.gains(list(range(model.n)))):
                 agree(gain, oracle.gain(u))
         if integer:
-            assert vertex_curvature(model).value == leave_one_out_curvature(
+            assert vertex_curvature(model) == leave_one_out_curvature(
                 range(model.n), lambda xs: dict_eval_vertex_set(cells, xs))
             paths = [path_of(0, *ids), path_of(1, *toggles[:3]), path_of(2, *toggles[3:])]
-            assert team_curvature(model, paths).value == leave_one_out_curvature(
+            assert team_curvature(model, paths) == leave_one_out_curvature(
                 range(3), lambda xs: dict_eval_vertex_set(
                     cells, [v for i in xs for v in paths[i].vertices]))
 
@@ -400,6 +396,6 @@ def test_fractional_weights_are_pinned():
     graph = MetricGraph([Vertex(v, float(v), 0.0, 0.0, cells) for v, cells in enumerate(coverage)])
     model = RewardModel.from_scenario(Scenario(graph, (0, 3), 3.0, 1, "coverage"))
     assert eval_vertex_set(model, range(4)) == 3.5
-    assert vertex_curvature(model).value == 0.5
+    assert vertex_curvature(model) == 0.5
     paths = [path_of(0, 0, 1), path_of(1, 3, 2)]
-    assert team_curvature(model, paths).value == 0.2222222222222221
+    assert team_curvature(model, paths) == 0.2222222222222221
