@@ -201,7 +201,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         spec = bench.ExperimentSpec.from_document(doc)
         records = bench.run_experiment(spec, measure_time=not args.no_timing)
         summary = _dump_json(bench.summarize(records)) if args.out_summary else ""
-    except (ValueError, SizeGuardError) as exc:
+    except (ValueError, SizeGuardError, PlannerLoopError) as exc:
         raise CliError(str(exc)) from exc
     _write_text(args.out_csv, bench.records_to_csv(records))
     if args.out_summary:

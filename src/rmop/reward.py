@@ -16,13 +16,12 @@ summed by ascending cell id, so values, gains and curvatures agree to the last b
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import Path, RewardError, Scenario, check_cells
+from .graph import Path, RewardError, Scenario
 
 
 def _totals(weights: np.ndarray) -> np.ndarray:
@@ -41,11 +40,9 @@ class RewardModel:
     ascending order, padded with C to a width of at least 1; `single[v]` is the reward
     of v alone.
 
-    Build models from raw cells with `modular` or `coverage`, which run
-    check_cells: every weight finite and non-negative, no cell listed twice by
-    one vertex, one weight per cell, and a finite total. `from_scenario` reads
-    cells its MetricGraph already checked, and `with_masked` derives from a
-    checked model; neither checks again.
+    Models come from `from_scenario`, which reads the cells the scenario's MetricGraph
+    already typed and checked, and `with_masked` derives from such a model; neither
+    checks again.
     """
 
     weight: np.ndarray
@@ -62,30 +59,11 @@ class RewardModel:
         return len(self.slots)
 
     @classmethod
-    def modular(cls, weights: Sequence[float]) -> "RewardModel":
-        """Additive weights: vertex v alone covers cell v, of weight weights[v]."""
-        return cls.coverage([[(v, w)] for v, w in enumerate(weights)])
-
-    @classmethod
-    def coverage(cls, cells: Sequence[Sequence[tuple[int, float]]]) -> "RewardModel":
-        per_vertex = [[(operator.index(c), float(w)) for c, w in entry] for entry in cells]
-        check_cells(per_vertex)
-        return cls._from_cells(per_vertex)
-
-    @classmethod
     def from_scenario(cls, scenario: Scenario) -> "RewardModel":
-        """The model `modular` or `coverage` builds from the vertices, without a second check.
-
-        MetricGraph already stores rewards and weights as float and cells as int.
-        """
+        """The model of the vertices' checked cells; modular vertex v covers one private cell, v."""
         vertices = scenario.graph.vertices
-        if scenario.reward_kind == "modular":
-            return cls._from_cells([((v, vert.reward),) for v, vert in enumerate(vertices)])
-        return cls._from_cells([vert.coverage for vert in vertices])
-
-    @classmethod
-    def _from_cells(cls, cells: Sequence[Sequence[tuple[int, float]]]) -> "RewardModel":
-        """The model of checked cells: vertex v covers the (cell, weight) pairs `cells[v]`."""
+        cells = ([((v, vert.reward),) for v, vert in enumerate(vertices)]
+                 if scenario.reward_kind == "modular" else [vert.coverage for vert in vertices])
         weights = dict(pair for entry in cells for pair in entry)
         dense = {c: i for i, c in enumerate(sorted(weights))}
         width = max(map(len, cells), default=0) or 1

@@ -25,8 +25,21 @@ def line_instance():
         Vertex(3, 0.0, 2.0, 4.0),
     ]
     graph = MetricGraph(verts)
-    model = RewardModel.modular([0.0, 5.0, 3.0, 4.0])
+    model = reward_model([0.0, 5.0, 3.0, 4.0])
     return graph, model
+
+
+def reward_model(rewards=None, cells=None):
+    """The production model of raw `rewards` (modular) or raw per-vertex `cells` (coverage).
+
+    They go on a map whose vertices all sit at the origin, so MetricGraph types and
+    checks them as it does every map, and RewardModel.from_scenario reads them.
+    """
+    if cells is None:
+        kind, vertices = "modular", [Vertex(v, 0.0, 0.0, w) for v, w in enumerate(rewards)]
+    else:
+        kind, vertices = "coverage", [Vertex(v, 0.0, 0.0, 0.0, c) for v, c in enumerate(cells)]
+    return RewardModel.from_scenario(Scenario(MetricGraph(vertices), (0,), 0.0, 0, kind))
 
 
 def line_scenario(n_robots=2, alpha=1, budget=2.0):

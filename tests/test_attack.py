@@ -1,23 +1,25 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
-from rmop.graph import Path
+from rmop.bench import PLANNER_NAMES, _derived_seed, plan
+from rmop.graph import Path, generate_scenario, resample_starts
 from rmop.reward import RewardModel, eval_team
 from rmop.orienteering import OpSolverConfig, SizeGuardError
 from rmop.planner import Solution, solve_rmop
 from rmop.attack import (ATTACK_MODELS, greedy_attack, random_attack, run_attack,
                          worst_case_attack)
 
-from helpers import random_tiny_scenario
+from helpers import random_tiny_scenario, reward_model
 
 GCB = OpSolverConfig(method="gcb")
 
 
 def disjoint_solution():
     """Three robots on vertex-disjoint single-vertex collections: 10, 7, 3."""
-    model = RewardModel.modular([10.0, 7.0, 3.0])
+    model = reward_model([10.0, 7.0, 3.0])
     paths = (Path(0, (0,), 0.0), Path(1, (1,), 0.0), Path(2, (2,), 0.0))
     return model, Solution(paths=paths, s1_robots=frozenset(), s2_robots=frozenset({0, 1, 2}),
                            team_reward=20.0, loop_iterations=0,
@@ -26,7 +28,7 @@ def disjoint_solution():
 
 def shared_solution():
     """Two robots share one 5-reward vertex; a third holds a 3-reward vertex."""
-    model = RewardModel.modular([5.0, 3.0])
+    model = reward_model([5.0, 3.0])
     paths = (Path(0, (0,), 0.0), Path(1, (0,), 0.0), Path(2, (1,), 0.0))
     return model, Solution(paths=paths, s1_robots=frozenset(), s2_robots=frozenset({0, 1, 2}),
                            team_reward=8.0, loop_iterations=0,
@@ -73,13 +75,13 @@ class TestWorstCaseAttack:
     def test_enumeration_guard(self):
         # C(24, 12) = 2,704,156 removal subsets is above SUBSET_GUARD, so the
         # attack refuses before enumerating any of them.
-        model = RewardModel.modular([1.0] * 24)
+        model = reward_model([1.0] * 24)
         solution = Solution.from_paths(model, [Path(r, (r,), 0.0) for r in range(24)])
         with pytest.raises(SizeGuardError, match="guard of 1000000"):
             worst_case_attack(model, solution, 12)
 
     def test_tie_breaks_to_lexicographically_smallest(self):
-        model = RewardModel.modular([4.0, 4.0])
+        model = reward_model([4.0, 4.0])
         paths = (Path(0, (0,), 0.0), Path(1, (1,), 0.0))
         solution = Solution(paths=paths, s1_robots=frozenset(), s2_robots=frozenset({0, 1}),
                             team_reward=8.0, loop_iterations=0, per_path_rewards=(4.0, 4.0))
@@ -199,3 +201,26 @@ class TestResidualMonotonicity:
                          for s in range(scenario.n_robots)]
             for a, b in zip(residuals, residuals[1:]):
                 assert b <= a + 1e-9
+
+
+def test_removal_sets_are_pinned():
+    # The output pins in tests/test_cli.py digest residuals only, so an attack that chose
+    # another minimizer of the same residual would pass them. This digest also covers the
+    # removed robots: a row per worst and greedy attack on the plans `run_experiment`
+    # builds for those pins (seed 7, one trial), at the same attack sizes.
+    rows = []
+    for scenario, sizes in ((generate_scenario(96, 10, 0, 60.0, layout="grid", seed=1), 8),
+                            (generate_scenario(64, 16, 0, 60.0, layout="uniform", seed=1,
+                                               reward_kind="coverage"), 4)):
+        scenario = resample_starts(scenario, _derived_seed(7, 0, 101))
+        model = RewardModel.from_scenario(scenario)
+        plans = {planner: plan(planner, scenario, GCB) for planner in ("sga", "ng")}
+        for size in range(1, sizes + 1):
+            plans["rmop"] = plan("rmop", scenario.with_alpha(size), GCB)
+            for planner in PLANNER_NAMES:
+                for attack in (worst_case_attack, greedy_attack):
+                    outcome = attack(model, plans[planner], size)
+                    rows.append((planner, outcome.model, size, sorted(outcome.removed),
+                                 repr(outcome.residual)))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "a9741f8437e386e4ae71093a06877f231a24e6f0ae450641b6e13375496908c2")

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import rmop.bench
 import rmop.cli
 import rmop.graph
+import rmop.planner
 from rmop.attack import ATTACK_MODELS, run_attack
 from rmop.bench import PLANNER_NAMES
 from rmop.cli import build_parser, main, solution_from_document
@@ -334,6 +335,17 @@ class TestBench:
         assert run_cli("bench", "--spec", str(spec), "--out-csv", str(csv_out)) == 1
         assert not csv_out.exists()
         assert capsys.readouterr().err.splitlines() == ["error: " + NUMPY_MEMORY_MESSAGE]
+
+    def test_a_reassignment_loop_over_its_cap_is_one_error_line(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        monkeypatch.setattr(rmop.planner, "LOOP_CAP_PER_ROBOT", 0)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(self.spec_doc()))
+        csv_out = tmp_path / "o.csv"
+        assert run_cli("bench", "--spec", str(spec), "--out-csv", str(csv_out)) == 1
+        assert not csv_out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "error: reassignment loop exceeded 0 iterations; pool rewards ()"]
 
     def test_an_overflowed_summary_is_one_error_line(self, tmp_path, capsys):
         # The residuals are finite, but their variance overflows to inf.

@@ -1,11 +1,12 @@
 """The package imports nothing beyond numpy and the standard library, keeps no lazy cache,
-and reads every dataclass field it stores.
+reads every dataclass field it stores and calls every function and class it defines.
 
 scipy and networkx may be installed where the tests run, so a stray import
 of either would otherwise pass here and fail for a user with numpy alone.
 A cache would let a timed call skip real work, and a value written through
 `__dict__` bypasses the frozen types that check every field once. A field
-that no production code reads is work that no output shows.
+that no production code reads is work that no output shows, and a definition that only
+tests call is code that no user path runs.
 """
 
 import ast
@@ -70,6 +71,29 @@ def unread_fields(sources):
     return [name for name in fields if name.split(".")[1] not in loaded]
 
 
+def uncalled_definitions(sources):
+    """Each non-dunder function and class in `sources` whose name no Name or Attribute load reads.
+
+    Methods are named `Class.method`. The match is by name alone, across all of `sources`:
+    a definition passes when anything of that name is read, so `RewardModel.coverage` once
+    passed because `Vertex.coverage` is read.
+    """
+    defined, loaded = [], set()
+    for source in sources:
+        tree = ast.parse(source)
+        owner = {stmt: node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                 for stmt in node.body}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.append(f"{owner[node]}.{node.name}" if node in owner else node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    return [name for name in defined if name.rsplit(".", 1)[-1] not in loaded]
+
+
 def test_package_imports_only_numpy_and_the_standard_library():
     modules = sorted(SRC.glob("*.py"))
     assert modules
@@ -116,3 +140,21 @@ def test_an_unread_field_is_caught():
               "@dataclass\nclass BoundReport:\n    written_whole: float\n"
               "def f(kept): kept.stray = 1\n")
     assert unread_fields([source]) == ["Kept.stray", "Also.unused"]
+
+
+def test_package_calls_every_definition():
+    # __init__.py only re-exports, and an export is not a call.
+    modules = [m for m in sorted(SRC.glob("*.py")) if m.name != "__init__.py"]
+    assert modules
+    assert uncalled_definitions(m.read_text(encoding="utf-8") for m in modules) == []
+
+
+def test_an_uncalled_definition_is_caught():
+    source = ("class Kept:\n    def used(self): return self.helper()\n"
+              "    def helper(self): return 1\n    def stray(self): return 2\n"
+              "    def __repr__(self): return 'Kept'\n    def coverage(self): return ()\n"
+              "class Unused:\n    pass\n"
+              "def orphan(vertex):\n    def inner(): return 0\n"
+              "    return Kept().used(), vertex.coverage\n"
+              "def caller(): return orphan(None)\n")
+    assert sorted(uncalled_definitions([source])) == ["Kept.stray", "Unused", "caller", "inner"]

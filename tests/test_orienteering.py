@@ -9,7 +9,8 @@ from rmop.reward import RewardModel, eval_vertex_set
 from rmop.orienteering import (EXACT_SIZE_LIMIT, GCB_ETA, OpSolverConfig, SizeGuardError,
                                solve_op, solve_op_exact, solve_op_gcb)
 
-from helpers import line_instance, oracle_best_rooted_path, random_tiny_scenario, vertex_cells
+from helpers import (line_instance, oracle_best_rooted_path, random_tiny_scenario, reward_model,
+                     vertex_cells)
 from oracles import solve_op_gcb_rescan
 
 TOL = 1e-9
@@ -51,7 +52,7 @@ class TestExactSolver:
 
     def test_all_zero_rewards_tie_breaks_to_start(self):
         graph, _ = line_instance()
-        model = RewardModel.modular([0.0, 0.0, 0.0, 0.0])
+        model = reward_model([0.0, 0.0, 0.0, 0.0])
         path = solve_op_exact(graph, model, 0, 2.0)
         assert path.vertices == (0,)
 
@@ -59,7 +60,7 @@ class TestExactSolver:
         n = EXACT_SIZE_LIMIT + 1
         verts = [Vertex(i, float(i), 0.0, 1.0) for i in range(n)]
         graph = MetricGraph(verts)
-        model = RewardModel.modular([1.0] * n)
+        model = reward_model([1.0] * n)
         with pytest.raises(SizeGuardError, match="exact solver refuses"):
             solve_op_exact(graph, model, 0, 1.0)
 
@@ -84,7 +85,7 @@ class TestExactSolver:
     def test_masking_equals_deleting_from_model(self):
         graph, model = line_instance()
         masked = model.with_masked([1])
-        zeroed = RewardModel.modular([0.0, 0.0, 3.0, 4.0])
+        zeroed = reward_model([0.0, 0.0, 3.0, 4.0])
         a = solve_op_exact(graph, masked, 0, 2.0)
         b = solve_op_exact(graph, zeroed, 0, 2.0)
         assert eval_vertex_set(masked, a.vertices) == eval_vertex_set(zeroed, b.vertices)
@@ -101,7 +102,7 @@ def decoy_trap_instance():
         Vertex(4, -10.0, 0.0, 100.0),
     ]
     graph = MetricGraph(verts)
-    model = RewardModel.modular([0.0, 1.0, 1.0, 1.0, 100.0])
+    model = reward_model([0.0, 1.0, 1.0, 1.0, 100.0])
     return graph, model
 
 
@@ -140,7 +141,7 @@ class TestGcbSolver:
         verts = [Vertex(0, 0.0, 0.0, 0.0), Vertex(1, 0.0, 0.0, 2.0),
                  Vertex(2, 5.0, 0.0, 9.0)]
         graph = MetricGraph(verts)
-        model = RewardModel.modular([0.0, 2.0, 9.0])
+        model = reward_model([0.0, 2.0, 9.0])
         path = solve_op_gcb(graph, model, 0, 0.0)
         assert path.vertices == (0, 1)
         assert path.cost == 0.0
@@ -160,7 +161,7 @@ class TestSolverInvariants:
     @pytest.mark.parametrize("n_model", [3, 5, 10])
     def test_model_of_another_size_rejected(self, method, n_model):
         graph, _ = line_instance()
-        model = RewardModel.modular([1.0] * n_model)
+        model = reward_model([1.0] * n_model)
         with pytest.raises(ValueError,
                            match=f"^reward model has {n_model} vertices but the graph has 4$"):
             solve_op(graph, model, 0, 2.0, OpSolverConfig(method=method))
@@ -214,11 +215,11 @@ def gcb_problems(draw):
         pos = rng.uniform(0.0, 10.0, size=(n, 2))
     kind = draw(st.sampled_from(REWARD_KINDS))
     if kind == "modular":
-        model = RewardModel.modular(rng.integers(0, 4, size=n).astype(float))
+        model = reward_model(rng.integers(0, 4, size=n).astype(float))
     else:
         weight = rng.integers(0, 5, size=6).astype(float)
-        model = RewardModel.coverage([[(c, weight[c]) for c in np.flatnonzero(row)]
-                                      for row in rng.random((n, 6)) < 0.4])
+        model = reward_model(cells=[[(c, weight[c]) for c in np.flatnonzero(row)]
+                                    for row in rng.random((n, 6)) < 0.4])
     verts = [Vertex(v, x, y) for v, (x, y) in enumerate(pos)]
     graph = MetricGraph(verts)
     if draw(st.booleans()):

@@ -12,7 +12,7 @@ from rmop.planner import (INVARIANT_TOL, Solution, check_solution, sga, solve_rm
 from rmop.attack import worst_case_attack
 
 from helpers import (line_instance, line_scenario, oracle_max_min, oracle_rooted_paths,
-                     oracle_team_value, random_tiny_scenario, vertex_cells)
+                     oracle_team_value, random_tiny_scenario, reward_model, vertex_cells)
 
 EXACT = OpSolverConfig(method="exact")
 GCB = OpSolverConfig(method="gcb")
@@ -41,7 +41,7 @@ class TestSga:
 
     def test_all_zero_rewards(self):
         graph, _ = line_instance()
-        model = RewardModel.modular([0.0] * 4)
+        model = reward_model([0.0] * 4)
         paths = sga(graph, model, [0, 0], 2.0, EXACT)
         assert [p.vertices for p in paths] == [(0,), (0,)]
         assert eval_team(model, paths) == 0.0

@@ -10,7 +10,7 @@ from rmop.graph import (LAYOUTS, REWARD_KINDS, MetricGraph, Path, Scenario, Vert
 from rmop.reward import (IncrementalEval, RewardError, RewardModel, eval_team,
                          eval_vertex_set, team_curvature, vertex_curvature)
 
-from helpers import oracle_eval, random_tiny_scenario
+from helpers import oracle_eval, random_tiny_scenario, reward_model
 from oracles import DictIncrementalEval, dict_eval_vertex_set, leave_one_out_curvature
 
 TOL = 1e-9
@@ -35,55 +35,55 @@ def random_coverage_cells(rng, n=6, n_cells=5):
 
 
 def random_coverage_model(rng, n=6, n_cells=5):
-    return RewardModel.coverage(random_coverage_cells(rng, n, n_cells))
+    return reward_model(cells=random_coverage_cells(rng, n, n_cells))
 
 
 class TestEvalVertexSet:
     def test_modular_is_additive(self):
-        m = RewardModel.modular([0.0, 5.0, 3.0])
+        m = reward_model([0.0, 5.0, 3.0])
         assert eval_vertex_set(m, {1, 2}) == 8.0
 
     def test_coverage_counts_a_cell_once(self):
-        m = RewardModel.coverage([[(0, 1.0)], [(0, 1.0)]])
+        m = reward_model(cells=[[(0, 1.0)], [(0, 1.0)]])
         assert eval_vertex_set(m, {0, 1}) == 1.0
 
     def test_masked_vertex_contributes_zero(self):
-        m = RewardModel.modular([0.0, 5.0]).with_masked([1])
+        m = reward_model([0.0, 5.0]).with_masked([1])
         assert eval_vertex_set(m, {1}) == 0.0
 
     def test_empty_set_is_zero(self):
-        m = RewardModel.modular([1.0, 2.0])
+        m = reward_model([1.0, 2.0])
         assert eval_vertex_set(m, set()) == 0.0
 
     def test_invalid_id_rejected(self):
-        m = RewardModel.modular([1.0])
+        m = reward_model([1.0])
         for ids, bad in (({3}, 3), ({-1}, -1), ((0, -1), -1)):  # numpy would wrap -1 to 0
             with pytest.raises(RewardError, match=f"vertex id {bad} out of range"):
                 eval_vertex_set(m, ids)
 
     def test_inconsistent_cell_weights_rejected(self):
         with pytest.raises(RewardError, match="inconsistent"):
-            RewardModel.coverage([[(0, 1.0)], [(0, 2.0)]])
+            reward_model(cells=[[(0, 1.0)], [(0, 2.0)]])
 
     def test_cell_repeated_within_a_vertex_rejected(self):
         with pytest.raises(RewardError, match="more than once"):
-            RewardModel.coverage([[(0, 5.0), (0, 5.0)]])
+            reward_model(cells=[[(0, 5.0), (0, 5.0)]])
 
     def test_negative_weight_rejected(self):
         with pytest.raises(RewardError):
-            RewardModel.modular([-1.0])
+            reward_model([-1.0])
 
     @pytest.mark.parametrize("w", [np.inf, np.nan])
     def test_non_finite_weight_rejected(self, w):
-        for build in (lambda: RewardModel.modular([1.0, w]),
-                      lambda: RewardModel.coverage([[(0, 1.0)], [(1, w)]])):
-            with pytest.raises(RewardError, match=f"vertex 1 gives cell 1 weight {w}"):
-                build()
+        with pytest.raises(RewardError, match=f"vertex 1 has non-finite reward {w}"):
+            reward_model([1.0, w])
+        with pytest.raises(RewardError, match=f"vertex 1 gives cell 1 weight {w}"):
+            reward_model(cells=[[(0, 1.0)], [(1, w)]])
 
     def test_cell_id_must_be_an_integer(self):
         with pytest.raises(TypeError):
-            RewardModel.coverage([[(1.7, 2.0)]])
-        m = RewardModel.coverage([[(np.int64(2), np.float32(2.5)), (True, 1)]])
+            reward_model(cells=[[(1.7, 2.0)]])
+        m = reward_model(cells=[[(np.int64(2), np.float32(2.5)), (True, 1)]])
         assert (m.weight.dtype, m.slots.dtype, m.single.dtype) == (np.float64, np.intp, np.float64)
         assert m.weight.tolist() == [1.0, 2.5, 0.0]  # True is cell 1, np.int64(2) cell 2
         assert m.slots.tolist() == [[0, 1]] and m.single.tolist() == [3.5]
@@ -94,41 +94,39 @@ class TestFromScenario:
     @given(st.integers(1, 30), st.sampled_from(REWARD_KINDS), st.sampled_from(LAYOUTS),
            st.integers(0, 2 ** 32 - 1))
     def test_cells_are_those_the_checked_constructors_build(self, n, kind, layout, seed):
+        # Generation and loading both build the graph through MetricGraph's check.
         generated = generate_scenario(n, 1, 0, 10.0, layout=layout, seed=seed, reward_kind=kind)
-        for s in (generated, load_scenario(dump_scenario(generated))):
-            vertices = s.graph.vertices
-            checked = (RewardModel.modular([v.reward for v in vertices]) if kind == "modular"
-                       else RewardModel.coverage([v.coverage for v in vertices]))
-            model = RewardModel.from_scenario(s)
-            for name in ("weight", "slots", "single"):
-                got, want = getattr(model, name), getattr(checked, name)
-                assert (got.dtype, got.shape) == (want.dtype, want.shape)
-                assert got.tobytes() == want.tobytes()  # every bit: -0.0 is not 0.0
+        model = RewardModel.from_scenario(generated)
+        loaded = RewardModel.from_scenario(load_scenario(dump_scenario(generated)))
+        for name in ("weight", "slots", "single"):
+            got, want = getattr(loaded, name), getattr(model, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()  # every bit: -0.0 is not 0.0
 
 
 class TestEvalTeam:
     def test_shared_vertices_counted_once(self):
-        m = RewardModel.modular([0.0, 5.0, 3.0])
+        m = reward_model([0.0, 5.0, 3.0])
         paths = [path_of(0, 0, 1), path_of(1, 0, 1, 2)]
         assert eval_team(m, paths) == 8.0
 
     def test_single_path_equals_vertex_set(self):
-        m = RewardModel.modular([0.0, 5.0, 3.0])
+        m = reward_model([0.0, 5.0, 3.0])
         p = path_of(0, 0, 1)
         assert eval_team(m, [p]) == eval_vertex_set(m, {0, 1})
 
     def test_empty_team_is_zero(self):
-        m = RewardModel.modular([1.0])
+        m = reward_model([1.0])
         assert eval_team(m, []) == 0.0
 
 
 class TestCurvature:
     def test_modular_model_is_exactly_zero(self):
-        m = RewardModel.modular([3.0, 1.0, 2.5, 0.0])
+        m = reward_model([3.0, 1.0, 2.5, 0.0])
         assert vertex_curvature(m) == 0.0
 
     def test_fully_redundant_pair_is_one(self):
-        m = RewardModel.coverage([[(0, 1.0)], [(0, 1.0)]])
+        m = reward_model(cells=[[(0, 1.0)], [(0, 1.0)]])
         assert vertex_curvature(m) == 1.0
 
     def test_matches_direct_definition_on_random_coverage(self):
@@ -136,7 +134,7 @@ class TestCurvature:
         rng = np.random.default_rng(42)
         for _ in range(20):
             cells = random_coverage_cells(rng)
-            m = RewardModel.coverage(cells)
+            m = reward_model(cells=cells)
             n = len(cells)
             full = oracle_eval(cells, range(n))
             ratios = []
@@ -150,17 +148,17 @@ class TestCurvature:
             assert got == pytest.approx(min(1.0, max(0.0, expected)), abs=1e-12)
 
     def test_all_zero_singletons_give_zero(self):
-        m = RewardModel.modular([0.0, 0.0])
+        m = reward_model([0.0, 0.0])
         assert vertex_curvature(m) == 0.0
 
     def test_empty_ground_set_rejected(self):
         with pytest.raises(RewardError, match="non-empty ground set"):
-            team_curvature(RewardModel.modular([1.0]), [])
+            team_curvature(reward_model([1.0]), [])
         with pytest.raises(RewardError, match="non-empty ground set"):
-            vertex_curvature(RewardModel.modular([]))
+            vertex_curvature(RewardModel(np.array([0.0]), np.empty((0, 1), np.intp)))
 
     def test_team_curvature_of_duplicate_paths_is_one(self):
-        m = RewardModel.modular([1.0, 2.0])
+        m = reward_model([1.0, 2.0])
         paths = [path_of(0, 0, 1), path_of(1, 0, 1)]
         assert team_curvature(m, paths) == 1.0
 
@@ -198,7 +196,7 @@ class TestSetFunctionLaws:
 
     def test_team_reward_submodular_even_with_modular_paths(self):
         rng = np.random.default_rng(5)
-        m = RewardModel.modular(list(rng.integers(0, 9, size=8).astype(float)))
+        m = reward_model(list(rng.integers(0, 9, size=8).astype(float)))
         pool = [path_of(i, *sorted(random_subset(rng, 8) | {0})) for i in range(12)]
         for _ in range(300):
             a = {pool[i] for i in random_subset(rng, len(pool))}
@@ -230,7 +228,7 @@ class TestIncrementalEval:
         if use_coverage:
             m = random_coverage_model(np.random.default_rng(1), n=6)
         else:
-            m = RewardModel.modular([2.0, 0.0, 5.0, 1.0, 3.0, 4.0]).with_masked([3])
+            m = reward_model([2.0, 0.0, 5.0, 1.0, 3.0, 4.0]).with_masked([3])
         ev = IncrementalEval(m)
         members = set()
         for add, v in ops:
@@ -257,7 +255,7 @@ class TestIncrementalEval:
     def test_evaluators_on_one_model_share_its_tables(self):
         # The arrays are the model, so every solve on one model reads the same ones;
         # a masked model shares its parent's weight vector and copies only the slots.
-        m = RewardModel.coverage([[(7, 1.0)], [(7, 1.0), (-2, 2.0)], [(40, 3.0)]])
+        m = reward_model(cells=[[(7, 1.0)], [(7, 1.0), (-2, 2.0)], [(40, 3.0)]])
         ev = IncrementalEval(m)
         assert ev._weight is m.weight and ev._slots is m.slots
         assert m.weight.tolist() == [2.0, 1.0, 3.0, 0.0]  # cells -2, 7, 40, then the sentinel
@@ -285,11 +283,11 @@ def masked_instances(draw):
     """
     if draw(st.booleans()):
         weights = draw(st.lists(st.integers(0, 9), min_size=1, max_size=6))
-        model = RewardModel.modular([float(w) for w in weights])
+        model = reward_model([float(w) for w in weights])
     else:
         cover = draw(st.lists(st.sets(st.integers(0, 3), max_size=3), min_size=1, max_size=6))
-        model = RewardModel.coverage([[(c, float(c + 1)) for c in sorted(cells)]
-                                      for cells in cover])
+        model = reward_model(cells=[[(c, float(c + 1)) for c in sorted(cells)]
+                                    for cells in cover])
     ids = st.integers(0, model.n - 1)
     return model, draw(st.sets(ids)), draw(st.lists(ids, unique=True))
 
@@ -300,7 +298,7 @@ class TestModularIsPrivateCellCoverage:
     def test_value_is_the_plain_weight_sum(self, weights, data):
         ids = data.draw(st.lists(st.integers(0, len(weights) - 1), max_size=12))
         masked = data.draw(st.sets(st.integers(0, len(weights) - 1)))
-        model = RewardModel.modular(weights)
+        model = reward_model(weights)
         # Summed left to right by ascending cell id, which for modular weights is the vertex id.
         assert eval_vertex_set(model, ids) == sequential_sum(weights[v] for v in sorted(set(ids)))
         assert eval_vertex_set(model.with_masked(masked), ids) == sequential_sum(
@@ -309,7 +307,7 @@ class TestModularIsPrivateCellCoverage:
     @settings(max_examples=200, deadline=None)
     @given(masked_instances())
     # Vertex 1 shares cell 0 with vertex 0 until 0 is masked, then it is private.
-    @example((RewardModel.coverage([[(0, 1.0)], [(0, 1.0), (1, 2.0)], [(2, 3.0)]]), {0}, [0]))
+    @example((reward_model(cells=[[(0, 1.0)], [(0, 1.0), (1, 2.0)], [(2, 3.0)]]), {0}, [0]))
     def test_gain_is_the_marginal_before_and_after_masking(self, instance):
         model, masked, members = instance
         for m in (model, model.with_masked(masked)):
@@ -323,12 +321,12 @@ class TestModularIsPrivateCellCoverage:
                 assert gains[v] == eval_vertex_set(m, members + [v]) - base
 
     def test_with_masked_keeps_the_other_cells(self):
-        model = RewardModel.coverage([[(0, 1.0)], [(0, 1.0), (1, 2.0)]])
+        model = reward_model(cells=[[(0, 1.0)], [(0, 1.0), (1, 2.0)]])
         masked = model.with_masked([1])
         assert masked.weight is model.weight and model.weight.tolist() == [1.0, 2.0, 0.0]
         assert masked.slots.tolist() == [[0, 2], [2, 2]]  # vertex 0 keeps cell 0
         assert masked.single.tolist() == [1.0, 0.0] and eval_vertex_set(masked, [0, 1]) == 1.0
-        modular = RewardModel.modular([4.0, 0.0])
+        modular = reward_model([4.0, 0.0])
         assert modular.weight.tolist() == [4.0, 0.0, 0.0] and modular.slots.tolist() == [[0], [1]]
 
 
@@ -358,7 +356,7 @@ class TestArrayFormMatchesTheDictOracles:
     @given(st.booleans(), st.data())
     def test_values_gains_and_curvatures(self, integer, data):
         cells = data.draw(listed_cells(integer))
-        model = RewardModel.coverage(cells)
+        model = reward_model(cells=cells)
         ids = data.draw(st.lists(st.integers(0, model.n - 1), max_size=8))
         toggles = data.draw(st.lists(st.integers(0, model.n - 1), max_size=10))
         terms = sum(len(entry) for entry in cells) + len(toggles)
