@@ -5,7 +5,8 @@ emits RFC-4180 CSV. Every random choice flows from an explicit --seed flag.
 Solution and attack documents embed a digest of the scenario bytes they were
 computed from, so a stale or swapped scenario is refused instead of silently
 mis-scored. Exit codes: 0 success, 1 validation/verification failure or a
-request larger than memory, 2 usage error.
+request larger than memory, 2 usage error. Library errors become exit 1 and
+one `error:` line in `main` alone; the commands only add context to them.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def _write_text(path: str, text: str) -> None:
 def _read_json(path: str):
     try:
         return json.loads(_read_bytes(path).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # also too deep, or an over-long integer
         raise CliError(f"{path}: not valid JSON: {exc}") from exc
 
 
@@ -113,13 +114,10 @@ def solution_from_document(doc: dict) -> tuple[Solution, str, str]:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        scenario = generate_scenario(
-            n_vertices=args.vertices, n_robots=args.robots, alpha=args.alpha,
-            budget=args.budget, layout=args.layout, bumps=args.bumps, seed=args.seed,
-            reward_kind=args.reward_kind)
-    except ScenarioError as exc:
-        raise CliError(str(exc)) from exc
+    scenario = generate_scenario(
+        n_vertices=args.vertices, n_robots=args.robots, alpha=args.alpha,
+        budget=args.budget, layout=args.layout, bumps=args.bumps, seed=args.seed,
+        reward_kind=args.reward_kind)
     _write_text(args.out, dump_scenario(scenario).decode("utf-8"))
     print(f"wrote scenario with {args.vertices} vertices, {args.robots} robots to {args.out}")
     return 0
@@ -137,10 +135,7 @@ def _load_scenario_file(path: str) -> tuple[Scenario, str]:
 def cmd_solve(args: argparse.Namespace) -> int:
     scenario, digest = _load_scenario_file(args.scenario)
     solver = OpSolverConfig(method=args.subroutine)
-    try:
-        solution = bench.plan(args.planner, scenario, solver)
-    except (SizeGuardError, PlannerLoopError) as exc:
-        raise CliError(str(exc)) from exc
+    solution = bench.plan(args.planner, scenario, solver)
 
     bound = None
     bound_note = None
@@ -172,11 +167,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
     problems = check_solution(scenario, solution)
     if problems:
         raise CliError(f"solution does not pass verify: {problems[0]}")
-    try:
-        outcome = run_attack(args.model, RewardModel.from_scenario(scenario), solution,
-                             args.size, seed=args.seed, planned_alpha=scenario.alpha)
-    except (SizeGuardError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+    outcome = run_attack(args.model, RewardModel.from_scenario(scenario), solution,
+                         args.size, seed=args.seed, planned_alpha=scenario.alpha)
     report = {
         "scenario_sha256": actual_digest,
         "model": outcome.model,
@@ -196,13 +188,9 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    doc = _read_json(args.spec)
-    try:
-        spec = bench.ExperimentSpec.from_document(doc)
-        records = bench.run_experiment(spec, measure_time=not args.no_timing)
-        summary = _dump_json(bench.summarize(records)) if args.out_summary else ""
-    except (ValueError, SizeGuardError, PlannerLoopError) as exc:
-        raise CliError(str(exc)) from exc
+    spec = bench.ExperimentSpec.from_document(_read_json(args.spec))
+    records = bench.run_experiment(spec, measure_time=not args.no_timing)
+    summary = _dump_json(bench.summarize(records)) if args.out_summary else ""
     _write_text(args.out_csv, bench.records_to_csv(records))
     if args.out_summary:
         _write_text(args.out_summary, summary)
@@ -304,8 +292,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, MemoryError) as exc:  # numpy's MemoryError names the array it refused
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+    # ValueError covers ScenarioError, RewardError and numpy's refused array arguments;
+    # numpy's MemoryError names the array it refused, a bare one names nothing.
+    except (CliError, ValueError, SizeGuardError, PlannerLoopError, MemoryError) as exc:
+        bare = isinstance(exc, MemoryError) and not str(exc)
+        print(f"error: {'out of memory' if bare else exc}", file=sys.stderr)
         return 1
 
 

@@ -441,7 +441,7 @@ def load_scenario(data: Union[bytes, str]) -> Scenario:
     """Parse a UTF-8 JSON scenario document and validate every invariant."""
     try:
         doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # also too deep, or an over-long integer
         raise ScenarioError(f"scenario document is not valid JSON: {exc}") from exc
     return scenario_from_document(doc)
 

@@ -1,16 +1,19 @@
 import argparse
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rmop
 import rmop.bench
 import rmop.cli
 import rmop.graph
@@ -88,6 +91,15 @@ class TestGen:
                        "--budget", "30", "--seed", "7", "--out", str(out))
         assert code == 1 and not out.exists()
         assert capsys.readouterr().err.splitlines() == [line]
+
+    def test_robots_beyond_numpy_dimensions_is_one_error_line(self, tmp_path, capsys):
+        # numpy refuses the robot array with a ValueError before allocating anything.
+        out = tmp_path / "s.json"
+        code = run_cli("gen", "--vertices", "12", "--robots", "100000000000000000000",
+                       "--alpha", "1", "--budget", "30", "--seed", "7", "--out", str(out))
+        assert code == 1 and not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
 
     def test_benchmark_scale_generation(self, tmp_path):
         out = tmp_path / "big.json"
@@ -269,6 +281,41 @@ class TestAttack:
         assert out == ""
         assert err.splitlines() == ["error: solution does not pass verify: "
                                     "path 1 is labeled for robot 0"]
+
+
+def rmop_exceptions():
+    """Every Exception subclass that an rmop module defines, by name."""
+    found = {}
+    for info in pkgutil.iter_modules(rmop.__path__):
+        module = importlib.import_module(f"rmop.{info.name}")
+        found.update((name, obj) for name, obj in vars(module).items()
+                     if isinstance(obj, type) and issubclass(obj, Exception)
+                     and obj.__module__ == module.__name__)
+    return sorted(found.items())
+
+
+RMOP_EXCEPTIONS = rmop_exceptions()
+
+
+def test_the_exception_walk_finds_every_rmop_exception():
+    assert {"CliError", "PlannerLoopError", "RewardError", "ScenarioError",
+            "SizeGuardError"} <= {name for name, _ in RMOP_EXCEPTIONS}
+
+
+@pytest.mark.parametrize("exception", [cls for _, cls in RMOP_EXCEPTIONS],
+                         ids=[name for name, _ in RMOP_EXCEPTIONS])
+def test_every_rmop_exception_is_one_error_line(exception, tmp_path, scenario_file, capsys,
+                                                monkeypatch):
+    def refuse(*args, **kwargs):
+        raise exception("planner refused")
+
+    monkeypatch.setattr(rmop.bench, "plan", refuse)
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    code = run_cli("solve", "--scenario", str(scenario_file), "--planner", "rmop",
+                   "--out", str(out))
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err == "error: planner refused\n"
 
 
 def test_parser_choices_are_the_library_tables():

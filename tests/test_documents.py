@@ -115,6 +115,42 @@ def test_malformed_input_is_one_error_line(case, tmp_path, monkeypatch, capsys):
     assert len(lines) == 1 and lines[0].startswith(prefix), (out, err)
 
 
+# (test id, raw document bytes) that json.loads refuses with no JSONDecodeError
+RAW_CASES = [
+    ("deep-nesting", b"[" * 1000 + b"]" * 1000),  # RecursionError
+    ("long-integer", b'{"alpha": ' + b"1" * 4301 + b"}"),  # the int-digit limit's ValueError
+]
+# (command form, the file that holds the raw bytes, argv)
+RAW_FORMS = [
+    ("verify", "s.json", ["verify", "--scenario", "s.json"]),
+    ("verify-solution", "r.json", ["verify", "--scenario", "s.json", "--solution", "r.json"]),
+    ("solve", "s.json", ["solve", "--scenario", "s.json", "--planner", "rmop", "--out", "o.json"]),
+    ("attack", "r.json", ["attack", "r.json", "--scenario", "s.json", "--model", "worst",
+                          "--size", "1", "--out", "o.json"]),
+    ("bench", "spec.json", ["bench", "--spec", "spec.json", "--out-csv", "o.json"]),
+]
+
+
+@pytest.mark.parametrize("form", RAW_FORMS, ids=[f[0] for f in RAW_FORMS])
+@pytest.mark.parametrize("data", [c[1] for c in RAW_CASES], ids=[c[0] for c in RAW_CASES])
+def test_an_unparsable_document_is_one_error_line(form, data, tmp_path, monkeypatch, capsys):
+    command, raw_file, argv = form
+    monkeypatch.chdir(tmp_path)
+    with open("s.json", "w") as fh:
+        json.dump(SCENARIO, fh)
+    assert main(["solve", "--scenario", "s.json", "--planner", "rmop", "--out", "r.json"]) == 0
+    with open(raw_file, "wb") as fh:
+        fh.write(data)
+    capsys.readouterr()
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    verify = command.startswith("verify")
+    lines, other = (out, err) if verify else (err, out)
+    assert other == "" and len(lines.splitlines()) == 1, (out, err)
+    assert lines.startswith("FAIL: " if verify else "error: ") and "not valid JSON" in lines
+    assert not (tmp_path / "o.json").exists()
+
+
 @pytest.mark.parametrize("attack, field", [
     ({"model": "worst", "sizes": [1], "planned_alpha": 2}, "attacks[0].planned_alpha"),
     ({"model": "greedy", "sizes": [1], "planned_alpha": 1}, "attacks[0].planned_alpha"),
