@@ -68,16 +68,9 @@ def greedy_attack(model: RewardModel, solution: Solution, size: int) -> AttackOu
     _check_size(solution, size)
     removed: set[int] = set()
     for _ in range(size):
-        best_robot = None
-        best_residual = math.inf
-        for r in range(solution.n_robots):
-            if r in removed:
-                continue
-            residual = _residual(model, solution, removed | {r})
-            if residual < best_residual:
-                best_residual = residual
-                best_robot = r
-        removed.add(best_robot)
+        candidates = [r for r in range(solution.n_robots) if r not in removed]
+        # min keeps the first of equal residuals: the smallest robot id.
+        removed.add(min(candidates, key=lambda r: _residual(model, solution, removed | {r})))
     return AttackOutcome(removed=frozenset(removed),
                          residual=_residual(model, solution, removed),
                          model="worst-greedy")

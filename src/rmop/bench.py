@@ -15,8 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph import (Path, Scenario, ScenarioError, check_keys, generate_scenario, load_scenario,
-                    read_field, read_ints, resample_starts)
+from .graph import (Path, Scenario, ScenarioError, check_keys, generate_scenario, read_field,
+                    read_ints, read_scenario_file, resample_starts)
 from .reward import RewardModel, team_curvature, vertex_curvature
 from .orienteering import SUBROUTINES, OpSolverConfig
 from .planner import Solution, solve_rmop, solve_sga
@@ -46,7 +46,6 @@ def naive_greedy_baseline(scenario: Scenario) -> list[Path]:
         cost = 0.0
         visited = {start}
         while True:
-            appended = False
             for v in order:
                 if v in visited:
                     continue
@@ -55,9 +54,8 @@ def naive_greedy_baseline(scenario: Scenario) -> list[Path]:
                     route.append(v)
                     cost += step
                     visited.add(v)
-                    appended = True
                     break
-            if not appended:
+            else:
                 break
         paths.append(Path(robot=robot, vertices=tuple(route), cost=cost))
     return paths
@@ -199,12 +197,7 @@ class ExperimentSpec:
 
     def base_scenario(self) -> Scenario:
         if self.scenario_path is not None:
-            try:
-                with open(self.scenario_path, "rb") as fh:
-                    data = fh.read()
-            except OSError as exc:
-                raise ScenarioError(f"cannot read scenario {self.scenario_path}: {exc}") from exc
-            return load_scenario(data)
+            return read_scenario_file(self.scenario_path)[0]
         return generate_scenario(**self.scenario_params)
 
 

@@ -18,8 +18,8 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .graph import (LAYOUTS, REWARD_KINDS, Path, Scenario, ScenarioError, dump_scenario,
-                    generate_scenario, load_scenario, read_field, read_ints)
+from .graph import (LAYOUTS, REWARD_KINDS, Path, ScenarioError, dump_scenario, generate_scenario,
+                    load_scenario, read_field, read_ints, read_scenario_file)
 from .reward import RewardModel
 from .orienteering import SUBROUTINES, OpSolverConfig, SizeGuardError
 from .planner import PlannerLoopError, Solution, check_solution
@@ -123,17 +123,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_scenario_file(path: str) -> tuple[Scenario, str]:
-    data = _read_bytes(path)
-    try:
-        scenario = load_scenario(data)
-    except ScenarioError as exc:
-        raise CliError(f"{path}: {exc}") from exc
-    return scenario, scenario_digest(data)
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
-    scenario, digest = _load_scenario_file(args.scenario)
+    scenario, data = read_scenario_file(args.scenario)
     solver = OpSolverConfig(method=args.subroutine)
     solution = bench.plan(args.planner, scenario, solver)
 
@@ -151,7 +142,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     else:
         bound_note = "alpha is 0: no adversary, no robust fraction to report"
 
-    doc = solution_to_document(solution, args.planner, solver, digest, bound, bound_note)
+    doc = solution_to_document(solution, args.planner, solver, scenario_digest(data), bound,
+                               bound_note)
     _write_text(args.out, _dump_json(doc))
     print(f"wrote solution (team reward {solution.team_reward}) to {args.out}")
     return 0
@@ -159,7 +151,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_attack(args: argparse.Namespace) -> int:
     solution, _, digest = solution_from_document(_read_json(args.solution))
-    scenario, actual_digest = _load_scenario_file(args.scenario)
+    scenario, data = read_scenario_file(args.scenario)
+    actual_digest = scenario_digest(data)
     if digest != actual_digest:
         raise CliError(
             "scenario digest mismatch: the solution was computed from different "

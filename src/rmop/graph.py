@@ -446,6 +446,22 @@ def load_scenario(data: Union[bytes, str]) -> Scenario:
     return scenario_from_document(doc)
 
 
+def read_scenario_file(path: str) -> tuple[Scenario, bytes]:
+    """Load the scenario document at `path`, with the file's name in every error.
+
+    Also returns the bytes read, which solution documents digest.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ScenarioError(f"cannot read {path}: {exc}") from exc
+    try:
+        return load_scenario(data), data
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
+
+
 def scenario_to_document(scenario: Scenario) -> dict:
     """Inverse of scenario_from_document; omits a matrix that is bit for bit Euclidean."""
     doc = {
@@ -480,7 +496,7 @@ class GaussianBump:
     sigma: float
 
 
-def field_value(bumps: Sequence[GaussianBump], x: float, y: float) -> float:
+def _field_value(bumps: Sequence[GaussianBump], x: float, y: float) -> float:
     total = 0.0
     for b in bumps:
         r2 = (x - b.cx) ** 2 + (y - b.cy) ** 2
@@ -539,7 +555,7 @@ def generate_scenario(n_vertices: int, n_robots: int, alpha: int, budget: float,
            else rng.uniform(0.0, side, size=(n_vertices, 2)).tolist())
 
     # Both peaks are > 0: the background bump alone keeps the field >= 0.3 * exp(-4050 / 13122) ~ 0.22.
-    values = np.array([field_value(bump_list, x, y) for x, y in pos])
+    values = np.array([_field_value(bump_list, x, y) for x, y in pos])
     rewards = np.rint(100.0 * values / float(values.max())).tolist()
 
     coverage: list[tuple[tuple[int, float], ...]] = [()] * n_vertices
@@ -548,7 +564,7 @@ def generate_scenario(n_vertices: int, n_robots: int, alpha: int, budget: float,
         pitch = side / cells_per_side
         centers = [((i + 0.5) * pitch, (j + 0.5) * pitch)
                    for j in range(cells_per_side) for i in range(cells_per_side)]
-        cell_vals = np.array([field_value(bump_list, cx, cy) for cx, cy in centers])
+        cell_vals = np.array([_field_value(bump_list, cx, cy) for cx, cy in centers])
         cell_w = np.rint(100.0 * cell_vals / float(cell_vals.max())).tolist()
         radius = 1.3 * pitch
         coverage = [tuple((c, cell_w[c]) for c, (cx, cy) in enumerate(centers)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .graph import MetricGraph, Path, Scenario, ScenarioError, path_cost
+from .graph import Path, Scenario, ScenarioError, path_cost
 from .reward import RewardModel, eval_team, eval_vertex_set
 from .orienteering import OpSolverConfig, solve_op
 
@@ -60,11 +60,12 @@ class Solution:
         )
 
 
-def sga(graph: MetricGraph, model: RewardModel, starts: Sequence[int], budget: float,
-        solver: OpSolverConfig, robots: Optional[Sequence[int]] = None) -> tuple[Path, ...]:
+def sga(scenario: Scenario, model: RewardModel, solver: OpSolverConfig,
+        robots: Optional[Sequence[int]] = None) -> tuple[Path, ...]:
     """Plan robots one at a time, zeroing the rewards each path collects.
 
-    Robots are served in the order given. After each path is found, its
+    The listed robots (all of them by default) are served in the order given,
+    each from its own start in `scenario`. After each path is found, its
     vertices are masked so later robots only chase what is still uncovered.
 
     Known limitation: masking empties the visited *vertices*, not the *cells*
@@ -74,23 +75,20 @@ def sga(graph: MetricGraph, model: RewardModel, starts: Sequence[int], budget: f
     a true team gain of 0.0.
     """
     if robots is None:
-        robots = list(range(len(starts)))
-    if len(robots) != len(starts):
-        raise ValueError("robots and starts must have equal length")
-    masked = model
+        robots = range(scenario.n_robots)
     paths = []
-    for robot, start in zip(robots, starts):
-        path = solve_op(graph, masked, start, budget, solver, robot=robot)
+    for robot in robots:
+        path = solve_op(scenario.graph, model, scenario.starts[robot], scenario.budget, solver,
+                        robot=robot)
         paths.append(path)
-        masked = masked.with_masked(path.vertices)
+        model = model.with_masked(path.vertices)
     return tuple(paths)
 
 
 def solve_sga(scenario: Scenario, solver: OpSolverConfig) -> Solution:
     """Plain sequential planning for the whole team; no redundancy set."""
     model = RewardModel.from_scenario(scenario)
-    paths = sga(scenario.graph, model, scenario.starts, scenario.budget, solver)
-    return Solution.from_paths(model, paths)
+    return Solution.from_paths(model, sga(scenario, model, solver))
 
 
 def solve_rmop(scenario: Scenario, solver: OpSolverConfig) -> Solution:
@@ -103,46 +101,31 @@ def solve_rmop(scenario: Scenario, solver: OpSolverConfig) -> Solution:
     pool entries and the loop repeats). With alpha = 0 this reduces to the
     plain sequential planner.
     """
-    model = RewardModel.from_scenario(scenario)
-    graph = scenario.graph
-    n = scenario.n_robots
     alpha = scenario.alpha
-
     if alpha == 0:
         return solve_sga(scenario, solver)
-
+    model = RewardModel.from_scenario(scenario)
+    n = scenario.n_robots
     pool: list[Path] = [
-        solve_op(graph, model, scenario.starts[i], scenario.budget, solver, robot=i)
+        solve_op(scenario.graph, model, scenario.starts[i], scenario.budget, solver, robot=i)
         for i in range(n)
     ]
 
     cap = LOOP_CAP_PER_ROBOT * n
-    iterations = 0
     rewards: list[float] = []
-    while True:
-        iterations += 1
-        if iterations > cap:
-            raise PlannerLoopError(
-                f"reassignment loop exceeded {cap} iterations; pool rewards {tuple(rewards)}")
+    for iterations in range(1, cap + 1):
         rewards = [eval_vertex_set(model, p.vertices) for p in pool]
         order = sorted(range(n), key=lambda i: (-rewards[i], i))
-        s1 = order[:alpha]
-        rest = sorted(order[alpha:])
-        s2_paths = sga(graph, model, [scenario.starts[j] for j in rest],
-                       scenario.budget, solver, robots=rest)
-
-        min_s1 = min(rewards[i] for i in s1)
-        replaced = False
-        for path in s2_paths:
-            if eval_vertex_set(model, path.vertices) > min_s1:
-                pool[path.robot] = path
-                replaced = True
-        if not replaced:
-            by_robot = {p.robot: p for p in s2_paths}
-            final_paths = tuple(
-                pool[i] if i in s1 else by_robot[i] for i in range(n)
-            )
-            return Solution.from_paths(model, final_paths, s1=s1, loop_iterations=iterations)
+        s2_paths = sga(scenario, model, solver, robots=sorted(order[alpha:]))
+        better = [p for p in s2_paths
+                  if eval_vertex_set(model, p.vertices) > rewards[order[alpha - 1]]]
+        # Better paths replace their robots' pool entries; with none, the coverage set is final.
+        for path in better or s2_paths:
+            pool[path.robot] = path
+        if not better:
+            return Solution.from_paths(model, pool, s1=order[:alpha], loop_iterations=iterations)
+    raise PlannerLoopError(
+        f"reassignment loop exceeded {cap} iterations; pool rewards {tuple(rewards)}")
 
 
 def check_solution(scenario: Scenario, solution: Solution) -> list[str]:

@@ -1,8 +1,9 @@
 """The names the benchmark harness binds by string still exist in the package.
 
-`perfbench/` wraps public layer functions by name and reads arguments by
-position, so a rename there would otherwise surface only in a long benchmark
-run. This check reads the same names and fails in well under a second.
+`perfbench/` wraps public layer functions by name, reads arguments by
+position and passes some by keyword, so a rename there would otherwise surface
+only in a long benchmark run. This check reads the same names and fails in
+well under a second.
 """
 
 import importlib
@@ -15,12 +16,16 @@ import pytest
 BENCHMARK = pathlib.Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 # Per-layer names of stages, not functions: the pool stage and graph set-up.
 STAGES = {"pool", "setup"}
-# Functions the harness calls or reads arguments of directly: (module, name, leading params).
+# Functions the harness calls or reads arguments of directly: (module, name, leading
+# params). A name is one the harness binds by keyword; None is a position it fills.
 BOUND = [
     ("orienteering", "solve_op", (None, None, "start")),
     ("attack", "worst_case_attack", (None, "solution", "size")),
     ("graph", "resample_starts", ()),
+    ("graph", "generate_scenario",
+     ("n_vertices", "n_robots", "alpha", "budget", "layout", "bumps", "seed")),
     ("bench", "plan", ()),
+    ("bench", "run_experiment", (None, "measure_time")),
     ("planner", "check_solution", ()),
 ]
 

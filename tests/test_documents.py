@@ -128,6 +128,7 @@ RAW_FORMS = [
     ("attack", "r.json", ["attack", "r.json", "--scenario", "s.json", "--model", "worst",
                           "--size", "1", "--out", "o.json"]),
     ("bench", "spec.json", ["bench", "--spec", "spec.json", "--out-csv", "o.json"]),
+    ("bench-scenario-path", "p.json", ["bench", "--spec", "spec.json", "--out-csv", "o.json"]),
 ]
 
 
@@ -139,6 +140,8 @@ def test_an_unparsable_document_is_one_error_line(form, data, tmp_path, monkeypa
     with open("s.json", "w") as fh:
         json.dump(SCENARIO, fh)
     assert main(["solve", "--scenario", "s.json", "--planner", "rmop", "--out", "r.json"]) == 0
+    with open("spec.json", "w") as fh:
+        json.dump(mutated(SPEC, ("scenario",), {"path": "p.json"}), fh)
     with open(raw_file, "wb") as fh:
         fh.write(data)
     capsys.readouterr()
@@ -148,6 +151,8 @@ def test_an_unparsable_document_is_one_error_line(form, data, tmp_path, monkeypa
     lines, other = (out, err) if verify else (err, out)
     assert other == "" and len(lines.splitlines()) == 1, (out, err)
     assert lines.startswith("FAIL: " if verify else "error: ") and "not valid JSON" in lines
+    # The line names the file it could not parse (`verify --scenario` names it in --json only).
+    assert command == "verify" or f"{raw_file}: " in lines, lines
     assert not (tmp_path / "o.json").exists()
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rmop.graph import (LAYOUTS, REWARD_KINDS, GaussianBump, MetricGraph, MetricReport,
-                        Scenario, ScenarioError, Vertex, dump_scenario, field_value,
+                        Scenario, ScenarioError, Vertex, _field_value, dump_scenario,
                         generate_scenario, load_scenario, path_cost, resample_starts,
                         scenario_to_document, verify_metric)
 
@@ -687,7 +687,7 @@ class TestGenerateScenario:
             bumps = [GaussianBump(*b)
                      for b in rng.uniform([0, 0, 0.9, 10], [90, 90, 1, 14], (4, 4)).tolist()]
             points = rng.uniform(0.0, rmop.graph.AREA_SIDE, size=(300, 2))
-            assert ([field_value(bumps, x, y) for x, y in points.tolist()]
+            assert ([_field_value(bumps, x, y) for x, y in points.tolist()]
                     == [numpy_scalar_field_value(bumps, x, y) for x, y in points])
 
     def test_same_seed_is_byte_identical(self):

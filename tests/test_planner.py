@@ -1,10 +1,12 @@
 import dataclasses
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
-from rmop.graph import MetricGraph, Path, Scenario, Vertex
+from rmop.bench import _derived_seed
+from rmop.graph import MetricGraph, Path, Scenario, Vertex, generate_scenario, resample_starts
 from rmop.reward import RewardModel, eval_team, eval_vertex_set
 from rmop.orienteering import OpSolverConfig, solve_op, solve_op_exact
 from rmop.planner import (INVARIANT_TOL, Solution, check_solution, sga, solve_rmop,
@@ -20,8 +22,9 @@ GCB = OpSolverConfig(method="gcb")
 
 class TestSga:
     def test_two_robots_on_line_instance(self):
-        graph, model = line_instance()
-        paths = sga(graph, model, [0, 0], 2.0, EXACT)
+        _, model = line_instance()
+        scenario = line_scenario(alpha=0)
+        paths = sga(scenario, model, EXACT)
         assert paths[0].vertices == (0, 1, 2)
         assert paths[1].vertices == (0, 3)
         assert [p.robot for p in paths] == [0, 1]
@@ -31,25 +34,35 @@ class TestSga:
                     for k in range(len(paths) + 1)]
         assert np.diff(prefixes).tolist() == [8.0, 4.0]
         # Exhaustive check: no pair of rooted budget-2 paths beats 12.
-        best = oracle_max_min(graph, vertex_cells(graph), [0, 0], 2.0, alpha=0)
+        best = oracle_max_min(scenario.graph, vertex_cells(scenario.graph), [0, 0], 2.0, alpha=0)
         assert best == 12.0
 
     def test_single_robot_equals_bare_solver(self):
         graph, model = line_instance()
-        paths = sga(graph, model, [0], 2.0, EXACT)
+        paths = sga(line_scenario(n_robots=1, alpha=0), model, EXACT)
         assert paths[0] == solve_op_exact(graph, model, 0, 2.0)
 
     def test_all_zero_rewards(self):
-        graph, _ = line_instance()
         model = reward_model([0.0] * 4)
-        paths = sga(graph, model, [0, 0], 2.0, EXACT)
+        paths = sga(line_scenario(alpha=0), model, EXACT)
         assert [p.vertices for p in paths] == [(0,), (0,)]
         assert eval_team(model, paths) == 0.0
 
     def test_robot_labels_follow_argument(self):
-        graph, model = line_instance()
-        paths = sga(graph, model, [0, 0], 2.0, EXACT, robots=[4, 9])
+        _, model = line_instance()
+        paths = sga(line_scenario(n_robots=10, alpha=0), model, EXACT, robots=[4, 9])
         assert [p.robot for p in paths] == [4, 9]
+
+    def test_each_listed_robot_plans_from_its_own_start(self):
+        graph, model = line_instance()
+        scenario = Scenario(graph=graph, starts=(1, 2, 3), budget=2.0, alpha=0,
+                            reward_kind="modular")
+        paths = sga(scenario, model, EXACT, robots=[2, 0])
+        assert [p.robot for p in paths] == [2, 0]
+        assert [p.vertices[0] for p in paths] == [3, 1]
+        assert paths[0] == solve_op_exact(graph, model, 3, 2.0, robot=2)
+        assert paths[1] == solve_op_exact(graph, model.with_masked(paths[0].vertices), 1, 2.0,
+                                          robot=0)
 
 
 class TestSolveRmop:
@@ -101,7 +114,6 @@ class TestSolveRmop:
         # ever replaced by a better path, so every redundancy path scores at
         # least its robot's independent path, and somewhere in the sweep one
         # scores more. Seed 328 is known to loop, so the property is not vacuous.
-        from rmop.graph import generate_scenario
         reran = improved = 0
         for seed in list(range(100, 140)) + list(range(310, 340)):
             rng = np.random.default_rng(seed)
@@ -125,6 +137,27 @@ class TestSolveRmop:
                     improved += solution.per_path_rewards[i] > baseline
         assert reran >= 1
         assert improved >= 1
+
+
+def test_reassignment_loops_are_pinned():
+    # The one-trial output pins never loop, so they never reach the swap branch of
+    # solve_rmop. These benchmark plans do (seed 7, starts as `run_experiment` resamples
+    # them): crossover trial 2 at attack sizes 4-7 loops twice, coverage trial 1 at sizes
+    # 3 and 4 loops twice and three times. The digest covers every path they plan.
+    rows = []
+    for base, trial, sizes in (
+            (generate_scenario(96, 10, 0, 60.0, layout="grid", seed=1), 2, range(4, 8)),
+            (generate_scenario(64, 16, 0, 60.0, layout="uniform", seed=1,
+                               reward_kind="coverage"), 1, range(3, 5))):
+        scenario = resample_starts(base, _derived_seed(7, trial, 101))
+        for size in sizes:
+            solution = solve_rmop(scenario.with_alpha(size), GCB)
+            assert solution.loop_iterations >= 2
+            rows.append((scenario.starts, [(p.robot, p.vertices, repr(p.cost))
+                                           for p in solution.paths],
+                         sorted(solution.s1_robots), solution.loop_iterations))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "5cab87272154f736ca83f589bf6096d26fcea5a9a8947b1d637075c111eca343")
 
 
 class TestCheckSolution:
