@@ -15,8 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph import (Path, Scenario, ScenarioError, check_keys, generate_scenario, read_field,
-                    read_ints, read_scenario_file, resample_starts)
+from .graph import (Path, Scenario, ScenarioError, check_keys, generate_scenario, load_scenario,
+                    read_document, read_field, read_ints, resample_starts)
 from .reward import RewardModel, team_curvature, vertex_curvature
 from .orienteering import SUBROUTINES, OpSolverConfig
 from .planner import Solution, solve_rmop, solve_sga
@@ -197,7 +197,7 @@ class ExperimentSpec:
 
     def base_scenario(self) -> Scenario:
         if self.scenario_path is not None:
-            return read_scenario_file(self.scenario_path)[0]
+            return read_document(self.scenario_path, load_scenario)[0]
         return generate_scenario(**self.scenario_params)
 
 

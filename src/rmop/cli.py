@@ -7,6 +7,9 @@ computed from, so a stale or swapped scenario is refused instead of silently
 mis-scored. Exit codes: 0 success, 1 validation/verification failure or a
 request larger than memory, 2 usage error. Library errors become exit 1 and
 one `error:` line in `main` alone; the commands only add context to them.
+Every document is read through `graph.read_document`, so each `error:` or
+`FAIL:` line about a document names its file, and `verify --json` prints a
+report even for a scenario that cannot be read.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import sys
 from typing import Optional, Sequence
 
 from .graph import (LAYOUTS, REWARD_KINDS, Path, ScenarioError, dump_scenario, generate_scenario,
-                    load_scenario, read_field, read_ints, read_scenario_file)
+                    load_json, load_scenario, read_document, read_field, read_ints)
 from .reward import RewardModel
 from .orienteering import SUBROUTINES, OpSolverConfig, SizeGuardError
 from .planner import PlannerLoopError, Solution, check_solution
@@ -27,31 +30,12 @@ from .attack import ATTACK_MODELS, run_attack
 from . import bench
 
 
-class CliError(Exception):
-    """Validation failure surfaced to the user with exit code 1."""
-
-
-def _read_bytes(path: str) -> bytes:
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
-
-
 def _write_text(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}") from exc
-
-
-def _read_json(path: str):
-    try:
-        return json.loads(_read_bytes(path).decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # also too deep, or an over-long integer
-        raise CliError(f"{path}: not valid JSON: {exc}") from exc
+        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 def _dump_json(doc: dict) -> str:
@@ -83,34 +67,32 @@ def solution_to_document(solution: Solution, planner: str, solver: OpSolverConfi
     }
 
 
-def solution_from_document(doc: dict) -> tuple[Solution, str, str]:
-    """Rebuild (solution, planner name, scenario digest) from a document.
+def load_solution(data: bytes) -> tuple[Solution, str, str]:
+    """Rebuild (solution, planner name, scenario digest) from a solution document's bytes.
 
     Only types are checked here; check_solution judges the paths against a scenario.
     """
-    try:
-        if not isinstance(doc, dict):
-            raise ScenarioError("expected a JSON object")
-        raw_paths = read_field(doc, "paths", list)
-        paths, rewards = [], []
-        for i in range(len(raw_paths)):
-            where = f"paths[{i}]"
-            entry = read_field(raw_paths, i, dict, "paths")
-            paths.append(Path(robot=read_field(entry, "robot", int, where),
-                              vertices=tuple(read_ints(entry, "vertices", where)),
-                              cost=read_field(entry, "cost", float, where)))
-            rewards.append(read_field(entry, "reward", float, where))
-        solution = Solution(
-            paths=tuple(paths),
-            s1_robots=frozenset(read_ints(doc, "s1_robots")),
-            s2_robots=frozenset(read_ints(doc, "s2_robots")),
-            team_reward=read_field(doc, "team_reward", float),
-            loop_iterations=read_field(doc, "loop_iterations", int),
-            per_path_rewards=tuple(rewards),
-        )
-        return solution, read_field(doc, "planner", str), read_field(doc, "scenario_sha256", str)
-    except ScenarioError as exc:
-        raise CliError(f"malformed solution document: {exc}") from exc
+    doc = load_json(data)
+    if not isinstance(doc, dict):
+        raise ScenarioError("expected a JSON object")
+    raw_paths = read_field(doc, "paths", list)
+    paths, rewards = [], []
+    for i in range(len(raw_paths)):
+        where = f"paths[{i}]"
+        entry = read_field(raw_paths, i, dict, "paths")
+        paths.append(Path(robot=read_field(entry, "robot", int, where),
+                          vertices=tuple(read_ints(entry, "vertices", where)),
+                          cost=read_field(entry, "cost", float, where)))
+        rewards.append(read_field(entry, "reward", float, where))
+    solution = Solution(
+        paths=tuple(paths),
+        s1_robots=frozenset(read_ints(doc, "s1_robots")),
+        s2_robots=frozenset(read_ints(doc, "s2_robots")),
+        team_reward=read_field(doc, "team_reward", float),
+        loop_iterations=read_field(doc, "loop_iterations", int),
+        per_path_rewards=tuple(rewards),
+    )
+    return solution, read_field(doc, "planner", str), read_field(doc, "scenario_sha256", str)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -124,7 +106,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    scenario, data = read_scenario_file(args.scenario)
+    scenario, data = read_document(args.scenario, load_scenario)
     solver = OpSolverConfig(method=args.subroutine)
     solution = bench.plan(args.planner, scenario, solver)
 
@@ -150,16 +132,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
-    solution, _, digest = solution_from_document(_read_json(args.solution))
-    scenario, data = read_scenario_file(args.scenario)
+    (solution, _, digest), _ = read_document(args.solution, load_solution)
+    scenario, data = read_document(args.scenario, load_scenario)
     actual_digest = scenario_digest(data)
     if digest != actual_digest:
-        raise CliError(
+        raise ScenarioError(
             "scenario digest mismatch: the solution was computed from different "
             f"scenario bytes (expected {digest[:12]}..., got {actual_digest[:12]}...)")
     problems = check_solution(scenario, solution)
     if problems:
-        raise CliError(f"solution does not pass verify: {problems[0]}")
+        raise ScenarioError(f"solution does not pass verify: {problems[0]}")
     outcome = run_attack(args.model, RewardModel.from_scenario(scenario), solution,
                          args.size, seed=args.seed, planned_alpha=scenario.alpha)
     report = {
@@ -181,7 +163,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    spec = bench.ExperimentSpec.from_document(_read_json(args.spec))
+    spec, _ = read_document(args.spec,
+                            lambda data: bench.ExperimentSpec.from_document(load_json(data)))
     records = bench.run_experiment(spec, measure_time=not args.no_timing)
     summary = _dump_json(bench.summarize(records)) if args.out_summary else ""
     _write_text(args.out_csv, bench.records_to_csv(records))
@@ -192,11 +175,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    data = _read_bytes(args.scenario)
     report: dict = {"scenario": {"path": args.scenario, "metric_violations": []}, "ok": True}
     problems: list[str] = []
     try:
-        scenario = load_scenario(data)
+        scenario, data = read_document(args.scenario, load_scenario)
     except ScenarioError as exc:
         problems.append(str(exc))
         report["scenario"]["error"] = str(exc)
@@ -206,8 +188,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         if args.solution:
             try:
-                solution, _, sol_digest = solution_from_document(_read_json(args.solution))
-            except CliError as exc:
+                (solution, _, sol_digest), _ = read_document(args.solution, load_solution)
+            except ScenarioError as exc:
                 problems.append(f"solution: {exc}")
                 report["solution"] = {"path": args.solution, "error": str(exc)}
             else:
@@ -216,7 +198,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     sol_problems.append("scenario digest mismatch")
                 sol_problems.extend(check_solution(scenario, solution))
                 report["solution"] = {"path": args.solution, "violations": sol_problems}
-                problems.extend(sol_problems)
+                problems.extend(f"{args.solution}: {p}" for p in sol_problems)
     report["ok"] = not problems
     if args.json:
         print(_dump_json(report), end="")
@@ -286,8 +268,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     # ValueError covers ScenarioError, RewardError and numpy's refused array arguments;
-    # numpy's MemoryError names the array it refused, a bare one names nothing.
-    except (CliError, ValueError, SizeGuardError, PlannerLoopError, MemoryError) as exc:
+    # OSError is a file that cannot be written; numpy's MemoryError names the array it
+    # refused, a bare one names nothing.
+    except (OSError, ValueError, SizeGuardError, PlannerLoopError, MemoryError) as exc:
         bare = isinstance(exc, MemoryError) and not str(exc)
         print(f"error: {'out of memory' if bare else exc}", file=sys.stderr)
         return 1

@@ -19,7 +19,7 @@ import math
 import operator
 import reprlib
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -32,6 +32,7 @@ _SCENARIO_KEYS = {"vertices", "distance_matrix", "starts", "budget", "alpha", "r
 _VERTEX_KEYS = {"id", "x", "y", "reward", "coverage"}
 REWARD_KINDS = ("modular", "coverage")
 LAYOUTS = ("grid", "uniform")
+T = TypeVar("T")
 
 
 class ScenarioError(ValueError):
@@ -437,19 +438,24 @@ def scenario_from_document(doc: dict) -> Scenario:
                               read_field(doc, "alpha", int), read_field(doc, "reward_kind", str)))
 
 
+def load_json(data: Union[bytes, str]):
+    """Parse UTF-8 JSON text; what json.loads refuses becomes a ScenarioError."""
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as exc:  # also too deep, or an over-long integer
+        raise ScenarioError(f"not valid JSON: {exc}") from exc
+
+
 def load_scenario(data: Union[bytes, str]) -> Scenario:
     """Parse a UTF-8 JSON scenario document and validate every invariant."""
-    try:
-        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
-    except (ValueError, RecursionError) as exc:  # also too deep, or an over-long integer
-        raise ScenarioError(f"scenario document is not valid JSON: {exc}") from exc
-    return scenario_from_document(doc)
+    return scenario_from_document(load_json(data))
 
 
-def read_scenario_file(path: str) -> tuple[Scenario, bytes]:
-    """Load the scenario document at `path`, with the file's name in every error.
+def read_document(path: str, load: Callable[[bytes], T]) -> tuple[T, bytes]:
+    """`load` of the bytes of the file at `path`, with the file's name in every error.
 
-    Also returns the bytes read, which solution documents digest.
+    Also returns the bytes read, which solution documents digest. A metric
+    report that the error carries is kept.
     """
     try:
         with open(path, "rb") as fh:
@@ -457,9 +463,9 @@ def read_scenario_file(path: str) -> tuple[Scenario, bytes]:
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
     try:
-        return load_scenario(data), data
+        return load(data), data
     except ScenarioError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+        raise ScenarioError(f"{path}: {exc}", exc.report) from exc
 
 
 def scenario_to_document(scenario: Scenario) -> dict:

@@ -77,7 +77,9 @@ def solve_op_exact(graph: MetricGraph, model: RewardModel, start: int, budget: f
 
     Prunes branches whose remaining reachable reward cannot beat the
     incumbent (singleton sums upper-bound marginal gains). Ties break to the
-    lexicographically smallest vertex sequence. Guarded to small graphs.
+    lexicographically smallest vertex sequence: the search visits rooted
+    sequences in lexicographic pre-order (children in ascending id), so the
+    first of equal value is the smallest. Guarded to small graphs.
     """
     _check_problem(graph, model, start, budget)
     if graph.n > EXACT_SIZE_LIMIT:
@@ -97,7 +99,7 @@ def solve_op_exact(graph: MetricGraph, model: RewardModel, start: int, budget: f
     def dfs(cost: float) -> None:
         nonlocal best_seq, best_reward, best_cost
         value = ev.value
-        if value > best_reward or (value == best_reward and seq < best_seq):
+        if value > best_reward:
             best_seq = list(seq)
             best_reward = value
             best_cost = cost

@@ -64,9 +64,10 @@ def sga(scenario: Scenario, model: RewardModel, solver: OpSolverConfig,
         robots: Optional[Sequence[int]] = None) -> tuple[Path, ...]:
     """Plan robots one at a time, zeroing the rewards each path collects.
 
-    The listed robots (all of them by default) are served in the order given,
-    each from its own start in `scenario`. After each path is found, its
-    vertices are masked so later robots only chase what is still uncovered.
+    The listed robots (all of them by default, each an id 0..n_robots-1) are
+    served in the order given, each from its own start in `scenario`. After
+    each path is found, its vertices are masked so later robots only chase
+    what is still uncovered.
 
     Known limitation: masking empties the visited *vertices*, not the *cells*
     they covered, so on coverage rewards a later robot is still paid for a
@@ -76,6 +77,9 @@ def sga(scenario: Scenario, model: RewardModel, solver: OpSolverConfig,
     """
     if robots is None:
         robots = range(scenario.n_robots)
+    for robot in robots:
+        if not 0 <= robot < scenario.n_robots:
+            raise ValueError(f"robot id {robot} out of range 0..{scenario.n_robots - 1}")
     paths = []
     for robot in robots:
         path = solve_op(scenario.graph, model, scenario.starts[robot], scenario.budget, solver,

@@ -132,6 +132,11 @@ class TestRandomAttack:
         survivors = {0, 1, 2} - outcome.removed
         assert len(survivors) == 1
 
+    def test_seed_zero_is_accepted(self):
+        model, solution = disjoint_solution()
+        assert run_attack("random", model, solution, 1, seed=0) == random_attack(
+            model, solution, 1, seed=0)
+
     def test_never_beats_the_exhaustive_adversary(self):
         model, solution = shared_solution()
         worst = worst_case_attack(model, solution, 1).residual

@@ -20,7 +20,7 @@ import rmop.graph
 import rmop.planner
 from rmop.attack import ATTACK_MODELS, run_attack
 from rmop.bench import PLANNER_NAMES
-from rmop.cli import build_parser, main, solution_from_document
+from rmop.cli import build_parser, load_solution, main
 from rmop.graph import (LAYOUTS, REWARD_KINDS, dump_scenario, generate_scenario, load_scenario,
                         scenario_to_document)
 from rmop.orienteering import SUBROUTINES
@@ -261,7 +261,7 @@ class TestAttack:
                        "--model", model, "--size", "1", "--seed", "3") == 0
         doc = json.loads(capsys.readouterr().out)
         scenario = load_scenario(scenario_file.read_bytes())
-        solution, _, _ = solution_from_document(json.loads(solution_file.read_text()))
+        solution, _, _ = load_solution(solution_file.read_bytes())
         outcome = run_attack(model, RewardModel.from_scenario(scenario), solution, 1, seed=3,
                              planned_alpha=scenario.alpha)
         assert doc["removed"] == sorted(outcome.removed)
@@ -298,8 +298,8 @@ RMOP_EXCEPTIONS = rmop_exceptions()
 
 
 def test_the_exception_walk_finds_every_rmop_exception():
-    assert {"CliError", "PlannerLoopError", "RewardError", "ScenarioError",
-            "SizeGuardError"} <= {name for name, _ in RMOP_EXCEPTIONS}
+    assert {"PlannerLoopError", "RewardError", "ScenarioError", "SizeGuardError"} <= {
+        name for name, _ in RMOP_EXCEPTIONS}
 
 
 @pytest.mark.parametrize("exception", [cls for _, cls in RMOP_EXCEPTIONS],
@@ -502,8 +502,10 @@ class TestVerify:
         path.write_text(json.dumps(doc))
         code = run_cli("verify", "--scenario", str(path))
         out, err = capsys.readouterr()
+        # The first line is the load's error, which names the file as `rmop solve`'s does.
         assert (code, out.splitlines(), err) == (
-            (1, [f"FAIL: {line}" for line in fails], "") if fails
+            (1, [f"FAIL: {path}: {fails[0]}"] + [f"FAIL: {line}" for line in fails[1:]], "")
+            if fails
             else (0, ["OK: all checks passed"], ""))
         code = run_cli("solve", "--scenario", str(path), "--planner", "rmop",
                        "--out", str(tmp_path / "plan.json"))
@@ -520,6 +522,14 @@ class TestVerify:
         monkeypatch.setattr(rmop.cli, "verify_metric", counting, raising=False)
         assert run_cli("verify", "--scenario", str(scenario_file)) == 0
         assert len(calls) == 1
+
+    def test_a_missing_scenario_still_gets_a_json_report(self, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        code = run_cli("verify", "--scenario", str(missing), "--json")
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert (code, err, report["ok"]) == (1, "", False)
+        assert report["scenario"]["error"].startswith(f"cannot read {missing}: ")
 
     def test_tampered_solution_exits_one(self, tmp_path, solved, capsys):
         scenario_file, solution_file = solved

@@ -1,7 +1,8 @@
 """Malformed scenario, solution and experiment documents.
 
 Every defect must surface as one `error:` line (a `FAIL:` line for `verify`)
-with exit code 1: never a traceback, and never a silently truncated value.
+with exit code 1 that names the file the defect is in: never a traceback, and
+never a silently truncated value.
 """
 
 import copy
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rmop.bench import ExperimentSpec
-from rmop.cli import CliError, main, solution_from_document
+from rmop.cli import load_solution, main
 from rmop.graph import ScenarioError, scenario_from_document
 
 SCENARIO = {
@@ -85,8 +86,11 @@ CASES = ([("solve", c) for c in SCENARIO_CASES] + [("verify", c) for c in SCENAR
 
 @pytest.mark.parametrize("case", CASES, ids=[f"{command}-{c[0]}" for command, c in CASES])
 def test_malformed_input_is_one_error_line(case, tmp_path, monkeypatch, capsys):
-    command, (_, path, value) = case
+    command, (name, path, value) = case
     monkeypatch.chdir(tmp_path)
+    defective = {"bench": "spec.json", "verify-solution": "r.json"}.get(command, "s.json")
+    if name == "missing-scenario-file":
+        defective = "missing-scenario.json"
     if command == "bench":
         with open("spec.json", "w") as fh:
             json.dump(mutated(SPEC, path, value), fh)
@@ -113,6 +117,7 @@ def test_malformed_input_is_one_error_line(case, tmp_path, monkeypatch, capsys):
     lines = (out if command.startswith("verify") else err).splitlines()
     prefix = "FAIL: " if command.startswith("verify") else "error: "
     assert len(lines) == 1 and lines[0].startswith(prefix), (out, err)
+    assert f"{defective}: " in lines[0], lines[0]
 
 
 # (test id, raw document bytes) that json.loads refuses with no JSONDecodeError
@@ -151,8 +156,7 @@ def test_an_unparsable_document_is_one_error_line(form, data, tmp_path, monkeypa
     lines, other = (out, err) if verify else (err, out)
     assert other == "" and len(lines.splitlines()) == 1, (out, err)
     assert lines.startswith("FAIL: " if verify else "error: ") and "not valid JSON" in lines
-    # The line names the file it could not parse (`verify --scenario` names it in --json only).
-    assert command == "verify" or f"{raw_file}: " in lines, lines
+    assert f"{raw_file}: " in lines, lines
     assert not (tmp_path / "o.json").exists()
 
 
@@ -214,8 +218,10 @@ def near_valid_documents(draw):
 @settings(max_examples=300, deadline=None)
 @given(json_values | near_valid_documents())
 def test_loaders_raise_only_document_errors(value):
-    for load in (scenario_from_document, solution_from_document, ExperimentSpec.from_document):
+    loaders = (scenario_from_document, lambda doc: load_solution(json.dumps(doc).encode()),
+               ExperimentSpec.from_document)
+    for load in loaders:
         try:
             load(value)
-        except (ScenarioError, CliError):
+        except ScenarioError:
             pass

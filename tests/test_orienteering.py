@@ -64,10 +64,26 @@ class TestExactSolver:
         with pytest.raises(SizeGuardError, match="exact solver refuses"):
             solve_op_exact(graph, model, 0, 1.0)
 
-    def test_invalid_start_rejected(self):
+    def test_size_limit_itself_is_accepted(self):
+        n = EXACT_SIZE_LIMIT
+        graph = MetricGraph([Vertex(i, float(i), 0.0, 1.0) for i in range(n)])
+        path = solve_op_exact(graph, reward_model([1.0] * n), 0, 1.0)
+        assert path.vertices == (0, 1)
+
+    def test_vertex_exactly_the_remaining_budget_away_is_reachable(self):
+        # 0 -> 1 earns 5 first. At vertex 2 (cost 1, value 1) only vertex 3, exactly
+        # the remaining 3 away, can beat that: the bound must count it, or the
+        # optimum 0 -> 2 -> 3 (value 11, cost 4) is pruned for 0 -> 3 (value 10).
+        graph = MetricGraph([Vertex(0, 0.0, 0.0, 0.0), Vertex(1, -2.5, 0.0, 5.0),
+                             Vertex(2, 1.0, 0.0, 1.0), Vertex(3, 4.0, 0.0, 10.0)])
+        path = solve_op_exact(graph, reward_model([0.0, 5.0, 1.0, 10.0]), 0, 4.0)
+        assert (path.vertices, path.cost) == ((0, 2, 3), 4.0)
+
+    @pytest.mark.parametrize("start", [4, 9])  # 4 is the first id past the 4 vertices
+    def test_invalid_start_rejected(self, start):
         graph, model = line_instance()
         with pytest.raises(ValueError, match="start vertex"):
-            solve_op_exact(graph, model, 9, 1.0)
+            solve_op_exact(graph, model, start, 1.0)
 
     def test_matches_oracle_on_random_instances(self):
         rng = np.random.default_rng(17)

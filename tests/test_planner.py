@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import rmop.planner
 from rmop.bench import _derived_seed
 from rmop.graph import MetricGraph, Path, Scenario, Vertex, generate_scenario, resample_starts
 from rmop.reward import RewardModel, eval_team, eval_vertex_set
@@ -63,6 +64,19 @@ class TestSga:
         assert paths[0] == solve_op_exact(graph, model, 3, 2.0, robot=2)
         assert paths[1] == solve_op_exact(graph, model.with_masked(paths[0].vertices), 1, 2.0,
                                           robot=0)
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_robot_ids_outside_the_team_are_refused(self, bad, monkeypatch):
+        graph, model = line_instance()
+        scenario = Scenario(graph=graph, starts=(1, 2, 3), budget=2.0, alpha=0,
+                            reward_kind="modular")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved before the ids were checked")
+
+        monkeypatch.setattr(rmop.planner, "solve_op", refuse)
+        with pytest.raises(ValueError, match=rf"^robot id {bad} out of range 0\.\.2$"):
+            sga(scenario, model, EXACT, robots=[0, bad])
 
 
 class TestSolveRmop:

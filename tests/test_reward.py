@@ -57,7 +57,8 @@ class TestEvalVertexSet:
 
     def test_invalid_id_rejected(self):
         m = reward_model([1.0])
-        for ids, bad in (({3}, 3), ({-1}, -1), ((0, -1), -1)):  # numpy would wrap -1 to 0
+        # numpy would wrap -1 to 0; 1 is the first id past the one vertex
+        for ids, bad in (({3}, 3), ({1}, 1), ({-1}, -1), ((0, -1), -1)):
             with pytest.raises(RewardError, match=f"vertex id {bad} out of range"):
                 eval_vertex_set(m, ids)
 
