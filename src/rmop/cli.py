@@ -8,8 +8,8 @@ mis-scored. Exit codes: 0 success, 1 validation/verification failure or a
 request larger than memory, 2 usage error. Library errors become exit 1 and
 one `error:` line in `main` alone; the commands only add context to them.
 Every document is read through `graph.read_document`, so each `error:` or
-`FAIL:` line about a document names its file, and `verify --json` prints a
-report even for a scenario that cannot be read.
+`FAIL:` line about a document names its file. `read_solution` alone judges a
+solution against its scenario; `verify` reports a solution it could not check.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .graph import (LAYOUTS, REWARD_KINDS, Path, ScenarioError, dump_scenario, generate_scenario,
-                    load_json, load_scenario, read_document, read_field, read_ints)
+from .graph import (LAYOUTS, REWARD_KINDS, Path, Scenario, ScenarioError, dump_scenario,
+                    generate_scenario, load_json, load_scenario, read_document, read_field,
+                    read_ints)
 from .reward import RewardModel
 from .orienteering import SUBROUTINES, OpSolverConfig, SizeGuardError
 from .planner import PlannerLoopError, Solution, check_solution
@@ -67,10 +68,11 @@ def solution_to_document(solution: Solution, planner: str, solver: OpSolverConfi
     }
 
 
-def load_solution(data: bytes) -> tuple[Solution, str, str]:
-    """Rebuild (solution, planner name, scenario digest) from a solution document's bytes.
+def load_solution(data: bytes) -> tuple[Solution, str]:
+    """Rebuild (solution, scenario digest) from a solution document's bytes.
 
-    Only types are checked here; check_solution judges the paths against a scenario.
+    Only types are checked here, `planner` among them; read_solution judges the
+    solution against a scenario.
     """
     doc = load_json(data)
     if not isinstance(doc, dict):
@@ -92,7 +94,15 @@ def load_solution(data: bytes) -> tuple[Solution, str, str]:
         loop_iterations=read_field(doc, "loop_iterations", int),
         per_path_rewards=tuple(rewards),
     )
-    return solution, read_field(doc, "planner", str), read_field(doc, "scenario_sha256", str)
+    read_field(doc, "planner", str)
+    return solution, read_field(doc, "scenario_sha256", str)
+
+
+def read_solution(path: str, scenario: Scenario, data: bytes) -> tuple[Solution, list[str]]:
+    """The solution at `path` and its problems against `scenario`, whose bytes are `data`."""
+    (solution, digest), _ = read_document(path, load_solution)
+    problems = [] if digest == scenario_digest(data) else ["scenario digest mismatch"]
+    return solution, problems + check_solution(scenario, solution)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -132,20 +142,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
-    (solution, _, digest), _ = read_document(args.solution, load_solution)
     scenario, data = read_document(args.scenario, load_scenario)
-    actual_digest = scenario_digest(data)
-    if digest != actual_digest:
-        raise ScenarioError(
-            "scenario digest mismatch: the solution was computed from different "
-            f"scenario bytes (expected {digest[:12]}..., got {actual_digest[:12]}...)")
-    problems = check_solution(scenario, solution)
+    solution, problems = read_solution(args.solution, scenario, data)
     if problems:
-        raise ScenarioError(f"solution does not pass verify: {problems[0]}")
+        raise ScenarioError(f"{args.solution}: {problems[0]}")
     outcome = run_attack(args.model, RewardModel.from_scenario(scenario), solution,
                          args.size, seed=args.seed, planned_alpha=scenario.alpha)
     report = {
-        "scenario_sha256": actual_digest,
+        "scenario_sha256": scenario_digest(data),
         "model": outcome.model,
         "requested_size": args.size,
         "removed": sorted(outcome.removed),
@@ -177,6 +181,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     report: dict = {"scenario": {"path": args.scenario, "metric_violations": []}, "ok": True}
     problems: list[str] = []
+    scenario = None
     try:
         scenario, data = read_document(args.scenario, load_scenario)
     except ScenarioError as exc:
@@ -185,29 +190,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if exc.report is not None:
             report["scenario"]["metric_violations"] = exc.report.entries()
             problems.extend(exc.report.entries())
-    else:
-        if args.solution:
-            try:
-                (solution, _, sol_digest), _ = read_document(args.solution, load_solution)
-            except ScenarioError as exc:
-                problems.append(f"solution: {exc}")
-                report["solution"] = {"path": args.solution, "error": str(exc)}
-            else:
-                sol_problems = []
-                if sol_digest != scenario_digest(data):
-                    sol_problems.append("scenario digest mismatch")
-                sol_problems.extend(check_solution(scenario, solution))
-                report["solution"] = {"path": args.solution, "violations": sol_problems}
-                problems.extend(f"{args.solution}: {p}" for p in sol_problems)
+    if args.solution:
+        try:
+            if scenario is None:
+                raise ScenarioError(f"{args.solution}: not checked: the scenario did not load")
+            _, sol_problems = read_solution(args.solution, scenario, data)
+        except ScenarioError as exc:
+            problems.append(f"solution: {exc}")
+            report["solution"] = {"path": args.solution, "error": str(exc)}
+        else:
+            report["solution"] = {"path": args.solution, "violations": sol_problems}
+            problems.extend(f"{args.solution}: {p}" for p in sol_problems)
     report["ok"] = not problems
     if args.json:
         print(_dump_json(report), end="")
     else:
-        if problems:
-            for p in problems:
-                print(f"FAIL: {p}")
-        else:
-            print("OK: all checks passed")
+        print("\n".join(f"FAIL: {p}" for p in problems) or "OK: all checks passed")
     return 0 if not problems else 1
 
 

@@ -147,6 +147,13 @@ class MetricGraph:
     def n(self) -> int:
         return len(self.vertices)
 
+    def route_cost(self, route: Sequence[int]) -> float:
+        """Travel cost of `route`, its edges added in order from 0.0; ids are not checked."""
+        total = 0.0
+        for step in self.distance[route[:-1], route[1:]].tolist():
+            total += step
+        return total
+
 
 def _euclidean_matrix(vertices: Sequence[Vertex]) -> np.ndarray:
     """Pairwise distances of the positions; a pair too far apart for a float gets inf."""
@@ -298,7 +305,7 @@ def verify_metric(graph: MetricGraph) -> MetricReport:
 
 
 def path_cost(graph: MetricGraph, vertices: Sequence[int]) -> float:
-    """Sum of edge distances along consecutive pairs; 0 for a single vertex."""
+    """`graph.route_cost` of a path whose ids are checked; 0 for a single vertex."""
     seen = set()
     for v in vertices:
         if not 0 <= v < graph.n:
@@ -308,10 +315,7 @@ def path_cost(graph: MetricGraph, vertices: Sequence[int]) -> float:
         seen.add(v)
     if not vertices:
         raise ScenarioError("path must contain at least one vertex")
-    total = 0.0
-    for a, b in zip(vertices, vertices[1:]):
-        total += float(graph.distance[a, b])
-    return total
+    return graph.route_cost(vertices)
 
 
 _REQUIRED = object()

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import MetricGraph, Path
+from .graph import METRIC_TOL, MetricGraph, Path
 from .reward import IncrementalEval, RewardModel
 
 # Approximation factor credited to the cost-benefit greedy when budgets may
@@ -63,14 +63,6 @@ def _check_problem(graph: MetricGraph, model: RewardModel, start: int, budget: f
         raise ValueError(f"reward model has {model.n} vertices but the graph has {graph.n}")
 
 
-def _fold_cost(dist: np.ndarray, route: list[int]) -> float:
-    """Travel cost of `route`, its edges added one by one from the start."""
-    total = 0.0
-    for step in dist[route[:-1], route[1:]].tolist():
-        total += step
-    return total
-
-
 def solve_op_exact(graph: MetricGraph, model: RewardModel, start: int, budget: float,
                    robot: int = 0) -> Path:
     """Maximum-reward rooted path within budget, by depth-first enumeration.
@@ -80,6 +72,13 @@ def solve_op_exact(graph: MetricGraph, model: RewardModel, start: int, budget: f
     lexicographically smallest vertex sequence: the search visits rooted
     sequences in lexicographic pre-order (children in ascending id), so the
     first of equal value is the smallest. Guarded to small graphs.
+
+    The bound counts every vertex within `remaining` + |V| (METRIC_TOL + 4
+    ulp(budget)) of the route's end. A vertex reached over k <= |V| - 1 edges
+    lies past `remaining` by at most: k - 1 triangles, each broken by at most
+    METRIC_TOL plus about 2u budget of rounding in its check (u = eps/2 <
+    ulp(budget) / budget), and k + 1 more u budget from folding the costs and
+    taking `remaining`; the slack covers that and its own rounding.
     """
     _check_problem(graph, model, start, budget)
     if graph.n > EXACT_SIZE_LIMIT:
@@ -91,23 +90,23 @@ def solve_op_exact(graph: MetricGraph, model: RewardModel, start: int, budget: f
     ev = IncrementalEval(model)
     ev.add(start)
 
-    best_seq, best_reward, best_cost = [start], -math.inf, 0.0  # the root replaces them
+    slack = n * (METRIC_TOL + 4 * math.ulp(budget))
+    best_seq, best_reward = [start], -math.inf  # the root replaces them
     seq = [start]
     visited = [False] * n
     visited[start] = True
 
     def dfs(cost: float) -> None:
-        nonlocal best_seq, best_reward, best_cost
+        nonlocal best_seq, best_reward
         value = ev.value
         if value > best_reward:
             best_seq = list(seq)
             best_reward = value
-            best_cost = cost
         last = seq[-1]
-        remaining = budget - cost
+        reach = budget - cost + slack
         bound = value
         for v in range(n):
-            if not visited[v] and singles[v] > 0.0 and dist[last][v] <= remaining:
+            if not visited[v] and singles[v] > 0.0 and dist[last][v] <= reach:
                 bound += singles[v]
         if bound < best_reward:
             return
@@ -126,7 +125,7 @@ def solve_op_exact(graph: MetricGraph, model: RewardModel, start: int, budget: f
             visited[v] = False
 
     dfs(0.0)
-    return Path(robot=robot, vertices=tuple(best_seq), cost=best_cost)
+    return Path(robot=robot, vertices=tuple(best_seq), cost=graph.route_cost(best_seq))
 
 
 @np.errstate(over="ignore")  # a ratio or cost past the largest float is inf, and ranks as such
@@ -139,12 +138,12 @@ def solve_op_gcb(graph: MetricGraph, model: RewardModel, start: int, budget: flo
     clamped at 0, between route neighbours a and b, or D[a,u] after the last
     vertex a, the first slot on ties; zero cost counts as infinite ratio. The
     best, the smaller id on ties, is inserted if the route, its cost folded
-    edge by edge, still fits the budget, and permanently discarded otherwise.
-    A discard changes no other ratio, so gains and ratios are computed with
-    numpy once per insertion and walked in stable (-ratio, id) order until one
-    fits. The final answer is the better of the greedy route and the best
-    single-hop path from the start, all hops scored at once, so one
-    far-but-rich vertex cannot be starved out by the ratio rule.
+    edge by edge (`graph.route_cost`), still fits the budget, and permanently
+    discarded otherwise. A discard changes no other ratio, so gains and ratios
+    are computed with numpy once per insertion and walked in stable (-ratio,
+    id) order until one fits. The final answer is the better of the greedy
+    route and the best single-hop path from the start, all hops scored at
+    once, so one far-but-rich vertex cannot be starved out by the ratio rule.
     """
     _check_problem(graph, model, start, budget)
     dist = graph.distance
@@ -153,7 +152,6 @@ def solve_op_gcb(graph: MetricGraph, model: RewardModel, start: int, budget: flo
     hop_values = np.where(dist[start] <= budget, ev.values_with(np.arange(graph.n)), -math.inf)
     hop_values[start] = -math.inf
     route = [start]
-    route_cost = 0.0
     open_ = np.ones(graph.n, dtype=bool)  # neither selected nor discarded
     open_[start] = False
 
@@ -177,17 +175,15 @@ def solve_op_gcb(graph: MetricGraph, model: RewardModel, start: int, budget: flo
         for v, pos in zip(cand[order].tolist(), (slot[order] + 1).tolist()):
             open_[v] = False
             candidate = route[:pos] + [v] + route[pos:]
-            candidate_cost = _fold_cost(dist, candidate)
-            if candidate_cost <= budget:
+            if graph.route_cost(candidate) <= budget:
                 route = candidate
-                route_cost = candidate_cost
                 ev.add(v)
                 break
 
     hop = int(np.argmax(hop_values))  # the first of the best, so the smallest id
     if hop_values[hop] > ev.value:
         return Path(robot=robot, vertices=(start, hop), cost=float(dist[start, hop]))
-    return Path(robot=robot, vertices=tuple(route), cost=route_cost)
+    return Path(robot=robot, vertices=tuple(route), cost=graph.route_cost(route))
 
 
 def solve_op(graph: MetricGraph, model: RewardModel, start: int, budget: float,

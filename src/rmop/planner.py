@@ -101,9 +101,10 @@ def solve_rmop(scenario: Scenario, solver: OpSolverConfig) -> Solution:
     First solves the single-robot problem independently for everyone, then
     loops: take the alpha individually best paths as the redundancy set,
     plan the rest sequentially, and stop once no sequential path outscores
-    the weakest redundancy path (strictly better ones replace the losers'
-    pool entries and the loop repeats). With alpha = 0 this reduces to the
-    plain sequential planner.
+    the weakest redundancy path. Until then only the strictly better paths
+    replace their robots' pool entries: pooled, a path that merely ties the
+    weakest could win that tie by robot id and reorder the next pass. With
+    alpha = 0 this reduces to the plain sequential planner.
     """
     alpha = scenario.alpha
     if alpha == 0:

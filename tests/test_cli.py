@@ -261,7 +261,7 @@ class TestAttack:
                        "--model", model, "--size", "1", "--seed", "3") == 0
         doc = json.loads(capsys.readouterr().out)
         scenario = load_scenario(scenario_file.read_bytes())
-        solution, _, _ = load_solution(solution_file.read_bytes())
+        solution, _ = load_solution(solution_file.read_bytes())
         outcome = run_attack(model, RewardModel.from_scenario(scenario), solution, 1, seed=3,
                              planned_alpha=scenario.alpha)
         assert doc["removed"] == sorted(outcome.removed)
@@ -279,8 +279,7 @@ class TestAttack:
         assert code == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.splitlines() == ["error: solution does not pass verify: "
-                                    "path 1 is labeled for robot 0"]
+        assert err.splitlines() == [f"error: {relabelled}: path 1 is labeled for robot 0"]
 
 
 def rmop_exceptions():
@@ -530,6 +529,21 @@ class TestVerify:
         report = json.loads(out)
         assert (code, err, report["ok"]) == (1, "", False)
         assert report["scenario"]["error"].startswith(f"cannot read {missing}: ")
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_a_solution_behind_an_unreadable_scenario_is_reported_unchecked(
+            self, tmp_path, solved, capsys, as_json):
+        _, solution_file = solved
+        capsys.readouterr()
+        code = run_cli("verify", "--scenario", str(tmp_path / "nope.json"),
+                       "--solution", str(solution_file), *(["--json"] if as_json else []))
+        out, err = capsys.readouterr()
+        assert (code, err) == (1, "")
+        unchecked = f"{solution_file}: not checked: the scenario did not load"
+        if as_json:
+            assert json.loads(out)["solution"] == {"path": str(solution_file), "error": unchecked}
+        else:
+            assert out.splitlines()[-1] == f"FAIL: solution: {unchecked}"
 
     def test_tampered_solution_exits_one(self, tmp_path, solved, capsys):
         scenario_file, solution_file = solved

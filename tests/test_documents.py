@@ -79,8 +79,11 @@ def mutated(doc, path, value):
     return doc
 
 
+# The scenario file is rewritten (budget 2.0) after the solution was computed from it.
+SWAPPED_SCENARIO = ("swapped-scenario", ("budget",), 2.0)
 CASES = ([("solve", c) for c in SCENARIO_CASES] + [("verify", c) for c in SCENARIO_CASES]
          + [("verify-solution", c) for c in SOLUTION_CASES]
+         + [("attack", c) for c in SOLUTION_CASES + [SWAPPED_SCENARIO]]
          + [("bench", c) for c in SPEC_CASES])
 
 
@@ -88,23 +91,30 @@ CASES = ([("solve", c) for c in SCENARIO_CASES] + [("verify", c) for c in SCENAR
 def test_malformed_input_is_one_error_line(case, tmp_path, monkeypatch, capsys):
     command, (name, path, value) = case
     monkeypatch.chdir(tmp_path)
-    defective = {"bench": "spec.json", "verify-solution": "r.json"}.get(command, "s.json")
+    defective = {"bench": "spec.json", "verify-solution": "r.json",
+                 "attack": "r.json"}.get(command, "s.json")
     if name == "missing-scenario-file":
         defective = "missing-scenario.json"
     if command == "bench":
         with open("spec.json", "w") as fh:
             json.dump(mutated(SPEC, path, value), fh)
         argv = ["bench", "--spec", "spec.json", "--out-csv", "out.csv"]
-    elif command == "verify-solution":
+    elif command in ("verify-solution", "attack"):
         with open("s.json", "w") as fh:
             json.dump(SCENARIO, fh)
         assert main(["solve", "--scenario", "s.json", "--planner", "rmop",
                      "--out", "r.json"]) == 0
-        with open("r.json") as fh:
-            solution = json.load(fh)
-        with open("r.json", "w") as fh:
-            json.dump(mutated(solution, path, value), fh)
-        argv = ["verify", "--scenario", "s.json", "--solution", "r.json"]
+        if name == SWAPPED_SCENARIO[0]:
+            with open("s.json", "w") as fh:
+                json.dump(mutated(SCENARIO, path, value), fh)
+        else:
+            with open("r.json") as fh:
+                solution = json.load(fh)
+            with open("r.json", "w") as fh:
+                json.dump(mutated(solution, path, value), fh)
+        argv = (["verify", "--scenario", "s.json", "--solution", "r.json"]
+                if command == "verify-solution" else
+                ["attack", "r.json", "--scenario", "s.json", "--model", "worst", "--size", "1"])
     else:
         with open("s.json", "w") as fh:
             json.dump(mutated(SCENARIO, path, value), fh)
@@ -118,6 +128,8 @@ def test_malformed_input_is_one_error_line(case, tmp_path, monkeypatch, capsys):
     prefix = "FAIL: " if command.startswith("verify") else "error: "
     assert len(lines) == 1 and lines[0].startswith(prefix), (out, err)
     assert f"{defective}: " in lines[0], lines[0]
+    if command == "attack":
+        assert lines[0].startswith("error: r.json: "), lines[0]
 
 
 # (test id, raw document bytes) that json.loads refuses with no JSONDecodeError

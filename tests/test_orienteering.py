@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rmop.graph import LAYOUTS, REWARD_KINDS, MetricGraph, Vertex, generate_scenario, path_cost
+from rmop.graph import (LAYOUTS, METRIC_TOL, REWARD_KINDS, MetricGraph, Vertex,
+                        generate_scenario, path_cost, verify_metric)
 from rmop.reward import RewardModel, eval_vertex_set
 from rmop.orienteering import (EXACT_SIZE_LIMIT, GCB_ETA, OpSolverConfig, SizeGuardError,
                                solve_op, solve_op_exact, solve_op_gcb)
@@ -78,6 +79,22 @@ class TestExactSolver:
                              Vertex(2, 1.0, 0.0, 1.0), Vertex(3, 4.0, 0.0, 10.0)])
         path = solve_op_exact(graph, reward_model([0.0, 5.0, 1.0, 10.0]), 0, 4.0)
         assert (path.vertices, path.cost) == ((0, 2, 3), 4.0)
+
+    def test_vertex_past_the_remaining_budget_by_the_metric_tolerance_is_reachable(self):
+        # Line 0, -7, 2, 6, 10 with d(2,4) and d(0,4) raised by METRIC_TOL / 2, which
+        # verify_metric accepts. Under the incumbent 0 -> 1 (50), at 0 -> 2 vertex 4 is
+        # 8 + 0.5e-9 away with 8 left, yet reachable through 3: the bound must count it,
+        # or the optimum 0 -> 2 -> 3 -> 4 (102) is pruned for 0 -> 3 -> 4 (101).
+        rewards = [0.0, 50.0, 1.0, 1.0, 100.0]
+        vertices = [Vertex(i, x, 0.0, r)
+                    for i, (x, r) in enumerate(zip([0.0, -7.0, 2.0, 6.0, 10.0], rewards))]
+        dist = MetricGraph(vertices).distance.copy()
+        for a, b in ((2, 4), (0, 4)):
+            dist[a, b] = dist[b, a] = dist[a, b] + METRIC_TOL / 2
+        graph = MetricGraph(vertices, dist)
+        assert verify_metric(graph).ok
+        path = solve_op_exact(graph, reward_model(rewards), 0, 10.0)
+        assert (path.vertices, path.cost) == ((0, 2, 3, 4), 10.0)
 
     @pytest.mark.parametrize("start", [4, 9])  # 4 is the first id past the 4 vertices
     def test_invalid_start_rejected(self, start):

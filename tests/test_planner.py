@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import rmop.planner
-from rmop.bench import _derived_seed
-from rmop.graph import MetricGraph, Path, Scenario, Vertex, generate_scenario, resample_starts
+from rmop.bench import PLANNER_NAMES, _derived_seed, plan
+from rmop.graph import (REWARD_KINDS, MetricGraph, Path, Scenario, Vertex, generate_scenario,
+                        path_cost, resample_starts, verify_metric)
 from rmop.reward import RewardModel, eval_team, eval_vertex_set
 from rmop.orienteering import OpSolverConfig, solve_op, solve_op_exact
 from rmop.planner import (INVARIANT_TOL, Solution, check_solution, sga, solve_rmop,
@@ -151,6 +152,50 @@ class TestSolveRmop:
                     improved += solution.per_path_rewards[i] > baseline
         assert reran >= 1
         assert improved >= 1
+
+    def test_a_coverage_path_that_only_ties_the_weakest_redundancy_path_is_not_pooled(self):
+        # Shortest-path metric of the edges below, budget 5. Robots 3 (10) and 4 and 5 (5
+        # each, one start) form the redundancy set, so T = 5. Coverage robots 0, 1, 2 start
+        # at 0, 3 and 6. Clean, robots 1 and 2 first take the 1 beside their start, which
+        # leaves no budget for the 3s, so each keeps a single hop worth 3. Robot 0 collects
+        # both 1s, and on that masked map robot 1 finds 3 + 3 = 6 > T, so the loop repeats,
+        # and robot 2 finds 2 + 3 = 5, which only ties T. Only the better path enters the
+        # pool: had robot 2's 5 replaced its 3, it would win the tie with robots 4 and 5 by
+        # id and take robot 4's place in the next redundancy set.
+        rewards = [0, 1, 1, 0, 3, 3, 0, 2, 3, 0, 10, 0, 5]
+        n = len(rewards)
+        dist = np.full((n, n), 1000.0)
+        np.fill_diagonal(dist, 0.0)
+        for a, b, w in [(0, 1, 1), (0, 2, 1), (3, 1, 1), (3, 4, 4), (4, 5, 1), (6, 2, 1),
+                        (6, 7, 4), (7, 8, 1), (9, 10, 1), (11, 12, 1)]:
+            dist[a, b] = dist[b, a] = w
+        for k in range(n):
+            dist = np.minimum(dist, dist[:, k:k + 1] + dist[k:k + 1, :])
+        graph = MetricGraph([Vertex(i, float(i), 0.0, float(r)) for i, r in enumerate(rewards)],
+                            dist)
+        assert verify_metric(graph).ok
+        scenario = Scenario(graph, (0, 3, 6, 9, 11, 11), 5.0, 3)
+        solution = solve_rmop(scenario, GCB)
+        assert check_solution(scenario, solution) == []
+        assert (solution.s1_robots, solution.loop_iterations) == ({1, 3, 4}, 2)
+        assert [p.vertices for p in solution.paths] == [
+            (0, 2, 1), (3, 4, 5), (6, 7, 8), (9, 10), (11, 12), (11, 12)]
+
+
+@pytest.mark.parametrize("solver", [GCB, EXACT], ids=["gcb", "exact"])
+@pytest.mark.parametrize("planner", PLANNER_NAMES)
+def test_stored_costs_are_the_path_cost_fold(planner, solver):
+    # Every planner stores the cost that path_cost recomputes, bit for bit, on maps with
+    # their Euclidean matrix and with an explicit Manhattan one.
+    for seed in range(4):
+        scenario = generate_scenario(12, 4, 2, 70.0, layout="uniform", seed=seed,
+                                     reward_kind=REWARD_KINDS[seed % 2])
+        vertices = scenario.graph.vertices
+        manhattan = [[abs(u.x - v.x) + abs(u.y - v.y) for v in vertices] for u in vertices]
+        for graph in (scenario.graph, MetricGraph(vertices, manhattan)):
+            solution = plan(planner, dataclasses.replace(scenario, graph=graph), solver)
+            for path in solution.paths:
+                assert path.cost == path_cost(graph, path.vertices)
 
 
 def test_reassignment_loops_are_pinned():
