@@ -196,9 +196,18 @@ class ExperimentSpec:
                    scenario_params=params, scenario_path=path)
 
     def base_scenario(self) -> Scenario:
-        if self.scenario_path is not None:
-            return read_document(self.scenario_path, load_scenario)[0]
-        return generate_scenario(**self.scenario_params)
+        """The scenario every trial resamples; attack sizes and planned_alpha lie in 0..robots-1."""
+        base = (read_document(self.scenario_path, load_scenario)[0]
+                if self.scenario_path is not None else generate_scenario(**self.scenario_params))
+        for i, attack in enumerate(self.attacks):
+            named = [(f"sizes[{j}]", size) for j, size in enumerate(attack.sizes)]
+            if attack.planned_alpha is not None:
+                named.append(("planned_alpha", attack.planned_alpha))
+            for name, value in named:
+                if not 0 <= value < base.n_robots:
+                    raise ScenarioError(f"attacks[{i}].{name} is {value}, outside 0.."
+                                        f"{base.n_robots - 1} for {base.n_robots} robots")
+        return base
 
 
 @dataclass(frozen=True)
@@ -229,7 +238,8 @@ def plan(planner: str, scenario: Scenario, solver: OpSolverConfig) -> Solution:
     raise ValueError(f"unknown planner {planner!r}")
 
 
-def run_experiment(spec: ExperimentSpec, measure_time: bool = True) -> list[ExperimentRecord]:
+def run_experiment(spec: ExperimentSpec, measure_time: bool = True,
+                   base: Optional[Scenario] = None) -> list[ExperimentRecord]:
     """Seeded trial sweep: resample starts, plan, attack, record.
 
     Planning for non-partial attacks uses the attack size as the planner's
@@ -237,8 +247,9 @@ def run_experiment(spec: ExperimentSpec, measure_time: bool = True) -> list[Expe
     attacks plan once at `planned_alpha` and sweep weaker adversaries.
     Everything except wall-clock `plan_ms` is a pure function of the spec;
     pass measure_time=False to zero the timing column for byte-stable output.
+    `base` is `spec.base_scenario()` when the caller has already built it.
     """
-    base = spec.base_scenario()
+    base = spec.base_scenario() if base is None else base
     solver = OpSolverConfig(method=spec.subroutine)
     records: list[ExperimentRecord] = []
     for trial in range(spec.trials):

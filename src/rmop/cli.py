@@ -167,9 +167,10 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    spec, _ = read_document(args.spec,
-                            lambda data: bench.ExperimentSpec.from_document(load_json(data)))
-    records = bench.run_experiment(spec, measure_time=not args.no_timing)
+    # The base scenario is built while the spec is read, so its errors name the spec file.
+    (spec, base), _ = read_document(args.spec, lambda data: (
+        spec := bench.ExperimentSpec.from_document(load_json(data)), spec.base_scenario()))
+    records = bench.run_experiment(spec, measure_time=not args.no_timing, base=base)
     summary = _dump_json(bench.summarize(records)) if args.out_summary else ""
     _write_text(args.out_csv, bench.records_to_csv(records))
     if args.out_summary:

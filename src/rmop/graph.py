@@ -25,6 +25,7 @@ import numpy as np
 
 METRIC_TOL = 1e-9
 AREA_SIDE = 90.0
+_BLOCK = 2 ** 13  # entries in a row block of an n x n matrix: 64 KB of floats
 # Over 10x below the coordinate span up to which verify_metric proves no triangle violation.
 _CERTIFIED_SPAN = METRIC_TOL / (128 * np.finfo(float).eps)
 
@@ -56,28 +57,6 @@ def _check_total(weights: Iterable[float], what: str) -> None:
         raise RewardError(f"{what} add up to inf; the total reward must be finite")
 
 
-def check_cells(cells: Sequence[Sequence[tuple[int, float]]]) -> None:
-    """Refuse `cells`, where vertex v covers `cells[v]`, unless they are a weighted coverage.
-
-    Every weight is finite and non-negative, no vertex lists a cell twice, every vertex
-    that lists a cell gives it the same weight, and the cells' total is finite.
-    """
-    seen: dict[int, tuple[float, int]] = {}  # cell -> (weight, last vertex listing it)
-    for v, entry in enumerate(cells):
-        for cell, w in entry:
-            if not 0.0 <= w < math.inf:
-                raise RewardError(f"vertex {v} gives cell {cell} weight {w}; "
-                                  f"weights must be finite and non-negative")
-            first_w, last_v = seen.get(cell, (w, -1))
-            if last_v == v:
-                raise RewardError(f"vertex {v} lists cell {cell} more than once")
-            if first_w != w:
-                raise RewardError(f"vertex {v} gives cell {cell} weight {w}, inconsistent "
-                                  f"with {first_w} from vertex {last_v}")
-            seen[cell] = (w, v)
-    _check_total((seen[cell][0] for cell in sorted(seen)), "cell weights")
-
-
 @dataclass(frozen=True)
 class Vertex:
     """A graph vertex: planar position, additive reward, optional covered cells."""
@@ -94,12 +73,15 @@ class MetricGraph:
     """Vertices with dense ids 0..n-1 and a finite n x n distance matrix.
 
     Every vertex has a finite position and a finite non-negative reward, the rewards
-    add up to a finite total, and the coverage passes check_cells. Construction
-    refuses anything else; verify_metric reports whether the matrix is metric. Vertex
-    numbers are stored as `float` and ids and cells as `int` (`operator.index`), as a
-    document reloads them. Without a `distance` matrix the graph builds the pairwise
+    add up to a finite total, and the coverage is weighted: cell weights are finite and
+    non-negative, one per cell, a cell is listed once per vertex, and the distinct cells'
+    weights, added by cell id from 0.0 as the evaluators add them, have a finite total.
+    Construction refuses anything else; verify_metric reports whether the matrix is metric.
+    Vertex numbers are stored as `float` and ids and cells as `int` (`operator.index`), as
+    a document reloads them. Without a `distance` matrix the graph builds the pairwise
     Euclidean one of its positions. `euclidean` is set at construction: the matrix is bit
-    for bit that Euclidean one, and a dumped document then omits it.
+    for bit that Euclidean one, and a dumped document then omits it. Besides the matrix it
+    keeps, construction allocates n x n booleans and 64 KB row blocks (`_euclidean_blocks`).
     """
 
     vertices: tuple[Vertex, ...]
@@ -109,13 +91,33 @@ class MetricGraph:
     def __post_init__(self):
         vertices = list(self.vertices)
         n = len(vertices)
+        seen: dict[int, tuple[float, int]] = {}  # cell -> (weight, last vertex listing it)
+        refusal = None  # the first cell that breaks the coverage, raised once every vertex passes
         for pos, v in enumerate(vertices):
-            if not (type(v.id) is int and type(v.x) is type(v.y) is type(v.reward) is float
-                    and type(v.coverage) is tuple
-                    and all(type(p) is tuple and len(p) == 2 and type(p[0]) is int
-                            and type(p[1]) is float for p in v.coverage)):
-                # Generated and loaded vertices pass as they are; others are rebuilt.
-                cells = tuple((operator.index(c), float(w)) for c, w in v.coverage)
+            # One walk over the cells types them and checks the coverage. Generated and loaded
+            # vertices pass as they are; others are rebuilt from `typed` cells.
+            cells, typed = v.coverage, (None if type(v.coverage) is tuple else [])
+            for k, pair in enumerate(cells):
+                cell, w = pair
+                if (type(cell) is not int or type(w) is not float or type(pair) is not tuple
+                        or typed is not None):
+                    typed = list(cells[:k]) if typed is None else typed
+                    cell, w = operator.index(cell), float(w)
+                    typed.append((cell, w))
+                if refusal is None:
+                    first_w, last_v = seen.get(cell, (w, -1))
+                    if not 0.0 <= w < math.inf:
+                        refusal = (f"vertex {pos} gives cell {cell} weight {w}; "
+                                   f"weights must be finite and non-negative")
+                    elif last_v == pos:
+                        refusal = f"vertex {pos} lists cell {cell} more than once"
+                    elif first_w != w:
+                        refusal = (f"vertex {pos} gives cell {cell} weight {w}, inconsistent "
+                                   f"with {first_w} from vertex {last_v}")
+                    seen[cell] = (w, pos)
+            if typed is not None or not (type(v.id) is int
+                                         and type(v.x) is type(v.y) is type(v.reward) is float):
+                cells = cells if typed is None else tuple(typed)
                 v = vertices[pos] = Vertex(operator.index(v.id), float(v.x), float(v.y),
                                            float(v.reward), cells)
             if v.id != pos:
@@ -125,7 +127,9 @@ class MetricGraph:
             if not 0.0 <= v.reward < math.inf:
                 raise RewardError(f"vertex {pos} has {'negative' if v.reward < 0 else 'non-finite'} "
                                   f"reward {v.reward}")
-        check_cells([v.coverage for v in vertices])
+        if refusal is not None:
+            raise RewardError(refusal)
+        _check_total((seen[cell][0] for cell in sorted(seen)), "cell weights")
         _check_total((v.reward for v in vertices), "vertex rewards")
         built = self.distance is None
         mat = (_euclidean_matrix(vertices) if built  # else a copy: the caller keeps theirs
@@ -140,8 +144,8 @@ class MetricGraph:
         mat.setflags(write=False)
         object.__setattr__(self, "vertices", tuple(vertices))
         object.__setattr__(self, "distance", mat)
-        object.__setattr__(self, "euclidean",
-                           built or np.array_equal(mat, _euclidean_matrix(vertices)))
+        object.__setattr__(self, "euclidean", built or all(
+            np.array_equal(block, mat[rows]) for rows, block in _euclidean_blocks(vertices)))
 
     @property
     def n(self) -> int:
@@ -155,14 +159,38 @@ class MetricGraph:
         return total
 
 
-def _euclidean_matrix(vertices: Sequence[Vertex]) -> np.ndarray:
-    """Pairwise distances of the positions; a pair too far apart for a float gets inf."""
+def _row_blocks(n: int) -> list[slice]:
+    """Consecutive row slices of an n x n matrix, of about _BLOCK entries each."""
+    step = max(1, _BLOCK // max(n, 1))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def _euclidean_blocks(vertices: Sequence[Vertex], out: Optional[np.ndarray] = None):
+    """(rows, their distances) for each row block of the Euclidean matrix of the positions.
+
+    A block is written into `out[rows]`, or into a new array without `out`, by the whole-array
+    operations in their order, so bit for bit; a pair too far apart for a float gets inf.
+    One more block, allocated once, holds dy.
+    """
     x, y = np.array([[v.x, v.y] for v in vertices], dtype=float).reshape(-1, 2).T
-    with np.errstate(over="ignore"):
-        dx, dy = x[:, None] - x, y[:, None] - y
-        dx *= dx  # sqrt(dx * dx + dy * dy) in place: two n^2 buffers, not five
-        dx += np.square(dy, out=dy)
-        return np.sqrt(dx, out=dx)
+    blocks = _row_blocks(len(x))
+    dys = np.empty((blocks[0].stop if blocks else 0, len(x)))  # the first block is the largest
+    for rows in blocks:
+        with np.errstate(over="ignore"):
+            block = np.subtract(x[rows, None], x, out=None if out is None else out[rows])
+            dy = np.subtract(y[rows, None], y, out=dys[:len(block)])
+            block *= block
+            block += np.square(dy, out=dy)
+            np.sqrt(block, out=block)
+        yield rows, block
+
+
+def _euclidean_matrix(vertices: Sequence[Vertex]) -> np.ndarray:
+    """Pairwise distances of the positions: allocates the n x n result and 64 KB blocks."""
+    mat = np.empty((len(vertices), len(vertices)))
+    for _ in _euclidean_blocks(vertices, mat):
+        pass
+    return mat
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,6 +315,8 @@ def verify_metric(graph: MetricGraph) -> MetricReport:
        O(|V|^2) memory, of the rows a screen flags: O(|V|^3). The screen, about a third
        of the arithmetic, runs on exactly symmetric matrices; on any other matrix every
        row is checked.
+    Memory: the certificate allocates nothing of size n; the scans n x n booleans and 64 KB
+    row blocks; the screen an n x n float buffer; the exact check n x n arrays per row.
     """
     xs, ys = [v.x for v in graph.vertices], [v.y for v in graph.vertices]
     if (xs and max(max(xs) - min(xs), max(ys) - min(ys)) <= _CERTIFIED_SPAN
@@ -298,9 +328,12 @@ def verify_metric(graph: MetricGraph) -> MetricReport:
     with np.errstate(over="ignore"):
         negative = tuple((int(i), int(j)) for i, j in np.argwhere(d < -tol))
         diagonal = tuple(int(i) for i in np.flatnonzero(np.abs(np.diagonal(d)) > tol))
-        asym = np.argwhere(np.abs(d - d.T) > tol)
-        asymmetry = tuple((int(i), int(j)) for i, j in asym if i < j)
-        return MetricReport(negative=negative, diagonal=diagonal, asymmetry=asymmetry,
+        asymmetry = []
+        for rows in _row_blocks(len(d)):
+            diff = d[rows] - d[:, rows].T
+            asymmetry += [(rows.start + i, j) for i, j in
+                          np.argwhere(np.abs(diff, out=diff) > tol).tolist() if rows.start + i < j]
+        return MetricReport(negative=negative, diagonal=diagonal, asymmetry=tuple(asymmetry),
                             triangle=_triangle_violations(d, _triangle_rows(d, tol), tol))
 
 
@@ -411,14 +444,14 @@ def _read_distance_matrix(doc: dict, n: int) -> np.ndarray:
     rows = read_field(doc, "distance_matrix", list)
     if len(rows) != n:
         raise ScenarioError(f"distance_matrix must be {n}x{n}, got {len(rows)} rows")
-    values = []
+    mat = np.empty((n, n))
     for i in range(n):
         where = f"distance_matrix[{i}]"
         row = read_field(rows, i, list, "distance_matrix")
         if len(row) != n:
             raise ScenarioError(f"distance_matrix must be {n}x{n}, {where} has {len(row)} entries")
-        values.append([_number(x, where, j) for j, x in enumerate(row)])
-    return np.array(values, dtype=float)
+        mat[i] = [_number(x, where, j) for j, x in enumerate(row)]
+    return mat
 
 
 def _verified(scenario: Scenario) -> Scenario:
@@ -498,19 +531,12 @@ def dump_scenario(scenario: Scenario) -> bytes:
     return (json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n").encode()
 
 
-@dataclass(frozen=True)
-class GaussianBump:
-    cx: float
-    cy: float
-    amplitude: float
-    sigma: float
-
-
-def _field_value(bumps: Sequence[GaussianBump], x: float, y: float) -> float:
+def _field_value(terms: Sequence[tuple[float, float, float, float]], x: float, y: float) -> float:
+    """The field at (x, y); `terms` holds each bump's (cx, cy, amplitude, 2.0 * sigma ** 2)."""
     total = 0.0
-    for b in bumps:
-        r2 = (x - b.cx) ** 2 + (y - b.cy) ** 2
-        total += b.amplitude * math.exp(-r2 / (2.0 * b.sigma ** 2))
+    for cx, cy, amplitude, spread in terms:
+        r2 = (x - cx) ** 2 + (y - cy) ** 2
+        total += amplitude * math.exp(-r2 / spread)
     return total
 
 
@@ -551,21 +577,17 @@ def generate_scenario(n_vertices: int, n_robots: int, alpha: int, budget: float,
 
     side = AREA_SIDE
     rng = np.random.default_rng(seed)
-    bump_list = tuple(
-        GaussianBump(
-            cx=float(rng.uniform(0.15 * side, 0.85 * side)),
-            cy=float(rng.uniform(0.15 * side, 0.85 * side)),
-            amplitude=float(rng.uniform(0.9, 1.0)),
-            sigma=float(rng.uniform(side / 9.0, side / 6.4)),
-        )
-        for _ in range(bumps)
-    ) + (GaussianBump(cx=side / 2.0, cy=side / 2.0, amplitude=0.3, sigma=0.9 * side),)
+    # Each bump's (cx, cy, amplitude, 2 sigma^2), drawn in this order, then the background's.
+    terms = [(float(rng.uniform(0.15 * side, 0.85 * side)),
+              float(rng.uniform(0.15 * side, 0.85 * side)), float(rng.uniform(0.9, 1.0)),
+              2.0 * float(rng.uniform(side / 9.0, side / 6.4)) ** 2) for _ in range(bumps)]
+    terms.append((side / 2.0, side / 2.0, 0.3, 2.0 * (0.9 * side) ** 2))
 
     pos = (_grid_positions(n_vertices, side) if layout == "grid"
            else rng.uniform(0.0, side, size=(n_vertices, 2)).tolist())
 
     # Both peaks are > 0: the background bump alone keeps the field >= 0.3 * exp(-4050 / 13122) ~ 0.22.
-    values = np.array([_field_value(bump_list, x, y) for x, y in pos])
+    values = np.array([_field_value(terms, x, y) for x, y in pos])
     rewards = np.rint(100.0 * values / float(values.max())).tolist()
 
     coverage: list[tuple[tuple[int, float], ...]] = [()] * n_vertices
@@ -574,7 +596,7 @@ def generate_scenario(n_vertices: int, n_robots: int, alpha: int, budget: float,
         pitch = side / cells_per_side
         centers = [((i + 0.5) * pitch, (j + 0.5) * pitch)
                    for j in range(cells_per_side) for i in range(cells_per_side)]
-        cell_vals = np.array([_field_value(bump_list, cx, cy) for cx, cy in centers])
+        cell_vals = np.array([_field_value(terms, cx, cy) for cx, cy in centers])
         cell_w = np.rint(100.0 * cell_vals / float(cell_vals.max())).tolist()
         radius = 1.3 * pitch
         coverage = [tuple((c, cell_w[c]) for c, (cx, cy) in enumerate(centers)

@@ -20,18 +20,22 @@ weights, and to within a few ulps on fractional ones.
 And the scenario generator as it was before it computed on Python floats:
 positions, rewards and cell weights read one numpy scalar at a time, with its
 own copy of the importance field. `generate_scenario` must dump the same bytes.
+
+And the Euclidean matrix and the symmetry scan as they were before they worked
+in row blocks, on whole n x n arrays. The blocks must give the same bytes and
+the same asymmetric pairs, in the same order.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from rmop.graph import (AREA_SIDE, GaussianBump, MetricGraph, Path, RewardError, Scenario,
-                        Vertex, _verified)
+from rmop.graph import (AREA_SIDE, MetricGraph, Path, RewardError, Scenario, Vertex,
+                        _verified)
 from rmop.reward import IncrementalEval, RewardModel, eval_vertex_set
 from rmop.orienteering import SizeGuardError, _check_problem
 
@@ -293,6 +297,13 @@ def leave_one_out_curvature(ground_set, evaluator) -> float:
     return min(1.0, max(0.0, 1.0 - min(ratios))) if ratios else 0.0
 
 
+class GaussianBump(NamedTuple):
+    cx: float
+    cy: float
+    amplitude: float
+    sigma: float
+
+
 def numpy_scalar_field_value(bumps, x, y) -> float:
     """The importance field as `generate_scenario` evaluated it on numpy scalars."""
     total = 0.0
@@ -356,3 +367,19 @@ def generate_scenario_on_numpy_scalars(n_vertices: int, n_robots: int, alpha: in
                        coverage=coverage[k]) for k in range(n_vertices)]
     graph, starts = MetricGraph(vertices), rng.integers(0, n_vertices, size=n_robots)
     return _verified(Scenario(graph, starts, budget, alpha, reward_kind))
+
+
+def euclidean_matrix_single_shot(vertices) -> np.ndarray:
+    """sqrt(dx * dx + dy * dy) on whole n x n arrays of dx and dy; inf where a pair overflows."""
+    x, y = np.array([[v.x, v.y] for v in vertices], dtype=float).reshape(-1, 2).T
+    with np.errstate(over="ignore"):
+        dx, dy = x[:, None] - x, y[:, None] - y
+        dx *= dx
+        dx += np.square(dy, out=dy)
+        return np.sqrt(dx, out=dx)
+
+
+def asymmetry_single_shot(d: np.ndarray, tol: float) -> tuple:
+    """Every (i, j), i < j, with |d[i,j] - d[j,i]| > tol, in row-major order, from d - d.T."""
+    with np.errstate(over="ignore"):
+        return tuple((int(i), int(j)) for i, j in np.argwhere(np.abs(d - d.T) > tol) if i < j)

@@ -63,6 +63,16 @@ SPEC_CASES = [
      {"model": "partial", "sizes": [1, 2], "planned_alpha": 1}),
     ("negative-seed", ("seed",), -1),
     ("negative-scenario-seed", ("scenario", "seed"), -2),
+    # Refused only once the base scenario is built: the spec's robots bound every attack.
+    ("zero-vertices", ("scenario", "vertices"), 0),
+    ("hex-layout", ("scenario", "layout"), "hex"),
+    ("bogus-reward-kind", ("scenario", "reward_kind"), "bogus"),
+    ("alpha-at-robot-count", ("scenario", "alpha"), 3),
+    ("attack-size-at-robot-count", ("attacks",),
+     [{"model": "greedy", "sizes": [1]}, {"model": "worst", "sizes": [1, 2, 3]}]),
+    ("negative-attack-size", ("attacks", 0, "sizes"), [-1]),
+    ("planned-alpha-at-robot-count", ("attacks", 0),
+     {"model": "partial", "sizes": [1], "planned_alpha": 3}),
 ]
 
 
@@ -128,8 +138,9 @@ def test_malformed_input_is_one_error_line(case, tmp_path, monkeypatch, capsys):
     prefix = "FAIL: " if command.startswith("verify") else "error: "
     assert len(lines) == 1 and lines[0].startswith(prefix), (out, err)
     assert f"{defective}: " in lines[0], lines[0]
-    if command == "attack":
-        assert lines[0].startswith("error: r.json: "), lines[0]
+    if command in ("attack", "bench"):
+        assert lines[0].startswith(f"error: {'r' if command == 'attack' else 'spec'}.json: "), \
+            lines[0]
 
 
 # (test id, raw document bytes) that json.loads refuses with no JSONDecodeError

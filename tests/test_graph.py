@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 
 import rmop.graph
 
@@ -10,13 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rmop.graph import (LAYOUTS, REWARD_KINDS, GaussianBump, MetricGraph, MetricReport,
+from rmop.graph import (LAYOUTS, REWARD_KINDS, MetricGraph, MetricReport,
                         Scenario, ScenarioError, Vertex, _field_value, dump_scenario,
                         generate_scenario, load_scenario, path_cost, resample_starts,
-                        scenario_to_document, verify_metric)
+                        scenario_from_document, scenario_to_document, verify_metric)
 
 from helpers import line_instance
-from oracles import generate_scenario_on_numpy_scalars, numpy_scalar_field_value
+from oracles import (GaussianBump, asymmetry_single_shot, euclidean_matrix_single_shot,
+                     generate_scenario_on_numpy_scalars, numpy_scalar_field_value)
 
 
 def doc_4v(**overrides):
@@ -44,6 +46,20 @@ class TestLoadScenario:
         assert s.graph.distance[0, 2] == pytest.approx(2.0)
         assert s.graph.distance[0, 3] == pytest.approx(2.0)
         assert s.graph.distance[1, 3] == pytest.approx(math.sqrt(5.0))
+
+    @pytest.mark.parametrize("entry, message", [
+        (10 ** 400, "distance_matrix must be finite, violated at (1,2)"),
+        (True, "distance_matrix[1][2] must be a number, got True"),
+        (None, "distance_matrix must be 4x4, distance_matrix[1] has 3 entries"),
+    ], ids=["huge-integer", "bool", "short-row"])
+    def test_an_explicit_matrix_entry_is_refused_by_name(self, entry, message):
+        d = [[float(abs(i - j)) for j in range(4)] for i in range(4)]
+        if entry is None:
+            del d[1][3]
+        else:
+            d[1][2] = entry
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            load_scenario(json.dumps(doc_4v(distance_matrix=d)))
 
     def test_alpha_must_be_below_robot_count(self):
         with pytest.raises(ScenarioError, match="alpha must be < 2"):
@@ -179,6 +195,31 @@ class TestMetricGraph:
         base[0, 2] = 50.0
         assert graph.distance[0, 2] == 2.0
         assert verify_metric(graph).ok
+
+    def test_a_position_built_matrix_is_the_only_n_by_n_float_array(self):
+        n, block = 300, 8 * rmop.graph._BLOCK
+        verts = uniform_vertices(n, seed=8)
+        # The kept matrix, the n x n booleans of its finiteness test, at most two row blocks
+        # and under 256 bytes per vertex of position lists. Whole-array arithmetic on dx and
+        # dy would add two n x n float buffers.
+        bound = 8 * n * n + n * n + 2 * block + 256 * n
+        assert traced_peak(lambda: MetricGraph(verts)) <= bound
+
+    def test_an_explicit_document_is_read_and_checked_in_row_blocks(self):
+        n, block = 300, 8 * rmop.graph._BLOCK
+        verts = uniform_vertices(n, seed=9)
+        d = MetricGraph(verts).distance.copy()
+        d[0, 1] = d[1, 0] = np.nextafter(d[0, 1], np.inf)  # not Euclidean: every scan runs
+        doc = {"vertices": [{"id": v.id, "x": v.x, "y": v.y, "reward": v.reward} for v in verts],
+               "distance_matrix": d.tolist(), "starts": [0], "budget": 1.0, "alpha": 0,
+               "reward_kind": "modular"}
+        # Two n x n float arrays at a time: the matrix read from the document and the graph's
+        # copy of it, then the kept matrix and the triangle screen's buffer. Add two sets of
+        # n x n booleans, four row blocks and under 1 KB per vertex of Vertex objects. Rows
+        # collected as lists, d - d.T, or a whole Euclidean matrix to compare against would
+        # each add an n x n array more.
+        bound = 2 * 8 * n * n + 2 * n * n + 4 * block + 1024 * n
+        assert traced_peak(lambda: scenario_from_document(doc)) <= bound
 
     @pytest.mark.parametrize("ids", [(5, 7), (1, 0), (0, 0), (0, 2)], ids=str)
     def test_vertex_ids_must_be_dense(self, ids):
@@ -335,6 +376,30 @@ def spy_triangle_violations(monkeypatch):
     monkeypatch.setattr(rmop.graph, "_triangle_violations",
                         lambda d, rows, tol: checked.append(list(rows)) or real(d, checked[-1], tol))
     return checked
+
+
+def spy_euclidean_blocks(monkeypatch):
+    """Record len(vertices) of every walk over the Euclidean matrix's row blocks."""
+    real, calls = rmop.graph._euclidean_blocks, []
+    monkeypatch.setattr(rmop.graph, "_euclidean_blocks",
+                        lambda vs, out=None: calls.append(len(vs)) or real(vs, out))
+    return calls
+
+
+def uniform_vertices(n, seed):
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(0.0, 90.0, (n, 2)).tolist()
+    return [Vertex(i, x, y, 1.0) for i, (x, y) in enumerate(pos)]
+
+
+def traced_peak(call):
+    """Peak bytes that tracemalloc traces while `call()` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def map_positions(layout, n, scale, rng):
@@ -504,10 +569,39 @@ class TestVerifyMetric:
         assert d.tobytes() == d.T.copy().tobytes()
         assert verify_metric(graph) == MetricReport()
 
+    @pytest.mark.parametrize("scale", [1.0, 1e154, 1e308])
+    def test_euclidean_matrix_in_row_blocks_is_the_single_shot_matrix(self, scale):
+        # Up to `edge` vertices the matrix is one block; edge + 1 adds a one-row block, 300
+        # ends in a short block and 1000 in a full one. At 1e154 squares overflow to inf, at
+        # 1e308 differences do.
+        edge = math.isqrt(rmop.graph._BLOCK)
+        rng = np.random.default_rng(5)
+        for n in (1, edge - 1, edge, edge + 1, 300, 1000):
+            pos = rng.uniform(-1.0, 1.0, size=(n, 2)) * scale
+            verts = [Vertex(i, x, y) for i, (x, y) in enumerate(pos.tolist())]
+            expected = euclidean_matrix_single_shot(verts)
+            assert rmop.graph._euclidean_matrix(verts).tobytes() == expected.tobytes()
+            assert np.isinf(expected).any() == (scale > 1.0 and n > 1)
+
+    @pytest.mark.parametrize("row", [0, 150, 299])
+    def test_a_matrix_one_ulp_off_in_any_row_block_is_not_euclidean(self, row):
+        verts = uniform_vertices(300, seed=6)
+        d = MetricGraph(verts).distance.copy()
+        assert MetricGraph(verts, d).euclidean
+        d[row, 299 - row] = np.nextafter(d[row, 299 - row], np.inf)
+        assert not MetricGraph(verts, d).euclidean
+
+    def test_asymmetry_in_several_row_blocks_is_reported_as_the_whole_scan_does(self):
+        verts = uniform_vertices(300, seed=7)
+        d = MetricGraph(verts).distance.copy()
+        for i, j in [(298, 299), (290, 100), (1, 290), (140, 141)]:
+            d[i, j] += 1.0
+        report = verify_metric(MetricGraph(verts, d))
+        assert report.asymmetry == ((1, 290), (100, 290), (140, 141), (298, 299))
+        assert report.asymmetry == asymmetry_single_shot(d, rmop.graph.METRIC_TOL)
+
     def test_a_position_built_map_builds_its_matrix_once(self, monkeypatch):
-        real, calls = rmop.graph._euclidean_matrix, []
-        monkeypatch.setattr(rmop.graph, "_euclidean_matrix",
-                            lambda vs: calls.append(len(vs)) or real(vs))
+        calls = spy_euclidean_blocks(monkeypatch)
         s = generate_scenario(30, 2, 1, 60.0, seed=4)
         assert load_scenario(dump_scenario(s)).graph.euclidean
         assert calls == [30, 30]  # one per MetricGraph(vertices): no check rebuilds it
@@ -515,9 +609,7 @@ class TestVerifyMetric:
     def test_a_callers_matrix_is_compared_once_at_construction(self, monkeypatch):
         verts = [Vertex(i, float(i % 3), float(i // 3), 1.0) for i in range(7)]
         mat = MetricGraph(verts).distance.copy()
-        real, calls = rmop.graph._euclidean_matrix, []
-        monkeypatch.setattr(rmop.graph, "_euclidean_matrix",
-                            lambda vs: calls.append(len(vs)) or real(vs))
+        calls = spy_euclidean_blocks(monkeypatch)
         s = Scenario(MetricGraph(verts, mat), starts=(0,), budget=1.0, alpha=0)
         assert s.graph.euclidean and calls == [7]
         assert verify_metric(s.graph).ok
@@ -686,8 +778,9 @@ class TestGenerateScenario:
         for _ in range(100):
             bumps = [GaussianBump(*b)
                      for b in rng.uniform([0, 0, 0.9, 10], [90, 90, 1, 14], (4, 4)).tolist()]
+            terms = [(b.cx, b.cy, b.amplitude, 2.0 * b.sigma ** 2) for b in bumps]
             points = rng.uniform(0.0, rmop.graph.AREA_SIDE, size=(300, 2))
-            assert ([_field_value(bumps, x, y) for x, y in points.tolist()]
+            assert ([_field_value(terms, x, y) for x, y in points.tolist()]
                     == [numpy_scalar_field_value(bumps, x, y) for x, y in points])
 
     def test_same_seed_is_byte_identical(self):
