@@ -25,7 +25,7 @@ import numpy as np
 
 METRIC_TOL = 1e-9
 AREA_SIDE = 90.0
-_BLOCK = 2 ** 13  # entries in a row block of an n x n matrix: 64 KB of floats
+_BLOCK = 2 ** 14  # entries in a row block of an n x n matrix: 128 KB of floats
 # Over 10x below the coordinate span up to which verify_metric proves no triangle violation.
 _CERTIFIED_SPAN = METRIC_TOL / (128 * np.finfo(float).eps)
 
@@ -80,8 +80,8 @@ class MetricGraph:
     Vertex numbers are stored as `float` and ids and cells as `int` (`operator.index`), as
     a document reloads them. Without a `distance` matrix the graph builds the pairwise
     Euclidean one of its positions. `euclidean` is set at construction: the matrix is bit
-    for bit that Euclidean one, and a dumped document then omits it. Besides the matrix it
-    keeps, construction allocates n x n booleans and 64 KB row blocks (`_euclidean_blocks`).
+    for bit that Euclidean one, and a dumped document then omits it. Construction builds that
+    one in the array it keeps, copies a caller's matrix over it, and allocates n x n booleans.
     """
 
     vertices: tuple[Vertex, ...]
@@ -132,10 +132,13 @@ class MetricGraph:
         _check_total((seen[cell][0] for cell in sorted(seen)), "cell weights")
         _check_total((v.reward for v in vertices), "vertex rewards")
         built = self.distance is None
-        mat = (_euclidean_matrix(vertices) if built  # else a copy: the caller keeps theirs
-               else np.array(self.distance, dtype=float, order="C"))
-        if mat.shape != (n, n):
-            raise ScenarioError(f"distance_matrix must be {n}x{n}, got shape {mat.shape}")
+        given = None if built else np.asarray(self.distance, dtype=float)
+        if not built and given.shape != (n, n):
+            raise ScenarioError(f"distance_matrix must be {n}x{n}, got shape {given.shape}")
+        mat = _euclidean_matrix(vertices)
+        euclidean = built or np.array_equal(given, mat)
+        if not built:
+            np.copyto(mat, given)  # the graph owns its array: the caller's is never written to
         if not np.isfinite(mat).all():
             i, j = np.argwhere(~np.isfinite(mat))[0]
             raise ScenarioError(
@@ -144,8 +147,7 @@ class MetricGraph:
         mat.setflags(write=False)
         object.__setattr__(self, "vertices", tuple(vertices))
         object.__setattr__(self, "distance", mat)
-        object.__setattr__(self, "euclidean", built or all(
-            np.array_equal(block, mat[rows]) for rows, block in _euclidean_blocks(vertices)))
+        object.__setattr__(self, "euclidean", euclidean)
 
     @property
     def n(self) -> int:
@@ -165,31 +167,22 @@ def _row_blocks(n: int) -> list[slice]:
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def _euclidean_blocks(vertices: Sequence[Vertex], out: Optional[np.ndarray] = None):
-    """(rows, their distances) for each row block of the Euclidean matrix of the positions.
+def _euclidean_matrix(vertices: Sequence[Vertex]) -> np.ndarray:
+    """Pairwise distances, bit for bit the whole-array formula; a pair too far apart gets inf.
 
-    A block is written into `out[rows]`, or into a new array without `out`, by the whole-array
-    operations in their order, so bit for bit; a pair too far apart for a float gets inf.
-    One more block, allocated once, holds dy.
+    Computed in row blocks: allocates the n x n result and one 128 KB block for dy.
     """
     x, y = np.array([[v.x, v.y] for v in vertices], dtype=float).reshape(-1, 2).T
+    mat = np.empty((len(x), len(x)))
     blocks = _row_blocks(len(x))
     dys = np.empty((blocks[0].stop if blocks else 0, len(x)))  # the first block is the largest
-    for rows in blocks:
-        with np.errstate(over="ignore"):
-            block = np.subtract(x[rows, None], x, out=None if out is None else out[rows])
+    with np.errstate(over="ignore"):
+        for rows in blocks:
+            block = np.subtract(x[rows, None], x, out=mat[rows])
             dy = np.subtract(y[rows, None], y, out=dys[:len(block)])
             block *= block
             block += np.square(dy, out=dy)
             np.sqrt(block, out=block)
-        yield rows, block
-
-
-def _euclidean_matrix(vertices: Sequence[Vertex]) -> np.ndarray:
-    """Pairwise distances of the positions: allocates the n x n result and 64 KB blocks."""
-    mat = np.empty((len(vertices), len(vertices)))
-    for _ in _euclidean_blocks(vertices, mat):
-        pass
     return mat
 
 
@@ -266,14 +259,12 @@ class MetricReport:
 
 
 def _triangle_rows(d: np.ndarray, tol: float) -> Sequence[int]:
-    """Rows that may hold a triangle violation: all of them unless d is symmetric.
+    """Rows of the exactly symmetric matrix d that may hold a triangle violation.
 
-    Then (i, j, k) is a violation iff (k, j, i) is, and rounding is monotone, so flagging
+    (i, j, k) is a violation iff (k, j, i) is, and rounding is monotone, so flagging
     rows i and k wherever d[i,k] > min_j(d[i,j] + d[j,k]) + tol, i < k, misses none.
     """
     n = len(d)
-    if not np.array_equal(d, d.T):
-        return range(n)
     buf = np.empty_like(d)
     hit = np.zeros((n, n), dtype=bool)
     for k in range(1, n):
@@ -313,9 +304,9 @@ def verify_metric(graph: MetricGraph) -> MetricReport:
          with E_ij + E_jk <= 2√2 span: only if span >= ~METRIC_TOL / (8√2 eps) ~ 4e5.
     2. O(|V|^2) scans for sign, diagonal and symmetry, then an exact triangle check, in
        O(|V|^2) memory, of the rows a screen flags: O(|V|^3). The screen, about a third
-       of the arithmetic, runs on exactly symmetric matrices; on any other matrix every
-       row is checked.
-    Memory: the certificate allocates nothing of size n; the scans n x n booleans and 64 KB
+       of the arithmetic, runs on matrices the symmetry scan found exactly symmetric; on
+       any other matrix every row is checked.
+    Memory: the certificate allocates nothing of size n; the scans n x n booleans and 128 KB
     row blocks; the screen an n x n float buffer; the exact check n x n arrays per row.
     """
     xs, ys = [v.x for v in graph.vertices], [v.y for v in graph.vertices]
@@ -328,13 +319,15 @@ def verify_metric(graph: MetricGraph) -> MetricReport:
     with np.errstate(over="ignore"):
         negative = tuple((int(i), int(j)) for i, j in np.argwhere(d < -tol))
         diagonal = tuple(int(i) for i in np.flatnonzero(np.abs(np.diagonal(d)) > tol))
-        asymmetry = []
+        asymmetry, symmetric = [], True
         for rows in _row_blocks(len(d)):
-            diff = d[rows] - d[:, rows].T
+            diff = d[rows] - d[:, rows].T  # d is finite: 0 exactly where d[i,j] == d[j,i]
+            symmetric = symmetric and not diff.any()
             asymmetry += [(rows.start + i, j) for i, j in
                           np.argwhere(np.abs(diff, out=diff) > tol).tolist() if rows.start + i < j]
+        suspects = _triangle_rows(d, tol) if symmetric else range(len(d))
         return MetricReport(negative=negative, diagonal=diagonal, asymmetry=tuple(asymmetry),
-                            triangle=_triangle_violations(d, _triangle_rows(d, tol), tol))
+                            triangle=_triangle_violations(d, suspects, tol))
 
 
 def path_cost(graph: MetricGraph, vertices: Sequence[int]) -> float:
@@ -362,14 +355,14 @@ def _field_name(where: str, key: Union[str, int]) -> str:
 
 
 def _number(value, where: str, key: Union[str, int]) -> float:
-    """A JSON number as a float; integers too large for a float become inf."""
+    """A JSON number as a float; integers too large for a float become inf or -inf."""
     if type(value) is not int and type(value) is not float:
         raise ScenarioError(
             f"{_field_name(where, key)} must be a number, got {reprlib.repr(value)}")
     try:
         return float(value)
-    except OverflowError:
-        return math.inf
+    except OverflowError:  # math.copysign would overflow on the same integer
+        return -math.inf if value < 0 else math.inf
 
 
 def read_field(obj: Union[dict, list], key: Union[str, int], kind: type, where: str = "",

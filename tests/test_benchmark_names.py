@@ -6,6 +6,7 @@ only in a long benchmark run. This check reads the same names and fails in
 well under a second.
 """
 
+import ast
 import importlib
 import inspect
 import json
@@ -13,7 +14,8 @@ import pathlib
 
 import pytest
 
-BENCHMARK = pathlib.Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+BENCHMARK = ROOT / "BENCHMARK.json"
 # Per-layer names of stages, not functions: the pool stage and graph set-up.
 STAGES = {"pool", "setup"}
 # Functions the harness calls or reads arguments of directly: (module, name, leading
@@ -66,3 +68,15 @@ def test_bound_function_keeps_its_signature(layer, name, params):
     assert len(actual) == len(params)
     for want, got in zip(params, actual):
         assert want is None or want == got, (name, actual)
+
+
+def test_every_plan_call_fits_the_harness_wrapper():
+    # The harness rebinds `bench.plan` to a wrapper taking (name, scenario, solver), so a
+    # call with another argument would fail every benchmark sweep and no tier-1 test.
+    calls = [(path.name, node.lineno, len(node.args), len(node.keywords))
+             for path in sorted((ROOT / "src" / "rmop").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and "plan" in (getattr(node.func, "id", None),
+                                                         getattr(node.func, "attr", None))]
+    assert calls, "no call of plan found"
+    assert [c for c in calls if c[2:] != (3, 0)] == []

@@ -49,9 +49,10 @@ class TestLoadScenario:
 
     @pytest.mark.parametrize("entry, message", [
         (10 ** 400, "distance_matrix must be finite, violated at (1,2)"),
+        (-10 ** 400, "distance_matrix must be finite, violated at (1,2)"),
         (True, "distance_matrix[1][2] must be a number, got True"),
         (None, "distance_matrix must be 4x4, distance_matrix[1] has 3 entries"),
-    ], ids=["huge-integer", "bool", "short-row"])
+    ], ids=["huge-integer", "huge-negative-integer", "bool", "short-row"])
     def test_an_explicit_matrix_entry_is_refused_by_name(self, entry, message):
         d = [[float(abs(i - j)) for j in range(4)] for i in range(4)]
         if entry is None:
@@ -60,6 +61,16 @@ class TestLoadScenario:
             d[1][2] = entry
         with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
             load_scenario(json.dumps(doc_4v(distance_matrix=d)))
+
+    @pytest.mark.parametrize("field, message", [
+        ("budget", "non-finite budget: budget is -inf"),
+        ("x", "non-finite x: vertices[0].x is -inf"),
+    ], ids=["budget", "x"])
+    def test_a_huge_negative_integer_reads_as_minus_inf(self, field, message):
+        doc = doc_4v()
+        (doc if field == "budget" else doc["vertices"][0])[field] = -10 ** 400
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            load_scenario(json.dumps(doc))
 
     def test_alpha_must_be_below_robot_count(self):
         with pytest.raises(ScenarioError, match="alpha must be < 2"):
@@ -195,6 +206,15 @@ class TestMetricGraph:
         base[0, 2] = 50.0
         assert graph.distance[0, 2] == 2.0
         assert verify_metric(graph).ok
+
+    def test_a_callers_matrix_is_kept_bit_for_bit(self):
+        verts = uniform_vertices(5, seed=10)
+        d = MetricGraph(verts).distance.copy()
+        np.fill_diagonal(d, -0.0)  # == the Euclidean matrix, but not bit for bit
+        graph = MetricGraph(verts, d)
+        assert graph.euclidean
+        assert graph.distance.tobytes() == d.tobytes()
+        assert d.flags.writeable
 
     def test_a_position_built_matrix_is_the_only_n_by_n_float_array(self):
         n, block = 300, 8 * rmop.graph._BLOCK
@@ -378,11 +398,11 @@ def spy_triangle_violations(monkeypatch):
     return checked
 
 
-def spy_euclidean_blocks(monkeypatch):
-    """Record len(vertices) of every walk over the Euclidean matrix's row blocks."""
-    real, calls = rmop.graph._euclidean_blocks, []
-    monkeypatch.setattr(rmop.graph, "_euclidean_blocks",
-                        lambda vs, out=None: calls.append(len(vs)) or real(vs, out))
+def spy_euclidean_matrix(monkeypatch):
+    """Record len(vertices) of every build of the Euclidean matrix."""
+    real, calls = rmop.graph._euclidean_matrix, []
+    monkeypatch.setattr(rmop.graph, "_euclidean_matrix",
+                        lambda vs: calls.append(len(vs)) or real(vs))
     return calls
 
 
@@ -481,11 +501,13 @@ class TestVerifyMetric:
         verts = tuple(Vertex(v, 0.0, 0.0, 0.0) for v in range(n))
         with pytest.MonkeyPatch.context() as mp:
             seen = spy_triangle_rows(mp)
+            checked = spy_triangle_violations(mp)
             report = verify_metric(MetricGraph(verts, d))
             expected = full_broadcast_triangle(d)
         assert report.triangle == expected
         if fault == "ulp_asymmetry":
-            assert seen == [list(range(n))]
+            # An asymmetric matrix skips the screen: every row goes to the exact check.
+            assert seen == [] and checked == [list(range(n))]
         elif fault != "diagonal":
             # Zero diagonal: the screen flags exactly the rows that hold a violation.
             assert seen == [sorted({i for i, _, _ in expected})]
@@ -496,11 +518,12 @@ class TestVerifyMetric:
         checked = spy_triangle_violations(monkeypatch)
         s = generate_scenario(300, 10, 3, 60.0, layout=layout, bumps=3, seed=1)
         assert seen == [] and checked == []
-        # One ulp of asymmetry, far below METRIC_TOL, sends every row to the exact check.
+        # One ulp of asymmetry, far below METRIC_TOL, skips the screen and sends every row
+        # to the exact check.
         d = s.graph.distance.copy()
         d[0, 1] = np.nextafter(d[0, 1], np.inf)
         assert verify_metric(MetricGraph(s.graph.vertices, d)).ok
-        assert seen == checked == [list(range(300))]
+        assert seen == [] and checked == [list(range(300))]
 
     @pytest.mark.parametrize("layout", ["grid", "uniform"])
     @pytest.mark.parametrize("scale", [1e-6, 1.0, rmop.graph.AREA_SIDE,
@@ -571,8 +594,8 @@ class TestVerifyMetric:
 
     @pytest.mark.parametrize("scale", [1.0, 1e154, 1e308])
     def test_euclidean_matrix_in_row_blocks_is_the_single_shot_matrix(self, scale):
-        # Up to `edge` vertices the matrix is one block; edge + 1 adds a one-row block, 300
-        # ends in a short block and 1000 in a full one. At 1e154 squares overflow to inf, at
+        # Up to `edge` vertices the matrix is one block, edge + 1 splits into two, and 300
+        # and 1000 end in a short block. At 1e154 squares overflow to inf, at
         # 1e308 differences do.
         edge = math.isqrt(rmop.graph._BLOCK)
         rng = np.random.default_rng(5)
@@ -582,6 +605,13 @@ class TestVerifyMetric:
             expected = euclidean_matrix_single_shot(verts)
             assert rmop.graph._euclidean_matrix(verts).tobytes() == expected.tobytes()
             assert np.isinf(expected).any() == (scale > 1.0 and n > 1)
+
+    def test_row_blocks_fit_the_workloads_maps(self):
+        # The 64-vertex coverage map and the 96-vertex crossover grid are one block each.
+        assert rmop.graph._row_blocks(64) == [slice(0, 64)]
+        assert rmop.graph._row_blocks(96) == [slice(0, 96)]
+        assert all((b.stop - b.start) * 300 <= rmop.graph._BLOCK
+                   for b in rmop.graph._row_blocks(300))
 
     @pytest.mark.parametrize("row", [0, 150, 299])
     def test_a_matrix_one_ulp_off_in_any_row_block_is_not_euclidean(self, row):
@@ -601,7 +631,7 @@ class TestVerifyMetric:
         assert report.asymmetry == asymmetry_single_shot(d, rmop.graph.METRIC_TOL)
 
     def test_a_position_built_map_builds_its_matrix_once(self, monkeypatch):
-        calls = spy_euclidean_blocks(monkeypatch)
+        calls = spy_euclidean_matrix(monkeypatch)
         s = generate_scenario(30, 2, 1, 60.0, seed=4)
         assert load_scenario(dump_scenario(s)).graph.euclidean
         assert calls == [30, 30]  # one per MetricGraph(vertices): no check rebuilds it
@@ -609,7 +639,7 @@ class TestVerifyMetric:
     def test_a_callers_matrix_is_compared_once_at_construction(self, monkeypatch):
         verts = [Vertex(i, float(i % 3), float(i // 3), 1.0) for i in range(7)]
         mat = MetricGraph(verts).distance.copy()
-        calls = spy_euclidean_blocks(monkeypatch)
+        calls = spy_euclidean_matrix(monkeypatch)
         s = Scenario(MetricGraph(verts, mat), starts=(0,), budget=1.0, alpha=0)
         assert s.graph.euclidean and calls == [7]
         assert verify_metric(s.graph).ok
