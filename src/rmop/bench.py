@@ -17,7 +17,7 @@ import numpy as np
 
 from .graph import (Path, Scenario, ScenarioError, check_keys, generate_scenario, load_scenario,
                     read_document, read_field, read_ints, resample_starts)
-from .reward import RewardModel, team_curvature, vertex_curvature
+from .reward import IncrementalEval, RewardModel, team_curvature, vertex_curvature
 from .orienteering import SUBROUTINES, OpSolverConfig
 from .planner import Solution, solve_rmop, solve_sga
 from .attack import ATTACK_MODELS, run_attack
@@ -39,7 +39,8 @@ def naive_greedy_baseline(scenario: Scenario) -> list[Path]:
     robots, so identical starts produce identical paths.
     """
     dist = scenario.graph.distance.tolist()
-    order = np.argsort(-RewardModel.from_scenario(scenario).single, kind="stable").tolist()
+    model = RewardModel.from_scenario(scenario)
+    order = np.argsort(-IncrementalEval(model).gains(np.arange(model.n)), kind="stable").tolist()
     paths = []
     for robot, start in enumerate(scenario.starts):
         route = [start]

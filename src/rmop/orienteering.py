@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import METRIC_TOL, MetricGraph, Path
+from .graph import MetricGraph, Path
 from .reward import IncrementalEval, RewardModel
 
 # Approximation factor credited to the cost-benefit greedy when budgets may
@@ -67,18 +67,15 @@ def solve_op_exact(graph: MetricGraph, model: RewardModel, start: int, budget: f
                    robot: int = 0) -> Path:
     """Maximum-reward rooted path within budget, by depth-first enumeration.
 
-    Prunes branches whose remaining reachable reward cannot beat the
-    incumbent (singleton sums upper-bound marginal gains). Ties break to the
-    lexicographically smallest vertex sequence: the search visits rooted
-    sequences in lexicographic pre-order (children in ascending id), so the
-    first of equal value is the smallest. Guarded to small graphs.
+    Ties break to the lexicographically smallest vertex sequence: the search
+    visits rooted sequences in lexicographic pre-order (children in ascending
+    id), so the first of equal value is the smallest. Guarded to small graphs.
 
-    The bound counts every vertex within `remaining` + |V| (METRIC_TOL + 4
-    ulp(budget)) of the route's end. A vertex reached over k <= |V| - 1 edges
-    lies past `remaining` by at most: k - 1 triangles, each broken by at most
-    METRIC_TOL plus about 2u budget of rounding in its check (u = eps/2 <
-    ulp(budget) / budget), and k + 1 more u budget from folding the costs and
-    taking `remaining`; the slack covers that and its own rounding.
+    A child is skipped when an earlier sequence reached the same vertex set,
+    ending at the same vertex, at no higher folded cost. Float addition is
+    monotone and a set's value depends on the set alone, so every completion
+    of the skipped sequence also completes the earlier one, which comes first
+    in pre-order: the first maximal sequence is never skipped.
     """
     _check_problem(graph, model, start, budget)
     if graph.n > EXACT_SIZE_LIMIT:
@@ -86,45 +83,35 @@ def solve_op_exact(graph: MetricGraph, model: RewardModel, start: int, budget: f
             f"exact solver refuses |V|={graph.n} > {EXACT_SIZE_LIMIT}; use the gcb method")
     n = graph.n
     dist = graph.distance.tolist()
-    singles = model.single.tolist()
     ev = IncrementalEval(model)
     ev.add(start)
 
-    slack = n * (METRIC_TOL + 4 * math.ulp(budget))
     best_seq, best_reward = [start], -math.inf  # the root replaces them
     seq = [start]
-    visited = [False] * n
-    visited[start] = True
+    cheapest: dict[int, float] = {}  # visited * n + last: the lowest cost it was searched from
 
-    def dfs(cost: float) -> None:
+    def dfs(visited: int, cost: float) -> None:
         nonlocal best_seq, best_reward
         value = ev.value
         if value > best_reward:
             best_seq = list(seq)
             best_reward = value
         last = seq[-1]
-        reach = budget - cost + slack
-        bound = value
         for v in range(n):
-            if not visited[v] and singles[v] > 0.0 and dist[last][v] <= reach:
-                bound += singles[v]
-        if bound < best_reward:
-            return
-        for v in range(n):
-            if visited[v]:
+            if visited >> v & 1:
                 continue
-            step = dist[last][v]
-            if cost + step > budget:
+            reached = cost + dist[last][v]
+            state = (visited | 1 << v) * n + v
+            if reached > budget or cheapest.get(state, math.inf) <= reached:
                 continue
-            visited[v] = True
+            cheapest[state] = reached
             seq.append(v)
             ev.add(v)
-            dfs(cost + step)
+            dfs(visited | 1 << v, reached)
             ev.remove(v)
             seq.pop()
-            visited[v] = False
 
-    dfs(0.0)
+    dfs(1 << start, 0.0)
     return Path(robot=robot, vertices=tuple(best_seq), cost=graph.route_cost(best_seq))
 
 

@@ -10,13 +10,14 @@ which is how sequential planners hand "already collected" state to the next
 robot. Models are immutable; a masked variant shares its parent's weight
 vector and copies only the vertex × slot array.
 
-A model is its array form, `weight`, `slots` and `single`, and every value is
-summed by ascending cell id, so values, gains and curvatures agree to the last bit.
+A model is its array form, `weight` and `slots`, and every value is summed by
+ascending cell id, so values, gains and curvatures agree to the last bit. A
+vertex's singleton reward is its gain from the empty set, `IncrementalEval.gains`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,8 +38,7 @@ class RewardModel:
     """Weighted coverage in read-only array form: cells renumbered 0..C-1 by ascending id.
 
     `weight[C]` is a zero-weight sentinel. Row v of `slots` lists vertex v's cells in
-    ascending order, padded with C to a width of at least 1; `single[v]` is the reward
-    of v alone.
+    ascending order, padded with C to a width of at least 1.
 
     Models come from `from_scenario`, which reads the cells the scenario's MetricGraph
     already typed and checked, and `with_masked` derives from such a model; neither
@@ -47,11 +47,9 @@ class RewardModel:
 
     weight: np.ndarray
     slots: np.ndarray
-    single: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "single", _totals(self.weight[self.slots]))
-        for array in (self.weight, self.slots, self.single):
+        for array in (self.weight, self.slots):
             array.setflags(write=False)
 
     @property

@@ -17,6 +17,10 @@ own cell list. They read the raw per-vertex cells a model is built from,
 never the model. The array evaluators must match them exactly on integer
 weights, and to within a few ulps on fractional ones.
 
+And the exhaustive single-robot solver as it would be with no pruning: every
+rooted sequence within budget, in lexicographic pre-order. `solve_op_exact`
+prunes by state dominance, and must return the same path, bit for bit.
+
 And the scenario generator as it was before it computed on Python floats:
 positions, rewards and cell weights read one numpy scalar at a time, with its
 own copy of the importance field. `generate_scenario` must dump the same bytes.
@@ -231,6 +235,43 @@ def solve_op_gcb_rescan(graph: MetricGraph, model: RewardModel, start: int, budg
     if best_single is not None and best_single_reward > greedy_reward:
         return Path(robot=robot, vertices=(start, best_single), cost=dist[start][best_single])
     return Path(robot=robot, vertices=tuple(route), cost=route_cost)
+
+
+def solve_op_exact_unpruned(graph: MetricGraph, model: RewardModel, start: int, budget: float,
+                            robot: int = 0) -> Path:
+    """Maximum-reward rooted path within budget, searching every rooted sequence.
+
+    Children go in ascending id, and a child is searched when cost + step <= budget,
+    so the first sequence of the greatest value is the lexicographically smallest.
+    """
+    _check_problem(graph, model, start, budget)
+    n = graph.n
+    dist = graph.distance.tolist()
+    ev = IncrementalEval(model)
+    ev.add(start)
+    best_seq, best_reward = [start], -math.inf
+    seq = [start]
+    visited = [False] * n
+    visited[start] = True
+
+    def dfs(cost: float) -> None:
+        nonlocal best_seq, best_reward
+        if ev.value > best_reward:
+            best_seq, best_reward = list(seq), ev.value
+        last = seq[-1]
+        for v in range(n):
+            if visited[v] or cost + dist[last][v] > budget:
+                continue
+            visited[v] = True
+            seq.append(v)
+            ev.add(v)
+            dfs(cost + dist[last][v])
+            ev.remove(v)
+            seq.pop()
+            visited[v] = False
+
+    dfs(0.0)
+    return Path(robot=robot, vertices=tuple(best_seq), cost=_fold_cost(dist, best_seq))
 
 
 def dict_eval_vertex_set(cells, ids) -> float:

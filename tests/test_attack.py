@@ -71,6 +71,8 @@ class TestWorstCaseAttack:
         model, solution = disjoint_solution()
         with pytest.raises(ValueError, match="attack size"):
             worst_case_attack(model, solution, 3)
+        with pytest.raises(ValueError, match="must be non-negative"):
+            worst_case_attack(model, solution, -1)
 
     def test_enumeration_guard(self):
         # C(24, 12) = 2,704,156 removal subsets is above SUBSET_GUARD, so the

@@ -43,12 +43,16 @@ SCENARIO_CASES = [
     ("cell-with-two-weights", ("vertices", 1, "coverage"), [[0, 2.0]]),
     ("cell-repeated-in-one-vertex", ("vertices", 0, "coverage"), [[0, 1.0], [0, 1.0]]),
     ("far-apart-x", ("vertices", 1, "x"), 1e300),
+    ("no-vertices", ("vertices",), []),
+    ("two-row-matrix", ("distance_matrix",), [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0]]),
 ]
 SOLUTION_CASES = [
     ("fractional-path-vertex", ("paths", 0, "vertices", 0), 0.5),
     ("bool-robot", ("paths", 0, "robot"), False),
     ("out-of-range-s1-robot", ("s1_robots",), [99]),
     ("negative-s1-robot", ("s1_robots",), [-1]),
+    ("missing-second-path", ("paths", 1), DELETE),
+    ("empty-s1-robots", ("s1_robots",), []),  # the planner put robot 1 alone in s2
 ]
 SPEC_CASES = [
     ("int-attack", ("attacks",), [1]),
@@ -63,6 +67,12 @@ SPEC_CASES = [
      {"model": "partial", "sizes": [1, 2], "planned_alpha": 1}),
     ("negative-seed", ("seed",), -1),
     ("negative-scenario-seed", ("scenario", "seed"), -2),
+    ("bogus-subroutine", ("subroutine",), "bogus"),
+    ("bogus-attack-model", ("attacks", 0, "model"), "bogus"),
+    ("path-with-params", ("scenario",), {"path": "scenario.json", "vertices": 3}),
+    ("negative-trials", ("trials",), -1),
+    ("zero-robots", ("scenario", "robots"), 0),
+    ("zero-bumps", ("scenario", "bumps"), 0),
     # Refused only once the base scenario is built: the spec's robots bound every attack.
     ("zero-vertices", ("scenario", "vertices"), 0),
     ("hex-layout", ("scenario", "layout"), "hex"),
@@ -74,6 +84,20 @@ SPEC_CASES = [
     ("planned-alpha-at-robot-count", ("attacks", 0),
      {"model": "partial", "sizes": [1], "planned_alpha": 3}),
 ]
+
+# The refusal each of these cases reaches, in words no other test checks.
+MESSAGES = {
+    "no-vertices": "at least one vertex",
+    "two-row-matrix": "got 2 rows",
+    "missing-second-path": "expected 2 paths, found 1",
+    "empty-s1-robots": "do not cover all robots",
+    "bogus-subroutine": "unknown subroutine 'bogus'",
+    "bogus-attack-model": "unknown attack model 'bogus'",
+    "path-with-params": "must contain only 'path'",
+    "negative-trials": "trials must be >= 0",
+    "zero-robots": "n_robots must be >= 1",
+    "zero-bumps": "bumps must be >= 1",
+}
 
 
 def mutated(doc, path, value):
@@ -138,6 +162,7 @@ def test_malformed_input_is_one_error_line(case, tmp_path, monkeypatch, capsys):
     prefix = "FAIL: " if command.startswith("verify") else "error: "
     assert len(lines) == 1 and lines[0].startswith(prefix), (out, err)
     assert f"{defective}: " in lines[0], lines[0]
+    assert MESSAGES.get(name, "") in lines[0], lines[0]
     if command in ("attack", "bench"):
         assert lines[0].startswith(f"error: {'r' if command == 'attack' else 'spec'}.json: "), \
             lines[0]

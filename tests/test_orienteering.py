@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from rmop.graph import (LAYOUTS, METRIC_TOL, REWARD_KINDS, MetricGraph, Vertex,
                         generate_scenario, path_cost, verify_metric)
-from rmop.reward import RewardModel, eval_vertex_set
+from rmop.reward import IncrementalEval, RewardModel, eval_vertex_set
 from rmop.orienteering import (EXACT_SIZE_LIMIT, GCB_ETA, OpSolverConfig, SizeGuardError,
                                solve_op, solve_op_exact, solve_op_gcb)
 
 from helpers import (line_instance, oracle_best_rooted_path, random_tiny_scenario, reward_model,
                      vertex_cells)
-from oracles import solve_op_gcb_rescan
+from oracles import solve_op_exact_unpruned, solve_op_gcb_rescan
 
 TOL = 1e-9
 
@@ -73,8 +73,8 @@ class TestExactSolver:
 
     def test_vertex_exactly_the_remaining_budget_away_is_reachable(self):
         # 0 -> 1 earns 5 first. At vertex 2 (cost 1, value 1) only vertex 3, exactly
-        # the remaining 3 away, can beat that: the bound must count it, or the
-        # optimum 0 -> 2 -> 3 (value 11, cost 4) is pruned for 0 -> 3 (value 10).
+        # the remaining 3 away, can beat that: no pruning may lose it, or the
+        # optimum 0 -> 2 -> 3 (value 11, cost 4) is lost to 0 -> 3 (value 10).
         graph = MetricGraph([Vertex(0, 0.0, 0.0, 0.0), Vertex(1, -2.5, 0.0, 5.0),
                              Vertex(2, 1.0, 0.0, 1.0), Vertex(3, 4.0, 0.0, 10.0)])
         path = solve_op_exact(graph, reward_model([0.0, 5.0, 1.0, 10.0]), 0, 4.0)
@@ -83,8 +83,8 @@ class TestExactSolver:
     def test_vertex_past_the_remaining_budget_by_the_metric_tolerance_is_reachable(self):
         # Line 0, -7, 2, 6, 10 with d(2,4) and d(0,4) raised by METRIC_TOL / 2, which
         # verify_metric accepts. Under the incumbent 0 -> 1 (50), at 0 -> 2 vertex 4 is
-        # 8 + 0.5e-9 away with 8 left, yet reachable through 3: the bound must count it,
-        # or the optimum 0 -> 2 -> 3 -> 4 (102) is pruned for 0 -> 3 -> 4 (101).
+        # 8 + 0.5e-9 away with 8 left, yet reachable through 3: no pruning may lose it,
+        # or the optimum 0 -> 2 -> 3 -> 4 (102) is lost to 0 -> 3 -> 4 (101).
         rewards = [0.0, 50.0, 1.0, 1.0, 100.0]
         vertices = [Vertex(i, x, 0.0, r)
                     for i, (x, r) in enumerate(zip([0.0, -7.0, 2.0, 6.0, 10.0], rewards))]
@@ -95,6 +95,34 @@ class TestExactSolver:
         assert verify_metric(graph).ok
         path = solve_op_exact(graph, reward_model(rewards), 0, 10.0)
         assert (path.vertices, path.cost) == ((0, 2, 3, 4), 10.0)
+
+    def test_cheaper_later_arrival_at_a_searched_state_is_searched(self):
+        # 0 -> 1 -> 2 -> 3 (cost 5) and 0 -> 2 -> 1 -> 3 (cost 4) reach the same set at 3.
+        # Only the later, cheaper arrival leaves the 2 that vertex 4 (10) needs, and no
+        # order of all five vertices that starts 0 -> 1 fits the budget of 6.
+        dist = np.array([[0, 1, 1, 3, 5], [1, 0, 1, 2, 4], [1, 1, 0, 3, 5],
+                         [3, 2, 3, 0, 2], [5, 4, 5, 2, 0]], dtype=float)
+        graph = MetricGraph([Vertex(v, 0.0, 0.0) for v in range(5)], dist)
+        assert verify_metric(graph).ok
+        path = solve_op_exact(graph, reward_model([0.0, 1.0, 1.0, 1.0, 10.0]), 0, 6.0)
+        assert (path.vertices, path.cost) == ((0, 2, 1, 3, 4), 6.0)
+
+    def test_full_reach_searches_each_state_from_its_cheapest_arrivals(self, monkeypatch):
+        # Every vertex is in reach, so the 986,409 rooted sequences of 10 vertices all fit;
+        # one search per cheaper arrival at a (vertex set, last vertex) state is about 13k.
+        s = generate_scenario(10, 1, 0, 1000.0, layout="uniform", seed=0)
+        calls = 0
+        add = IncrementalEval.add
+
+        def counted(ev, v):
+            nonlocal calls
+            calls += 1
+            assert calls <= 50_000, "exact solver searched past 50,000 vertex additions"
+            add(ev, v)
+
+        monkeypatch.setattr(IncrementalEval, "add", counted)
+        path = solve_op_exact(s.graph, RewardModel.from_scenario(s), s.starts[0], s.budget)
+        assert sorted(path.vertices) == list(range(10))
 
     @pytest.mark.parametrize("start", [4, 9])  # 4 is the first id past the 4 vertices
     def test_invalid_start_rejected(self, start):
@@ -288,3 +316,51 @@ class TestGcbMatchesRescan:
                     path = solve_op_gcb(s.graph, m, start, budget)
                     assert path == solve_op_gcb_rescan(s.graph, m, start, budget)
                     assert type(path.cost) is float
+
+
+@st.composite
+def exact_problems(draw):
+    """(graph, model, start, budget) for the pruned-against-unpruned check.
+
+    An explicit matrix is the Euclidean or the Manhattan one with every off-diagonal
+    entry moved by up to METRIC_TOL, each side of the diagonal on its own, so some are
+    asymmetric or slightly negative. Weights may be divided by 3 and vertices masked. The budget is
+    the folded cost of a random rooted path through all but at most two vertices, so
+    that path fits to the last bit and most of the search runs near the budget.
+    """
+    n = draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pos = (rng.integers(0, 4, size=(n, 2)).astype(float) if draw(st.booleans())
+           else rng.uniform(0.0, 10.0, size=(n, 2)))
+    scale = draw(st.sampled_from([1.0, 3.0]))
+    if draw(st.sampled_from(REWARD_KINDS)) == "modular":
+        model = reward_model(rng.integers(1, 4, size=n) / scale)
+    else:
+        weight = rng.integers(1, 5, size=6) / scale
+        model = reward_model(cells=[[(c, weight[c]) for c in np.flatnonzero(row)]
+                                    for row in rng.random((n, 6)) < 0.4])
+    verts = [Vertex(v, x, y) for v, (x, y) in enumerate(pos)]
+    graph = MetricGraph(verts)
+    matrix = draw(st.sampled_from(["generated", "euclidean", "manhattan"]))
+    if matrix != "generated":
+        d = graph.distance if matrix == "euclidean" else abs(pos[:, None] - pos).sum(axis=2)
+        d = d + rng.uniform(-METRIC_TOL, METRIC_TOL, size=(n, n))
+        np.fill_diagonal(d, 0.0)
+        graph = MetricGraph(verts, d)
+    if draw(st.booleans()):
+        model = model.with_masked(np.flatnonzero(rng.random(n) < 0.3))
+    start = draw(st.integers(0, n - 1))
+    route = [start] + [v for v in rng.permutation(n).tolist() if v != start]
+    route = route[:max(1, n - draw(st.integers(0, 2)))]
+    return graph, model, start, max(0.0, graph.route_cost(route))  # a path may cost -1e-9
+
+
+class TestExactMatchesUnpruned:
+    """solve_op_exact returns, bit for bit, the path of the search that prunes nothing."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(exact_problems())
+    def test_random_maps(self, problem):
+        graph, model, start, budget = problem
+        assert (solve_op_exact(graph, model, start, budget, robot=2)
+                == solve_op_exact_unpruned(graph, model, start, budget, robot=2))

@@ -20,6 +20,11 @@ def path_of(robot, *vertices):
     return Path(robot=robot, vertices=tuple(vertices), cost=0.0)
 
 
+def singles(model):
+    """Each vertex's reward alone: its gain from the empty set."""
+    return IncrementalEval(model).gains(np.arange(model.n))
+
+
 def sequential_sum(weights):
     """Left to right from 0.0, the evaluators' order (Python 3.12's sum() compensates)."""
     total = 0.0
@@ -85,9 +90,9 @@ class TestEvalVertexSet:
         with pytest.raises(TypeError):
             reward_model(cells=[[(1.7, 2.0)]])
         m = reward_model(cells=[[(np.int64(2), np.float32(2.5)), (True, 1)]])
-        assert (m.weight.dtype, m.slots.dtype, m.single.dtype) == (np.float64, np.intp, np.float64)
+        assert (m.weight.dtype, m.slots.dtype, singles(m).dtype) == (np.float64, np.intp, np.float64)
         assert m.weight.tolist() == [1.0, 2.5, 0.0]  # True is cell 1, np.int64(2) cell 2
-        assert m.slots.tolist() == [[0, 1]] and m.single.tolist() == [3.5]
+        assert m.slots.tolist() == [[0, 1]] and singles(m).tolist() == [3.5]
 
 
 class TestFromScenario:
@@ -99,8 +104,8 @@ class TestFromScenario:
         generated = generate_scenario(n, 1, 0, 10.0, layout=layout, seed=seed, reward_kind=kind)
         model = RewardModel.from_scenario(generated)
         loaded = RewardModel.from_scenario(load_scenario(dump_scenario(generated)))
-        for name in ("weight", "slots", "single"):
-            got, want = getattr(loaded, name), getattr(model, name)
+        for got, want in ((loaded.weight, model.weight), (loaded.slots, model.slots),
+                          (singles(loaded), singles(model))):
             assert (got.dtype, got.shape) == (want.dtype, want.shape)
             assert got.tobytes() == want.tobytes()  # every bit: -0.0 is not 0.0
 
@@ -261,14 +266,14 @@ class TestIncrementalEval:
         assert ev._weight is m.weight and ev._slots is m.slots
         assert m.weight.tolist() == [2.0, 1.0, 3.0, 0.0]  # cells -2, 7, 40, then the sentinel
         assert m.slots.tolist() == [[1, 3], [0, 1], [2, 3]]
-        assert m.single.tolist() == [1.0, 3.0, 3.0]
+        assert singles(m).tolist() == [1.0, 3.0, 3.0]
         masked = m.with_masked([0])
         assert masked.weight is m.weight
         assert masked.slots.tolist() == [[3, 3], [0, 1], [2, 3]]
-        assert masked.single.tolist() == [0.0, 3.0, 3.0]
+        assert singles(masked).tolist() == [0.0, 3.0, 3.0]
         assert m.slots.tolist() == [[1, 3], [0, 1], [2, 3]]  # the parent is untouched
         for model in (m, masked):
-            for array in (model.weight, model.slots, model.single):
+            for array in (model.weight, model.slots):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 0
             with pytest.raises(dataclasses.FrozenInstanceError):
@@ -326,7 +331,7 @@ class TestModularIsPrivateCellCoverage:
         masked = model.with_masked([1])
         assert masked.weight is model.weight and model.weight.tolist() == [1.0, 2.0, 0.0]
         assert masked.slots.tolist() == [[0, 2], [2, 2]]  # vertex 0 keeps cell 0
-        assert masked.single.tolist() == [1.0, 0.0] and eval_vertex_set(masked, [0, 1]) == 1.0
+        assert singles(masked).tolist() == [1.0, 0.0] and eval_vertex_set(masked, [0, 1]) == 1.0
         modular = reward_model([4.0, 0.0])
         assert modular.weight.tolist() == [4.0, 0.0, 0.0] and modular.slots.tolist() == [[0], [1]]
 
