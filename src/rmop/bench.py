@@ -144,7 +144,7 @@ class ExperimentSpec:
         if subroutine not in SUBROUTINES:
             raise ScenarioError(f"unknown subroutine {subroutine!r}")
         raw_attacks = read_field(doc, "attacks", list)
-        attacks = []
+        attacks, listed = [], {}  # listed: (model, size) -> where it is first listed
         for i in range(len(raw_attacks)):
             where = f"attacks[{i}]"
             entry = read_field(raw_attacks, i, dict, "attacks")
@@ -162,9 +162,13 @@ class ExperimentSpec:
                 raise ScenarioError("partial attacks require 'planned_alpha'")
             sizes = tuple(read_ints(entry, "sizes", where))
             for j, size in enumerate(sizes):
+                here = f"{where}.sizes[{j}]"
                 if planned is not None and size > planned:
-                    raise ScenarioError(f"{where}.sizes[{j}] is {size}, above planned_alpha "
-                                        f"{planned}")
+                    raise ScenarioError(f"{here} is {size}, above planned_alpha {planned}")
+                if (attack_model, size) in listed:  # its records would be indistinguishable
+                    raise ScenarioError(f"{here} repeats {attack_model} attacks of size {size} "
+                                        f"from {listed[attack_model, size]}")
+                listed[attack_model, size] = here
             attacks.append(AttackSpec(model=attack_model, sizes=sizes, planned_alpha=planned))
         scenario = read_field(doc, "scenario", dict)
         params, path = None, None

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .graph import MetricGraph, Path
-from .reward import IncrementalEval, RewardModel
+from .reward import IncrementalEval, RewardModel, eval_vertex_set
 
 # Approximation factor credited to the cost-benefit greedy when budgets may
 # be relaxed; this implementation enforces the strict budget and reports the
@@ -75,7 +75,8 @@ def solve_op_exact(graph: MetricGraph, model: RewardModel, start: int, budget: f
     ending at the same vertex, at no higher folded cost. Float addition is
     monotone and a set's value depends on the set alone, so every completion
     of the skipped sequence also completes the earlier one, which comes first
-    in pre-order: the first maximal sequence is never skipped.
+    in pre-order: the first maximal sequence is never skipped. A set is scored
+    once, at its first sequence: the best value only rises, so no later one wins.
     """
     _check_problem(graph, model, start, budget)
     if graph.n > EXACT_SIZE_LIMIT:
@@ -83,19 +84,19 @@ def solve_op_exact(graph: MetricGraph, model: RewardModel, start: int, budget: f
             f"exact solver refuses |V|={graph.n} > {EXACT_SIZE_LIMIT}; use the gcb method")
     n = graph.n
     dist = graph.distance.tolist()
-    ev = IncrementalEval(model)
-    ev.add(start)
 
     best_seq, best_reward = [start], -math.inf  # the root replaces them
     seq = [start]
     cheapest: dict[int, float] = {}  # visited * n + last: the lowest cost it was searched from
+    scored: set[int] = set()  # the visited sets already scored
 
     def dfs(visited: int, cost: float) -> None:
         nonlocal best_seq, best_reward
-        value = ev.value
-        if value > best_reward:
-            best_seq = list(seq)
-            best_reward = value
+        if visited not in scored:
+            scored.add(visited)
+            value = eval_vertex_set(model, seq)
+            if value > best_reward:
+                best_seq, best_reward = list(seq), value
         last = seq[-1]
         for v in range(n):
             if visited >> v & 1:
@@ -106,9 +107,7 @@ def solve_op_exact(graph: MetricGraph, model: RewardModel, start: int, budget: f
                 continue
             cheapest[state] = reached
             seq.append(v)
-            ev.add(v)
             dfs(visited | 1 << v, reached)
-            ev.remove(v)
             seq.pop()
 
     dfs(1 << start, 0.0)
@@ -168,7 +167,7 @@ def solve_op_gcb(graph: MetricGraph, model: RewardModel, start: int, budget: flo
                 break
 
     hop = int(np.argmax(hop_values))  # the first of the best, so the smallest id
-    if hop_values[hop] > ev.value:
+    if hop_values[hop] > eval_vertex_set(model, route):
         return Path(robot=robot, vertices=(start, hop), cost=float(dist[start, hop]))
     return Path(robot=robot, vertices=tuple(route), cost=graph.route_cost(route))
 

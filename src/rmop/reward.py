@@ -137,30 +137,22 @@ def team_curvature(model: RewardModel, paths: Sequence[Path]) -> float:
 
 
 class IncrementalEval:
-    """Cell counts of a vertex set that a solver grows and shrinks one vertex at a time.
-
-    `value` equals eval_vertex_set(model, members). Ids are the solver's own, so are not
-    range-checked: add only non-members and remove only members.
-    """
+    """The cells covered by a vertex set that a solver grows; its ids are not range-checked."""
 
     def __init__(self, model: RewardModel):
         self._weight, self._slots = model.weight, model.slots
-        self._count = np.zeros(len(self._weight), dtype=np.intp)
-
-    @property
-    def value(self) -> float:
-        return float(_totals(np.where(self._count > 0, self._weight, 0.0)))
+        self._covered = np.zeros(len(self._weight), dtype=bool)
 
     def gains(self, ids: np.ndarray) -> np.ndarray:
         """Each vertex's marginal gain: the weight of its cells no member covers."""
         cells = self._slots[ids]
         w = self._weight[cells]
-        w[self._count[cells] > 0] = 0.0
+        w[self._covered[cells]] = 0.0
         return _totals(w)
 
     def values_with(self, ids: np.ndarray) -> np.ndarray:
         """The value of the members plus each vertex in turn, one per vertex."""
-        members = np.flatnonzero(self._count > 0)
+        members = np.flatnonzero(self._covered)
         cells = np.hstack([np.broadcast_to(members, (len(ids), len(members))), self._slots[ids]])
         cells.sort(axis=1, kind="stable")  # the sort code gcb's argsort already pages in
         w = self._weight[cells]
@@ -168,7 +160,4 @@ class IncrementalEval:
         return _totals(w)
 
     def add(self, v: int) -> None:
-        self._count[self._slots[v]] += 1
-
-    def remove(self, v: int) -> None:
-        self._count[self._slots[v]] -= 1
+        self._covered[self._slots[v]] = True

@@ -18,8 +18,9 @@ never the model. The array evaluators must match them exactly on integer
 weights, and to within a few ulps on fractional ones.
 
 And the exhaustive single-robot solver as it would be with no pruning: every
-rooted sequence within budget, in lexicographic pre-order. `solve_op_exact`
-prunes by state dominance, and must return the same path, bit for bit.
+rooted sequence within budget, in lexicographic pre-order, each one scored.
+`solve_op_exact` prunes by state dominance and scores each vertex set once,
+and must return the same path, bit for bit.
 
 And the scenario generator as it was before it computed on Python floats:
 positions, rewards and cell weights read one numpy scalar at a time, with its
@@ -247,8 +248,6 @@ def solve_op_exact_unpruned(graph: MetricGraph, model: RewardModel, start: int, 
     _check_problem(graph, model, start, budget)
     n = graph.n
     dist = graph.distance.tolist()
-    ev = IncrementalEval(model)
-    ev.add(start)
     best_seq, best_reward = [start], -math.inf
     seq = [start]
     visited = [False] * n
@@ -256,17 +255,16 @@ def solve_op_exact_unpruned(graph: MetricGraph, model: RewardModel, start: int, 
 
     def dfs(cost: float) -> None:
         nonlocal best_seq, best_reward
-        if ev.value > best_reward:
-            best_seq, best_reward = list(seq), ev.value
+        value = eval_vertex_set(model, seq)
+        if value > best_reward:
+            best_seq, best_reward = list(seq), value
         last = seq[-1]
         for v in range(n):
             if visited[v] or cost + dist[last][v] > budget:
                 continue
             visited[v] = True
             seq.append(v)
-            ev.add(v)
             dfs(cost + dist[last][v])
-            ev.remove(v)
             seq.pop()
             visited[v] = False
 
@@ -289,11 +287,11 @@ def dict_eval_vertex_set(cells, ids) -> float:
 
 
 class DictIncrementalEval:
-    """Marginal gains over a mutable vertex set, kept in a dict of cell counts.
+    """Marginal gains over a growing vertex set, kept in a dict of cell counts.
 
     Vertex v covers the raw (cell, weight) pairs `cells[v]`. A gain adds a vertex's
-    uncovered cells in the order the vertex lists them; `value` adds and subtracts
-    gains as vertices come and go.
+    uncovered cells in the order the vertex lists them; `value` adds the gains as
+    vertices come.
     """
 
     def __init__(self, cells):
@@ -316,14 +314,6 @@ class DictIncrementalEval:
                 self._cell_count[cell] = self._cell_count.get(cell, 0) + 1
             self.value += g
         return g
-
-    def remove(self, v: int) -> None:
-        self.members.remove(v)
-        for cell, w in self.cells[v]:
-            self._cell_count[cell] -= 1
-            if self._cell_count[cell] == 0:
-                del self._cell_count[cell]
-                self.value -= w
 
 
 def leave_one_out_curvature(ground_set, evaluator) -> float:

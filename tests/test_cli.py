@@ -353,6 +353,7 @@ class TestBench:
         assert len(lines) == 1 + 2 * 3 * 2
         summary = json.loads(summary_out.read_text())
         assert len(summary["groups"]) == 3 * 2
+        assert [g["trials"] for g in summary["groups"]] == [2] * 6
 
     def test_zero_trials(self, tmp_path):
         spec = tmp_path / "spec.json"

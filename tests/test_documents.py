@@ -73,6 +73,13 @@ SPEC_CASES = [
     ("negative-trials", ("trials",), -1),
     ("zero-robots", ("scenario", "robots"), 0),
     ("zero-bumps", ("scenario", "bumps"), 0),
+    ("repeated-size", ("attacks", 0, "sizes"), [1, 2, 1]),
+    ("repeated-partial-size", ("attacks",),
+     [{"model": "partial", "sizes": [1], "planned_alpha": 1},
+      {"model": "partial", "sizes": [0, 1], "planned_alpha": 2}]),
+    ("repeated-greedy-entry", ("attacks",),
+     [{"model": "greedy", "sizes": [1]}, {"model": "worst", "sizes": [1]},
+      {"model": "greedy", "sizes": [2, 1]}]),
     # Refused only once the base scenario is built: the spec's robots bound every attack.
     ("zero-vertices", ("scenario", "vertices"), 0),
     ("hex-layout", ("scenario", "layout"), "hex"),
@@ -97,6 +104,12 @@ MESSAGES = {
     "negative-trials": "trials must be >= 0",
     "zero-robots": "n_robots must be >= 1",
     "zero-bumps": "bumps must be >= 1",
+    "repeated-size": "attacks[0].sizes[2] repeats greedy attacks of size 1 from "
+                     "attacks[0].sizes[0]",
+    "repeated-partial-size": "attacks[1].sizes[1] repeats partial attacks of size 1 from "
+                             "attacks[0].sizes[0]",
+    "repeated-greedy-entry": "attacks[2].sizes[1] repeats greedy attacks of size 1 from "
+                             "attacks[0].sizes[0]",
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from rmop.graph import (LAYOUTS, METRIC_TOL, REWARD_KINDS, MetricGraph, Vertex,
                         generate_scenario, path_cost, verify_metric)
-from rmop.reward import IncrementalEval, RewardModel, eval_vertex_set
+from rmop import orienteering, reward
+from rmop.reward import RewardModel, eval_vertex_set
 from rmop.orienteering import (EXACT_SIZE_LIMIT, GCB_ETA, OpSolverConfig, SizeGuardError,
                                solve_op, solve_op_exact, solve_op_gcb)
 
@@ -107,22 +109,40 @@ class TestExactSolver:
         path = solve_op_exact(graph, reward_model([0.0, 1.0, 1.0, 1.0, 10.0]), 0, 6.0)
         assert (path.vertices, path.cost) == ((0, 2, 1, 3, 4), 6.0)
 
-    def test_full_reach_searches_each_state_from_its_cheapest_arrivals(self, monkeypatch):
+    def test_full_reach_searches_each_state_from_its_cheapest_arrivals(self):
         # Every vertex is in reach, so the 986,409 rooted sequences of 10 vertices all fit;
         # one search per cheaper arrival at a (vertex set, last vertex) state is about 13k.
         s = generate_scenario(10, 1, 0, 1000.0, layout="uniform", seed=0)
-        calls = 0
-        add = IncrementalEval.add
+        searched, dfs = 0, ("dfs", orienteering.__file__)  # the search calls dfs once per node
 
-        def counted(ev, v):
+        def count_searches(frame, event, arg):
+            nonlocal searched
+            if event == "call" and (frame.f_code.co_name, frame.f_code.co_filename) == dfs:
+                searched += 1
+                assert searched <= 50_000, "exact solver searched past 50,000 nodes"
+
+        sys.setprofile(count_searches)
+        try:
+            path = solve_op_exact(s.graph, RewardModel.from_scenario(s), s.starts[0], s.budget)
+        finally:
+            sys.setprofile(None)
+        assert sorted(path.vertices) == list(range(10))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_full_reach_scores_each_vertex_set_once(self, seed, monkeypatch):
+        # Every set holding the start is reached, 2^9 = 512 of them, by many sequences each.
+        s = generate_scenario(10, 1, 0, 1000.0, layout="uniform", seed=seed)
+        calls = 0
+        totals = reward._totals
+
+        def counted(weights):
             nonlocal calls
             calls += 1
-            assert calls <= 50_000, "exact solver searched past 50,000 vertex additions"
-            add(ev, v)
+            return totals(weights)
 
-        monkeypatch.setattr(IncrementalEval, "add", counted)
-        path = solve_op_exact(s.graph, RewardModel.from_scenario(s), s.starts[0], s.budget)
-        assert sorted(path.vertices) == list(range(10))
+        monkeypatch.setattr(reward, "_totals", counted)
+        solve_op_exact(s.graph, RewardModel.from_scenario(s), s.starts[0], s.budget)
+        assert calls <= 2 ** 9
 
     @pytest.mark.parametrize("start", [4, 9])  # 4 is the first id past the 4 vertices
     def test_invalid_start_rejected(self, start):
