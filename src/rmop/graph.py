@@ -76,7 +76,9 @@ class MetricGraph:
     add up to a finite total, and the coverage is weighted: cell weights are finite and
     non-negative, one per cell, a cell is listed once per vertex, and the distinct cells'
     weights, added by cell id from 0.0 as the evaluators add them, have a finite total.
-    Construction refuses anything else; verify_metric reports whether the matrix is metric.
+    Construction refuses anything else. It checks each vertex's types, id, position and
+    reward, vertex by vertex, then every cell, then the totals and the matrix; the first
+    failure is the one error raised. verify_metric reports whether the matrix is metric.
     Vertex numbers are stored as `float` and ids and cells as `int` (`operator.index`), as
     a document reloads them. Without a `distance` matrix the graph builds the pairwise
     Euclidean one of its positions. `euclidean` is set at construction: the matrix is bit
@@ -91,33 +93,13 @@ class MetricGraph:
     def __post_init__(self):
         vertices = list(self.vertices)
         n = len(vertices)
-        seen: dict[int, tuple[float, int]] = {}  # cell -> (weight, last vertex listing it)
-        refusal = None  # the first cell that breaks the coverage, raised once every vertex passes
         for pos, v in enumerate(vertices):
-            # One walk over the cells types them and checks the coverage. Generated and loaded
-            # vertices pass as they are; others are rebuilt from `typed` cells.
-            cells, typed = v.coverage, (None if type(v.coverage) is tuple else [])
-            for k, pair in enumerate(cells):
-                cell, w = pair
-                if (type(cell) is not int or type(w) is not float or type(pair) is not tuple
-                        or typed is not None):
-                    typed = list(cells[:k]) if typed is None else typed
-                    cell, w = operator.index(cell), float(w)
-                    typed.append((cell, w))
-                if refusal is None:
-                    first_w, last_v = seen.get(cell, (w, -1))
-                    if not 0.0 <= w < math.inf:
-                        refusal = (f"vertex {pos} gives cell {cell} weight {w}; "
-                                   f"weights must be finite and non-negative")
-                    elif last_v == pos:
-                        refusal = f"vertex {pos} lists cell {cell} more than once"
-                    elif first_w != w:
-                        refusal = (f"vertex {pos} gives cell {cell} weight {w}, inconsistent "
-                                   f"with {first_w} from vertex {last_v}")
-                    seen[cell] = (w, pos)
-            if typed is not None or not (type(v.id) is int
-                                         and type(v.x) is type(v.y) is type(v.reward) is float):
-                cells = cells if typed is None else tuple(typed)
+            # Generated and loaded vertices pass as they are; others are rebuilt, cells first.
+            if not (type(v.coverage) is tuple and type(v.id) is int
+                    and type(v.x) is type(v.y) is type(v.reward) is float
+                    and (not v.coverage or all(type(p) is tuple and len(p) == 2 and type(p[0]) is int
+                                               and type(p[1]) is float for p in v.coverage))):
+                cells = tuple((operator.index(cell), float(w)) for cell, w in v.coverage)
                 v = vertices[pos] = Vertex(operator.index(v.id), float(v.x), float(v.y),
                                            float(v.reward), cells)
             if v.id != pos:
@@ -127,8 +109,19 @@ class MetricGraph:
             if not 0.0 <= v.reward < math.inf:
                 raise RewardError(f"vertex {pos} has {'negative' if v.reward < 0 else 'non-finite'} "
                                   f"reward {v.reward}")
-        if refusal is not None:
-            raise RewardError(refusal)
+        seen: dict[int, tuple[float, int]] = {}  # cell -> (weight, last vertex listing it)
+        for pos, v in enumerate(vertices):
+            for cell, w in v.coverage:
+                first_w, last_v = seen.get(cell, (w, -1))
+                if not 0.0 <= w < math.inf:
+                    raise RewardError(f"vertex {pos} gives cell {cell} weight {w}; "
+                                      f"weights must be finite and non-negative")
+                if last_v == pos:
+                    raise RewardError(f"vertex {pos} lists cell {cell} more than once")
+                if first_w != w:
+                    raise RewardError(f"vertex {pos} gives cell {cell} weight {w}, inconsistent "
+                                      f"with {first_w} from vertex {last_v}")
+                seen[cell] = (w, pos)
         _check_total((seen[cell][0] for cell in sorted(seen)), "cell weights")
         _check_total((v.reward for v in vertices), "vertex rewards")
         built = self.distance is None

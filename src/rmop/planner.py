@@ -64,7 +64,7 @@ def sga(scenario: Scenario, model: RewardModel, solver: OpSolverConfig,
         robots: Optional[Sequence[int]] = None) -> tuple[Path, ...]:
     """Plan robots one at a time, zeroing the rewards each path collects.
 
-    The listed robots (all of them by default, each an id 0..n_robots-1) are
+    The listed robots (all of them by default, each a distinct id 0..n_robots-1) are
     served in the order given, each from its own start in `scenario`. After
     each path is found, its vertices are masked so later robots only chase
     what is still uncovered.
@@ -77,9 +77,11 @@ def sga(scenario: Scenario, model: RewardModel, solver: OpSolverConfig,
     """
     if robots is None:
         robots = range(scenario.n_robots)
-    for robot in robots:
+    for k, robot in enumerate(robots):
         if not 0 <= robot < scenario.n_robots:
             raise ValueError(f"robot id {robot} out of range 0..{scenario.n_robots - 1}")
+        if robot in robots[:k]:
+            raise ValueError(f"robot id {robot} is listed more than once")
     paths = []
     for robot in robots:
         path = solve_op(scenario.graph, model, scenario.starts[robot], scenario.budget, solver,

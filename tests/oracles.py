@@ -29,18 +29,24 @@ own copy of the importance field. `generate_scenario` must dump the same bytes.
 And the Euclidean matrix and the symmetry scan as they were before they worked
 in row blocks, on whole n x n arrays. The blocks must give the same bytes and
 the same asymmetric pairs, in the same order.
+
+And the map checker as it was when one walk over each vertex's cells both typed
+them and checked the coverage, holding the first coverage fault back until every
+vertex had passed its own checks. `MetricGraph` must store the same vertices and
+matrix, or raise the same exception with the same message.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from itertools import combinations
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from rmop.graph import (AREA_SIDE, MetricGraph, Path, RewardError, Scenario, Vertex,
-                        _verified)
+from rmop.graph import (AREA_SIDE, MetricGraph, Path, RewardError, Scenario, ScenarioError,
+                        Vertex, _check_total, _verified)
 from rmop.reward import IncrementalEval, RewardModel, eval_vertex_set
 from rmop.orienteering import SizeGuardError, _check_problem
 
@@ -414,3 +420,60 @@ def asymmetry_single_shot(d: np.ndarray, tol: float) -> tuple:
     """Every (i, j), i < j, with |d[i,j] - d[j,i]| > tol, in row-major order, from d - d.T."""
     with np.errstate(over="ignore"):
         return tuple((int(i), int(j)) for i, j in np.argwhere(np.abs(d - d.T) > tol) if i < j)
+
+
+def metric_graph_one_walk(vertices, distance=None) -> tuple[tuple[Vertex, ...], np.ndarray, bool]:
+    """The stored vertices, matrix and `euclidean` flag of `MetricGraph(vertices, distance)`."""
+    vertices = list(vertices)
+    n = len(vertices)
+    seen: dict[int, tuple[float, int]] = {}  # cell -> (weight, last vertex listing it)
+    refusal = None  # the first cell that breaks the coverage, raised once every vertex passes
+    for pos, v in enumerate(vertices):
+        cells, typed = v.coverage, (None if type(v.coverage) is tuple else [])
+        for k, pair in enumerate(cells):
+            cell, w = pair
+            if (type(cell) is not int or type(w) is not float or type(pair) is not tuple
+                    or typed is not None):
+                typed = list(cells[:k]) if typed is None else typed
+                cell, w = operator.index(cell), float(w)
+                typed.append((cell, w))
+            if refusal is None:
+                first_w, last_v = seen.get(cell, (w, -1))
+                if not 0.0 <= w < math.inf:
+                    refusal = (f"vertex {pos} gives cell {cell} weight {w}; "
+                               f"weights must be finite and non-negative")
+                elif last_v == pos:
+                    refusal = f"vertex {pos} lists cell {cell} more than once"
+                elif first_w != w:
+                    refusal = (f"vertex {pos} gives cell {cell} weight {w}, inconsistent "
+                               f"with {first_w} from vertex {last_v}")
+                seen[cell] = (w, pos)
+        if typed is not None or not (type(v.id) is int
+                                     and type(v.x) is type(v.y) is type(v.reward) is float):
+            cells = cells if typed is None else tuple(typed)
+            v = vertices[pos] = Vertex(operator.index(v.id), float(v.x), float(v.y),
+                                       float(v.reward), cells)
+        if v.id != pos:
+            raise ScenarioError(f"vertex ids must be dense 0..{n - 1}; found {v.id} at position {pos}")
+        if not (math.isfinite(v.x) and math.isfinite(v.y)):
+            raise ScenarioError(f"vertex {pos} has non-finite position ({v.x}, {v.y})")
+        if not 0.0 <= v.reward < math.inf:
+            raise RewardError(f"vertex {pos} has {'negative' if v.reward < 0 else 'non-finite'} "
+                              f"reward {v.reward}")
+    if refusal is not None:
+        raise RewardError(refusal)
+    _check_total((seen[cell][0] for cell in sorted(seen)), "cell weights")
+    _check_total((v.reward for v in vertices), "vertex rewards")
+    built = distance is None
+    given = None if built else np.asarray(distance, dtype=float)
+    if not built and given.shape != (n, n):
+        raise ScenarioError(f"distance_matrix must be {n}x{n}, got shape {given.shape}")
+    mat = euclidean_matrix_single_shot(vertices)
+    euclidean = built or np.array_equal(given, mat)
+    mat = mat if built else given
+    if not np.isfinite(mat).all():
+        i, j = np.argwhere(~np.isfinite(mat))[0]
+        raise ScenarioError(
+            f"vertices {i} and {j} are too far apart for a finite distance" if built
+            else f"distance_matrix must be finite, violated at ({i},{j})")
+    return tuple(vertices), mat, euclidean

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from rmop.bench import PLANNER_NAMES, _derived_seed, plan
 from rmop.graph import Path, generate_scenario, resample_starts
 from rmop.reward import RewardModel, eval_team
 from rmop.orienteering import OpSolverConfig, SizeGuardError
-from rmop.planner import Solution, solve_rmop
+from rmop.planner import Solution, sga, solve_rmop
+import rmop.attack
 from rmop.attack import (ATTACK_MODELS, greedy_attack, random_attack, run_attack,
                          worst_case_attack)
 
@@ -73,6 +75,14 @@ class TestWorstCaseAttack:
             worst_case_attack(model, solution, 3)
         with pytest.raises(ValueError, match="must be non-negative"):
             worst_case_attack(model, solution, -1)
+
+    def test_guard_admits_exactly_its_own_count(self, monkeypatch):
+        model, solution = disjoint_solution()
+        monkeypatch.setattr(rmop.attack, "SUBSET_GUARD", math.comb(3, 2))
+        assert worst_case_attack(model, solution, 2).removed == {0, 1}
+        monkeypatch.setattr(rmop.attack, "SUBSET_GUARD", math.comb(3, 2) - 1)
+        with pytest.raises(SizeGuardError):
+            worst_case_attack(model, solution, 2)
 
     def test_enumeration_guard(self):
         # C(24, 12) = 2,704,156 removal subsets is above SUBSET_GUARD, so the
@@ -196,6 +206,18 @@ class TestRunAttack:
         model, solution = disjoint_solution()
         with pytest.raises(ValueError, match="unknown attack model"):
             run_attack("magic", model, solution, 1)
+
+    @pytest.mark.parametrize("attack", [worst_case_attack, greedy_attack,
+                                        lambda model, solution, size: random_attack(
+                                            model, solution, size, seed=0)],
+                             ids=["worst", "greedy", "random"])
+    def test_paths_labeled_out_of_order_are_refused(self, attack):
+        # Robots 3 and 5 planned alone: removing "robot 0" would remove no path at all.
+        scenario = generate_scenario(30, 6, 1, 40.0, seed=3)
+        model = RewardModel.from_scenario(scenario)
+        solution = Solution.from_paths(model, sga(scenario, model, GCB, robots=[3, 5]))
+        with pytest.raises(ValueError, match=r"^path 0 is labeled for robot 3; "):
+            attack(model, solution, 1)
 
 
 class TestResidualMonotonicity:

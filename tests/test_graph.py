@@ -11,14 +11,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rmop.graph import (LAYOUTS, REWARD_KINDS, MetricGraph, MetricReport,
+from rmop.graph import (LAYOUTS, REWARD_KINDS, MetricGraph, MetricReport, RewardError,
                         Scenario, ScenarioError, Vertex, _field_value, dump_scenario,
                         generate_scenario, load_scenario, path_cost, resample_starts,
                         scenario_from_document, scenario_to_document, verify_metric)
 
 from helpers import line_instance
 from oracles import (GaussianBump, asymmetry_single_shot, euclidean_matrix_single_shot,
-                     generate_scenario_on_numpy_scalars, numpy_scalar_field_value)
+                     generate_scenario_on_numpy_scalars, metric_graph_one_walk,
+                     numpy_scalar_field_value)
 
 
 def doc_4v(**overrides):
@@ -219,7 +220,7 @@ class TestMetricGraph:
     def test_a_position_built_matrix_is_the_only_n_by_n_float_array(self):
         n, block = 300, 8 * rmop.graph._BLOCK
         verts = uniform_vertices(n, seed=8)
-        # The kept matrix, the n x n booleans of its finiteness test, at most two row blocks
+        # The kept matrix, the n x n booleans of its finiteness test, one row block of dy
         # and under 256 bytes per vertex of position lists. Whole-array arithmetic on dx and
         # dy would add two n x n float buffers.
         bound = 8 * n * n + n * n + 2 * block + 256 * n
@@ -313,6 +314,21 @@ class TestMetricGraph:
         # An explicit finite matrix: a bad coordinate cannot surface as a bad distance.
         verts = [Vertex(i, *f) for i, f in enumerate(fields)]
         with pytest.raises(ScenarioError, match=re.escape(message)):
+            MetricGraph(verts, np.zeros((len(verts), len(verts))))
+
+    @pytest.mark.parametrize("verts, error, message", [
+        ([Vertex(0, 0.0, 0.0, 0.0, ((1, -2.0),)), Vertex(1, 1.0, 0.0), Vertex(2, 2.0, 0.0, -3.0)],
+         RewardError, "vertex 2 has negative reward -3.0"),
+        ([Vertex(0, 0.0, 0.0, 0.0, ((1.5, 2.0),)), Vertex(1, math.inf, 0.0)],
+         TypeError, "cannot be interpreted"),
+        ([Vertex(0, 0.0, 0.0), Vertex(1, 1.0, 0.0, 0.0, ((2, 1.0), (2, 1.0))),
+          Vertex(2, 2.0, 0.0), Vertex(5, 3.0, 0.0)],
+         ScenarioError, "vertex ids must be dense 0..3; found 5 at position 3"),
+    ], ids=["reward before weight", "cell type before position", "id before repeated cell"])
+    def test_each_vertex_is_checked_before_any_cell(self, verts, error, message):
+        # Types, id, position and reward, vertex by vertex; then every cell. The first fault
+        # in that order is the one error.
+        with pytest.raises(error, match=re.escape(message)):
             MetricGraph(verts, np.zeros((len(verts), len(verts))))
 
     def test_a_shared_cell_counts_once_in_the_weight_total(self):
@@ -678,6 +694,71 @@ def vertex_fields(draw):
     elif fault is not None:
         fields[v][fault] = draw(st.sampled_from([-3.0, math.nan, math.inf, -math.inf]))
     return fields
+
+
+@st.composite
+def vertex_lists(draw):
+    """1-5 vertices and a matrix: up to three faults in ids, numbers, cells, weights or pairs.
+
+    Fields without a fault may still come as numpy scalars, ints or lists, which the graph
+    stores with its own types. Half the draws carry an explicit matrix, of any shape.
+    """
+    n = draw(st.integers(1, 5))
+    weight = [2.0, 3.0, 0.0, 5.0]
+    number = lambda k: st.sampled_from([float(k), k, np.float32(k), np.float64(k)])
+    verts = [{"id": draw(st.sampled_from([k, k, np.int64(k)])), "x": draw(number(k)),
+              "y": draw(number(0)), "reward": draw(number(k)),
+              "pairs": [draw(st.sampled_from([(c, weight[c]), [c, weight[c]],
+                                              (np.int64(c), weight[c]), (c, int(weight[c]))]))
+                        for c in draw(st.lists(st.integers(0, 3), unique=True, max_size=3))],
+              "container": draw(st.sampled_from([tuple, tuple, list]))} for k in range(n)]
+    bad_weight = st.sampled_from([-2.0, math.nan, math.inf, 1.5e308, 4.0, "w", None])
+    for _ in range(draw(st.integers(0, 3))):
+        v = verts[draw(st.integers(0, n - 1))]
+        field = draw(st.sampled_from(["id", "x", "y", "reward", "cell", "weight", "pair", "extra"]))
+        if field == "id":
+            v["id"] = draw(st.sampled_from([n, -1, 5, 1.0, True, "0", None]))
+        elif field in ("x", "y", "reward"):
+            v[field] = draw(st.sampled_from([-3.0, math.nan, math.inf, -math.inf, 1.5e308, "x",
+                                             "1.5", None]))
+        elif field == "extra":
+            v["pairs"].append((draw(st.integers(0, 3)), draw(bad_weight)))
+        elif v["pairs"]:
+            k, cell = draw(st.integers(0, len(v["pairs"]) - 1)), draw(st.integers(0, 3))
+            w = weight[cell]
+            v["pairs"][k] = draw({
+                "cell": st.sampled_from([(1.5, w), ("1", w), (None, w), (True, w)]),
+                "weight": bad_weight.map(lambda bad: (cell, bad)),
+                "pair": st.sampled_from([(cell,), (cell, w, w), 7, "ab", [cell, w, w]]),
+            }[field])
+    matrix = draw(st.sampled_from([None, None, None, "zeros", "ones", "shape"]))
+    distance = {None: None, "zeros": np.zeros((n, n)), "ones": np.ones((n, n)) - np.eye(n),
+                "shape": np.zeros((n + 1, n))}[matrix]
+    return [Vertex(v["id"], v["x"], v["y"], v["reward"], v["container"](v["pairs"]))
+            for v in verts], distance
+
+
+def built_outcome(build, given):
+    """(vertex reprs, which of `given` were kept, matrix bytes, euclidean), or the exception."""
+    try:
+        vertices, mat, euclidean = build()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return repr(vertices), [v is u for v, u in zip(vertices, given)], mat.tobytes(), euclidean
+
+
+class TestMetricGraphMatchesTheOneWalkChecker:
+    @settings(max_examples=500, deadline=None)
+    @given(vertex_lists())
+    def test_same_vertices_and_matrix_or_the_same_error(self, drawn):
+        verts, distance = drawn
+
+        def build():
+            graph = MetricGraph(verts, distance)
+            return graph.vertices, graph.distance, graph.euclidean
+
+        got = built_outcome(build, verts)
+        assert got == built_outcome(lambda: metric_graph_one_walk(verts, distance), verts)
 
 
 class TestRoundTrip:

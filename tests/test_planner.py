@@ -79,6 +79,18 @@ class TestSga:
         with pytest.raises(ValueError, match=rf"^robot id {bad} out of range 0\.\.2$"):
             sga(scenario, model, EXACT, robots=[0, bad])
 
+    def test_a_repeated_robot_id_is_refused(self, monkeypatch):
+        graph, model = line_instance()
+        scenario = Scenario(graph=graph, starts=(1, 2, 3), budget=2.0, alpha=0,
+                            reward_kind="modular")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved before the ids were checked")
+
+        monkeypatch.setattr(rmop.planner, "solve_op", refuse)
+        with pytest.raises(ValueError, match=r"^robot id 0 is listed more than once$"):
+            sga(scenario, model, EXACT, robots=[0, 0])
+
 
 class TestSolveRmop:
     def test_worked_example_two_robots(self):
@@ -245,6 +257,23 @@ class TestCheckSolution:
         problems = check_solution(scenario, solution)
         if flagged:
             assert len(problems) == 1 and "exceeds budget 1.0" in problems[0], problems
+        else:
+            assert problems == []
+
+    @pytest.mark.parametrize("field", ["cost", "reward", "team reward"])
+    @pytest.mark.parametrize("off, flagged", [(INVARIANT_TOL, False), (2 * INVARIANT_TOL, True)])
+    def test_stored_value_tolerance_boundary(self, field, off, flagged):
+        # One robot stays on a reward-0 vertex: true cost and rewards are 0.0, so the stored
+        # value is off by exactly INVARIANT_TOL, or by twice it.
+        scenario = Scenario(MetricGraph([Vertex(0, 0.0, 0.0, 0.0)]), starts=(0,), budget=1.0,
+                            alpha=0)
+        stored = {"cost": 0.0, "reward": 0.0, "team reward": 0.0, field: off}
+        solution = Solution(paths=(Path(0, (0,), stored["cost"]),), s1_robots=frozenset(),
+                            s2_robots=frozenset({0}), team_reward=stored["team reward"],
+                            loop_iterations=0, per_path_rewards=(stored["reward"],))
+        problems = check_solution(scenario, solution)
+        if flagged:
+            assert len(problems) == 1 and f"stored {field} {off} differs" in problems[0], problems
         else:
             assert problems == []
 
