@@ -49,6 +49,13 @@ def _check_size(solution: Solution, size: int) -> None:
         raise ValueError(f"attack size must be < {solution.n_robots} robots, got {size}")
 
 
+def check_subset_guard(name: str, n: int, size: int) -> None:
+    """Refuse an exhaustive attack (`worst`, `partial`) over more than SUBSET_GUARD subsets."""
+    if name in ("worst", "partial") and math.comb(n, size) > SUBSET_GUARD:
+        raise SizeGuardError(f"C({n},{size}) removal subsets exceed the guard of {SUBSET_GUARD}; "
+                             "use greedy_attack instead")
+
+
 def worst_case_attack(model: RewardModel, solution: Solution, size: int) -> AttackOutcome:
     """Exhaustive minimization of the surviving team reward over removals.
 
@@ -58,10 +65,7 @@ def worst_case_attack(model: RewardModel, solution: Solution, size: int) -> Atta
     """
     _check_size(solution, size)
     n = solution.n_robots
-    if math.comb(n, size) > SUBSET_GUARD:
-        raise SizeGuardError(
-            f"C({n},{size}) removal subsets exceed the guard of {SUBSET_GUARD}; "
-            "use greedy_attack instead")
+    check_subset_guard("worst", n, size)
     residual, removed = min((_residual(model, solution, c), c)
                             for c in combinations(range(n), size))
     return AttackOutcome(removed=frozenset(removed), residual=residual, model="worst-exhaustive")

@@ -18,9 +18,9 @@ import numpy as np
 from .graph import (Path, Scenario, ScenarioError, check_keys, generate_scenario, load_scenario,
                     read_document, read_field, read_ints, resample_starts)
 from .reward import IncrementalEval, RewardModel, team_curvature, vertex_curvature
-from .orienteering import SUBROUTINES, OpSolverConfig
+from .orienteering import SUBROUTINES, OpSolverConfig, SizeGuardError, check_exact_size
 from .planner import Solution, solve_rmop, solve_sga
-from .attack import ATTACK_MODELS, run_attack
+from .attack import ATTACK_MODELS, check_subset_guard, run_attack
 
 K_F_SURROGATE_NOTE = (
     "k_f estimated with the returned solution's paths as the ground set; the true "
@@ -28,6 +28,8 @@ K_F_SURROGATE_NOTE = (
     "diagnostics, not certified constants")
 
 PLANNER_NAMES = ("rmop", "sga", "ng")
+
+SPEC_SIZE_LIMIT = 1000  # the most vertices, robots or bumps a spec's generated scenario asks for
 
 
 def naive_greedy_baseline(scenario: Scenario) -> list[Path]:
@@ -118,31 +120,73 @@ class AttackSpec:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Parsed experiment document: scenario source, planners, attacks, trials."""
+    """Parsed experiment document: the base scenario, planners, attacks and trials."""
 
     planners: tuple[str, ...]
     attacks: tuple[AttackSpec, ...]
     trials: int
     seed: int
+    base: Scenario
     subroutine: str = "gcb"
-    scenario_params: Optional[dict] = None  # generate_scenario keyword arguments
-    scenario_path: Optional[str] = None
 
     @classmethod
     def from_document(cls, doc: dict) -> "ExperimentSpec":
+        """The one spec reader. It checks keys, planners, subroutine, trials, seed, the scenario
+        (built here, so every refusal comes before any trial runs) and attacks, in that order."""
         if not isinstance(doc, dict):
             raise ScenarioError("experiment spec must be a JSON object")
         check_keys(doc, {"scenario", "planners", "attacks", "trials", "seed", "subroutine"},
                    "experiment keys")
         raw_planners = read_field(doc, "planners", list)
-        planners = tuple(read_field(raw_planners, i, str, "planners")
-                         for i in range(len(raw_planners)))
-        for p in planners:
+        planners: list[str] = []
+        for i in range(len(raw_planners)):
+            p = read_field(raw_planners, i, str, "planners")
             if p not in PLANNER_NAMES:
                 raise ScenarioError(f"unknown planner {p!r}; expected one of {PLANNER_NAMES}")
+            if p in planners:  # its records would repeat the first one's
+                raise ScenarioError(f"planners[{i}] repeats {p!r} from "
+                                    f"planners[{planners.index(p)}]")
+            planners.append(p)
         subroutine = read_field(doc, "subroutine", str, default="gcb")
         if subroutine not in SUBROUTINES:
             raise ScenarioError(f"unknown subroutine {subroutine!r}")
+        trials = read_field(doc, "trials", int)
+        if trials < 0:
+            raise ScenarioError("trials must be >= 0")
+        seed = read_field(doc, "seed", int)
+        if seed < 0:
+            raise ScenarioError(f"seed must be >= 0, got {seed}")
+        scenario = read_field(doc, "scenario", dict)
+        if "path" in scenario:
+            if set(scenario) != {"path"}:
+                raise ScenarioError("scenario with 'path' must contain only 'path'")
+            base = read_document(read_field(scenario, "path", str, "scenario"), load_scenario)[0]
+        else:
+            check_keys(scenario, {"vertices", "robots", "alpha", "budget", "layout", "bumps",
+                                  "seed", "reward_kind"}, "scenario params")
+            params = dict(
+                n_vertices=read_field(scenario, "vertices", int, "scenario"),
+                n_robots=read_field(scenario, "robots", int, "scenario"),
+                alpha=read_field(scenario, "alpha", int, "scenario", default=0),
+                budget=read_field(scenario, "budget", float, "scenario"),
+                layout=read_field(scenario, "layout", str, "scenario", default="grid"),
+                bumps=read_field(scenario, "bumps", int, "scenario", default=3),
+                seed=read_field(scenario, "seed", int, "scenario", default=0),
+                reward_kind=read_field(scenario, "reward_kind", str, "scenario", default="modular"))
+            if params["seed"] < 0:
+                raise ScenarioError(f"scenario.seed must be >= 0, got {params['seed']}")
+            for key in ("vertices", "robots", "bumps"):  # refused before any per-vertex work
+                if scenario.get(key, 0) > SPEC_SIZE_LIMIT:
+                    raise ScenarioError(f"scenario.{key} is {scenario[key]}, above the limit of "
+                                        f"{SPEC_SIZE_LIMIT}; name a larger map by its 'path'")
+            base = generate_scenario(**params)
+        if subroutine == "exact" and {"rmop", "sga"} & set(planners):  # ng runs no solver
+            try:
+                check_exact_size(base.graph.n)
+            except SizeGuardError as exc:
+                raise ScenarioError(f"subroutine: {exc}") from exc
+        robots = base.n_robots
+        outside = f"outside 0..{robots - 1} for {robots} robots"
         raw_attacks = read_field(doc, "attacks", list)
         attacks, listed = [], {}  # listed: (model, size) -> where it is first listed
         for i in range(len(raw_attacks)):
@@ -158,61 +202,32 @@ class ExperimentSpec:
                     raise ScenarioError(f"{where}.planned_alpha applies only to partial "
                                         f"attacks, not {attack_model!r}")
                 planned = read_field(entry, "planned_alpha", int, where)
+                if not 0 <= planned < robots:
+                    raise ScenarioError(f"{where}.planned_alpha is {planned}, {outside}")
             if attack_model == "partial" and planned is None:
                 raise ScenarioError("partial attacks require 'planned_alpha'")
             sizes = tuple(read_ints(entry, "sizes", where))
             for j, size in enumerate(sizes):
                 here = f"{where}.sizes[{j}]"
+                if not 0 <= size < robots:
+                    raise ScenarioError(f"{here} is {size}, {outside}")
                 if planned is not None and size > planned:
                     raise ScenarioError(f"{here} is {size}, above planned_alpha {planned}")
+                try:
+                    check_subset_guard(attack_model, robots, size)
+                except SizeGuardError as exc:
+                    raise ScenarioError(f"{here} is {size}: {exc}") from exc
                 if (attack_model, size) in listed:  # its records would be indistinguishable
                     raise ScenarioError(f"{here} repeats {attack_model} attacks of size {size} "
                                         f"from {listed[attack_model, size]}")
                 listed[attack_model, size] = here
             attacks.append(AttackSpec(model=attack_model, sizes=sizes, planned_alpha=planned))
-        scenario = read_field(doc, "scenario", dict)
-        params, path = None, None
-        if "path" in scenario:
-            if set(scenario) != {"path"}:
-                raise ScenarioError("scenario with 'path' must contain only 'path'")
-            path = read_field(scenario, "path", str, "scenario")
-        else:
-            check_keys(scenario, {"vertices", "robots", "alpha", "budget", "layout", "bumps",
-                                  "seed", "reward_kind"}, "scenario params")
-            params = dict(
-                n_vertices=read_field(scenario, "vertices", int, "scenario"),
-                n_robots=read_field(scenario, "robots", int, "scenario"),
-                alpha=read_field(scenario, "alpha", int, "scenario", default=0),
-                budget=read_field(scenario, "budget", float, "scenario"),
-                layout=read_field(scenario, "layout", str, "scenario", default="grid"),
-                bumps=read_field(scenario, "bumps", int, "scenario", default=3),
-                seed=read_field(scenario, "seed", int, "scenario", default=0),
-                reward_kind=read_field(scenario, "reward_kind", str, "scenario", default="modular"))
-            if params["seed"] < 0:
-                raise ScenarioError(f"scenario.seed must be >= 0, got {params['seed']}")
-        trials = read_field(doc, "trials", int)
-        if trials < 0:
-            raise ScenarioError("trials must be >= 0")
-        seed = read_field(doc, "seed", int)
-        if seed < 0:
-            raise ScenarioError(f"seed must be >= 0, got {seed}")
-        return cls(planners=planners, attacks=tuple(attacks), trials=trials,
-                   seed=seed, subroutine=subroutine,
-                   scenario_params=params, scenario_path=path)
+        return cls(planners=tuple(planners), attacks=tuple(attacks), trials=trials, seed=seed,
+                   base=base, subroutine=subroutine)
 
     def base_scenario(self) -> Scenario:
-        """The scenario every trial resamples; attack sizes and planned_alpha lie in 0..robots-1."""
-        base = (read_document(self.scenario_path, load_scenario)[0]
-                if self.scenario_path is not None else generate_scenario(**self.scenario_params))
-        for i, attack in enumerate(self.attacks):
-            named = [(f"sizes[{j}]", size) for j, size in enumerate(attack.sizes)]
-            if attack.planned_alpha is not None:
-                named.append(("planned_alpha", attack.planned_alpha))
-            for name, value in named:
-                if not 0 <= value < base.n_robots:
-                    raise ScenarioError(f"attacks[{i}].{name} is {value}, outside 0.."
-                                        f"{base.n_robots - 1} for {base.n_robots} robots")
-        return base
+        """The scenario every trial resamples."""
+        return self.base
 
 
 @dataclass(frozen=True)
@@ -243,18 +258,16 @@ def plan(planner: str, scenario: Scenario, solver: OpSolverConfig) -> Solution:
     raise ValueError(f"unknown planner {planner!r}")
 
 
-def run_experiment(spec: ExperimentSpec, measure_time: bool = True,
-                   base: Optional[Scenario] = None) -> list[ExperimentRecord]:
-    """Seeded trial sweep: resample starts, plan, attack, record.
+def run_experiment(spec: ExperimentSpec, measure_time: bool = True) -> list[ExperimentRecord]:
+    """Seeded trial sweep over the spec's base scenario: resample starts, plan, attack, record.
 
     Planning for non-partial attacks uses the attack size as the planner's
     assumed loss count (the robust planner re-plans per size); partial
     attacks plan once at `planned_alpha` and sweep weaker adversaries.
     Everything except wall-clock `plan_ms` is a pure function of the spec;
     pass measure_time=False to zero the timing column for byte-stable output.
-    `base` is `spec.base_scenario()` when the caller has already built it.
     """
-    base = spec.base_scenario() if base is None else base
+    base = spec.base_scenario()
     solver = OpSolverConfig(method=spec.subroutine)
     records: list[ExperimentRecord] = []
     for trial in range(spec.trials):

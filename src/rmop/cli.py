@@ -21,9 +21,9 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .graph import (LAYOUTS, REWARD_KINDS, Path, Scenario, ScenarioError, dump_scenario,
-                    generate_scenario, load_json, load_scenario, read_document, read_field,
-                    read_ints)
+from .graph import (LAYOUTS, REWARD_KINDS, Path, Scenario, ScenarioError, check_keys,
+                    dump_scenario, generate_scenario, load_json, load_scenario, read_document,
+                    read_field, read_ints)
 from .reward import RewardModel
 from .orienteering import SUBROUTINES, OpSolverConfig, SizeGuardError
 from .planner import PlannerLoopError, Solution, check_solution
@@ -71,17 +71,21 @@ def solution_to_document(solution: Solution, planner: str, solver: OpSolverConfi
 def load_solution(data: bytes) -> tuple[Solution, str]:
     """Rebuild (solution, scenario digest) from a solution document's bytes.
 
-    Only types are checked here, `planner` among them; read_solution judges the
-    solution against a scenario.
+    Only keys and types are checked here, `planner` among them; read_solution
+    judges the solution against a scenario.
     """
     doc = load_json(data)
     if not isinstance(doc, dict):
         raise ScenarioError("expected a JSON object")
+    check_keys(doc, {"scenario_sha256", "planner", "solver", "paths", "s1_robots", "s2_robots",
+                     "team_reward", "loop_iterations", "bound_report", "bound_note"},
+               "solution keys")
     raw_paths = read_field(doc, "paths", list)
     paths, rewards = [], []
     for i in range(len(raw_paths)):
         where = f"paths[{i}]"
         entry = read_field(raw_paths, i, dict, "paths")
+        check_keys(entry, {"robot", "vertices", "cost", "reward"}, f"keys in {where}")
         paths.append(Path(robot=read_field(entry, "robot", int, where),
                           vertices=tuple(read_ints(entry, "vertices", where)),
                           cost=read_field(entry, "cost", float, where)))
@@ -167,10 +171,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    # The base scenario is built while the spec is read, so its errors name the spec file.
-    (spec, base), _ = read_document(args.spec, lambda data: (
-        spec := bench.ExperimentSpec.from_document(load_json(data)), spec.base_scenario()))
-    records = bench.run_experiment(spec, measure_time=not args.no_timing, base=base)
+    spec, _ = read_document(args.spec, lambda data: bench.ExperimentSpec.from_document(load_json(data)))
+    records = bench.run_experiment(spec, measure_time=not args.no_timing)
     summary = _dump_json(bench.summarize(records)) if args.out_summary else ""
     _write_text(args.out_csv, bench.records_to_csv(records))
     if args.out_summary:

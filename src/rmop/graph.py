@@ -483,7 +483,7 @@ def read_document(path: str, load: Callable[[bytes], T]) -> tuple[T, bytes]:
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a path with a NUL byte
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
     try:
         return load(data), data

@@ -35,6 +35,13 @@ class SizeGuardError(RuntimeError):
     """An exhaustive routine was asked for an instance above its size guard."""
 
 
+def check_exact_size(n: int) -> None:
+    """Refuse a graph of more than EXACT_SIZE_LIMIT vertices for the exact solver."""
+    if n > EXACT_SIZE_LIMIT:
+        raise SizeGuardError(
+            f"exact solver refuses |V|={n} > {EXACT_SIZE_LIMIT}; use the gcb method")
+
+
 @dataclass(frozen=True)
 class OpSolverConfig:
     """Which single-robot subroutine to run; `eta` is the factor credited to it."""
@@ -79,9 +86,7 @@ def solve_op_exact(graph: MetricGraph, model: RewardModel, start: int, budget: f
     once, at its first sequence: the best value only rises, so no later one wins.
     """
     _check_problem(graph, model, start, budget)
-    if graph.n > EXACT_SIZE_LIMIT:
-        raise SizeGuardError(
-            f"exact solver refuses |V|={graph.n} > {EXACT_SIZE_LIMIT}; use the gcb method")
+    check_exact_size(graph.n)
     n = graph.n
     dist = graph.distance.tolist()
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import rmop.bench
 from rmop.graph import Scenario, generate_scenario
 from rmop.reward import RewardModel, eval_team, eval_vertex_set
 from rmop.orienteering import OpSolverConfig, SizeGuardError, solve_op_exact
@@ -252,6 +253,19 @@ class TestExperimentHarness:
         lines = text.strip().split("\r\n")
         assert lines[0] == "trial,planner,attack_model,attack_size,f_S,residual,plan_ms,loop_iters"
         assert len(lines) == 1 + 4
+
+    def test_the_base_scenario_is_generated_once(self, monkeypatch):
+        calls = []
+
+        def counted(**params):
+            calls.append(params)
+            return generate_scenario(**params)
+
+        monkeypatch.setattr(rmop.bench, "generate_scenario", counted)
+        spec = ExperimentSpec.from_document(small_spec())
+        assert spec.base_scenario() is spec.base_scenario()
+        assert len(run_experiment(spec, measure_time=False)) == 4
+        assert len(calls) == 1
 
     def test_zero_trials_gives_header_only(self):
         spec = ExperimentSpec.from_document(small_spec(trials=0))

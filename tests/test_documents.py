@@ -7,14 +7,18 @@ never a silently truncated value.
 
 import copy
 import json
+import math
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rmop.bench import ExperimentSpec
+import rmop.attack
+import rmop.bench
+from rmop.bench import SPEC_SIZE_LIMIT, ExperimentSpec
 from rmop.cli import load_solution, main
 from rmop.graph import ScenarioError, scenario_from_document
+from rmop.orienteering import EXACT_SIZE_LIMIT
 
 SCENARIO = {
     "vertices": [{"id": i, "x": float(i), "y": 0.0, "reward": 1.0, "coverage": [[i, 1.0]]}
@@ -53,6 +57,8 @@ SOLUTION_CASES = [
     ("negative-s1-robot", ("s1_robots",), [-1]),
     ("missing-second-path", ("paths", 1), DELETE),
     ("empty-s1-robots", ("s1_robots",), []),  # the planner put robot 1 alone in s2
+    ("misspelled-team-reward", ("team_rewrad",), 5),
+    ("unknown-path-key", ("paths", 0, "extra"), 1),
 ]
 SPEC_CASES = [
     ("int-attack", ("attacks",), [1]),
@@ -80,6 +86,9 @@ SPEC_CASES = [
     ("repeated-greedy-entry", ("attacks",),
      [{"model": "greedy", "sizes": [1]}, {"model": "worst", "sizes": [1]},
       {"model": "greedy", "sizes": [2, 1]}]),
+    ("repeated-planner", ("planners",), ["rmop", "rmop"]),
+    ("nul-in-scenario-path", ("scenario",), {"path": "a\u0000"}),
+    ("billion-vertices", ("scenario", "vertices"), 10 ** 9),
     # Refused only once the base scenario is built: the spec's robots bound every attack.
     ("zero-vertices", ("scenario", "vertices"), 0),
     ("hex-layout", ("scenario", "layout"), "hex"),
@@ -110,6 +119,11 @@ MESSAGES = {
                              "attacks[0].sizes[0]",
     "repeated-greedy-entry": "attacks[2].sizes[1] repeats greedy attacks of size 1 from "
                              "attacks[0].sizes[0]",
+    "repeated-planner": "planners[1] repeats 'rmop' from planners[0]",
+    "nul-in-scenario-path": "cannot read a\u0000: embedded null byte",
+    "billion-vertices": "scenario.vertices is 1000000000, above the limit of 1000",
+    "misspelled-team-reward": "unknown solution keys ['team_rewrad']",
+    "unknown-path-key": "unknown keys in paths[0] ['extra']",
 }
 
 
@@ -240,6 +254,83 @@ def test_attack_parameters_are_checked_while_parsing(attack, field):
 def test_negative_seeds_are_refused_while_parsing(path, value, field):
     with pytest.raises(ScenarioError, match=rf"^{re.escape(field)} must be >= 0, got {value}$"):
         ExperimentSpec.from_document(mutated(SPEC, path, value))
+
+
+# (test id, spec edits, the refusal) for specs whose sweep could not finish. Each is
+# refused while the spec is read, so no plan is made.
+UNRUNNABLE_SPECS = [
+    ("repeated-planner", {"planners": ["sga", "rmop", "sga"]},
+     "spec.json: planners[2] repeats 'sga' from planners[0]"),
+    ("exact-above-its-limit", {"subroutine": "exact", "planners": ["ng", "sga"],
+                               "scenario": {"vertices": 20, "robots": 3, "budget": 30.0}},
+     "spec.json: subroutine: exact solver refuses |V|=20 > 14; use the gcb method"),
+    ("worst-above-the-subset-guard",
+     {"scenario": {"vertices": 30, "robots": 24, "budget": 30.0},
+      "attacks": [{"model": "greedy", "sizes": [1]}, {"model": "worst", "sizes": [12]}]},
+     "spec.json: attacks[1].sizes[0] is 12: C(24,12) removal subsets exceed the guard of "
+     "1000000; use greedy_attack instead"),
+]
+
+
+@pytest.mark.parametrize("edits, message", [c[1:] for c in UNRUNNABLE_SPECS],
+                         ids=[c[0] for c in UNRUNNABLE_SPECS])
+def test_an_unrunnable_spec_is_refused_before_any_plan(edits, message, tmp_path, monkeypatch,
+                                                       capsys):
+    def refuse(*args):
+        raise AssertionError("planned before the spec was refused")
+
+    monkeypatch.setattr(rmop.bench, "plan", refuse)
+    monkeypatch.chdir(tmp_path)
+    with open("spec.json", "w") as fh:
+        json.dump({**SPEC, **edits}, fh)
+    assert main(["bench", "--spec", "spec.json", "--out-csv", "out.csv"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("planners, vertices, ok", [
+    (["rmop"], EXACT_SIZE_LIMIT, True),
+    (["rmop"], EXACT_SIZE_LIMIT + 1, False),
+    (["sga"], EXACT_SIZE_LIMIT + 1, False),
+    (["ng"], EXACT_SIZE_LIMIT + 1, True),  # the uncoordinated baseline runs no solver
+], ids=["rmop-at-limit", "rmop-above", "sga-above", "ng-above"])
+def test_the_exact_subroutine_is_refused_above_its_limit(planners, vertices, ok):
+    doc = {**SPEC, "subroutine": "exact", "planners": planners,
+           "scenario": {**SPEC["scenario"], "vertices": vertices}}
+    if ok:
+        assert ExperimentSpec.from_document(doc).base_scenario().graph.n == vertices
+    else:
+        with pytest.raises(ScenarioError, match=rf"\|V\|={vertices} > {EXACT_SIZE_LIMIT}"):
+            ExperimentSpec.from_document(doc)
+
+
+@pytest.mark.parametrize("model", ["worst", "partial", "greedy", "random"])
+@pytest.mark.parametrize("slack", [0, -1])
+def test_the_subset_guard_bounds_exhaustive_attacks(model, slack, monkeypatch):
+    # A guard of exactly C(6, 3) admits size 3 of 6 robots; one less refuses it.
+    monkeypatch.setattr(rmop.attack, "SUBSET_GUARD", math.comb(6, 3) + slack)
+    attack = {"model": model, "sizes": [3],
+              **({"planned_alpha": 3} if model == "partial" else {})}
+    doc = {**SPEC, "scenario": {**SPEC["scenario"], "robots": 6}, "attacks": [attack]}
+    if slack == 0 or model in ("greedy", "random"):
+        assert ExperimentSpec.from_document(doc).attacks[0].sizes == (3,)
+    else:
+        with pytest.raises(ScenarioError, match=r"^attacks\[0\]\.sizes\[0\] is 3: C\(6,3\)"):
+            ExperimentSpec.from_document(doc)
+
+
+@pytest.mark.parametrize("key", ["vertices", "robots", "bumps"])
+def test_a_generated_scenario_is_bounded_before_it_is_built(key, monkeypatch):
+    ExperimentSpec.from_document(mutated(SPEC, ("scenario", key), SPEC_SIZE_LIMIT))
+
+    def refuse(**params):
+        raise AssertionError("generated a scenario above the spec limit")
+
+    monkeypatch.setattr(rmop.bench, "generate_scenario", refuse)
+    doc = mutated(SPEC, ("scenario", key), SPEC_SIZE_LIMIT + 1)
+    with pytest.raises(ScenarioError, match=rf"^scenario\.{key} is {SPEC_SIZE_LIMIT + 1}, above"):
+        ExperimentSpec.from_document(doc)
 
 
 def test_partial_sizes_up_to_planned_alpha_parse():

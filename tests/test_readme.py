@@ -29,7 +29,8 @@ def test_library_in_one_minute_runs(capsys):
 
 
 def test_experiment_specs_parse_and_build_their_scenario():
-    specs = [ExperimentSpec.from_document(json.loads(block)) for block in fenced("json")]
-    assert len(specs) == 2
-    for spec in specs:
-        assert spec.base_scenario().graph.n == spec.scenario_params["n_vertices"]
+    docs = [json.loads(block) for block in fenced("json")]
+    assert len(docs) == 2
+    for doc in docs:
+        spec = ExperimentSpec.from_document(doc)
+        assert spec.base_scenario().graph.n == doc["scenario"]["vertices"]
