@@ -33,12 +33,13 @@ class AttackOutcome:
     seed: Optional[int] = None
 
 
-def _residual(model: RewardModel, solution: Solution, removed) -> float:
-    survivors = [p for p in solution.paths if p.robot not in removed]
-    return eval_team(model, survivors)
+def _least(model: RewardModel, solution: Solution, removals) -> tuple[float, tuple[int, ...]]:
+    """(residual, removal) of least residual over the `removals` tuples; the first on ties."""
+    return min(((eval_team(model, [p for p in solution.paths if p.robot not in removal]), removal)
+                for removal in removals), key=lambda scored: scored[0])
 
 
-def _check_size(solution: Solution, size: int) -> None:
+def _check_size(name: str, solution: Solution, size: int) -> None:
     for i, path in enumerate(solution.paths):
         if path.robot != i:
             raise ValueError(f"path {i} is labeled for robot {path.robot}; "
@@ -47,6 +48,7 @@ def _check_size(solution: Solution, size: int) -> None:
         raise ValueError("attack size must be non-negative")
     if size >= solution.n_robots:
         raise ValueError(f"attack size must be < {solution.n_robots} robots, got {size}")
+    check_subset_guard(name, solution.n_robots, size)
 
 
 def check_subset_guard(name: str, n: int, size: int) -> None:
@@ -57,40 +59,32 @@ def check_subset_guard(name: str, n: int, size: int) -> None:
 
 
 def worst_case_attack(model: RewardModel, solution: Solution, size: int) -> AttackOutcome:
-    """Exhaustive minimization of the surviving team reward over removals.
-
-    Enumerates all subsets of exactly `size` robots (monotonicity means a
-    minimizer of full size always exists) and keeps the lexicographically
-    smallest minimizer.
-    """
-    _check_size(solution, size)
-    n = solution.n_robots
-    check_subset_guard("worst", n, size)
-    residual, removed = min((_residual(model, solution, c), c)
-                            for c in combinations(range(n), size))
-    return AttackOutcome(removed=frozenset(removed), residual=residual, model="worst-exhaustive")
+    """Exhaustive minimization of the surviving team reward over all removals of exactly
+    `size` robots (monotonicity means a minimizer of full size always exists); the
+    lexicographically smallest minimizer wins."""
+    _check_size("worst", solution, size)
+    residual, removal = _least(model, solution, combinations(range(solution.n_robots), size))
+    return AttackOutcome(removed=frozenset(removal), residual=residual, model="worst-exhaustive")
 
 
 def greedy_attack(model: RewardModel, solution: Solution, size: int) -> AttackOutcome:
-    """Remove, one at a time, the robot whose loss hurts the survivors most."""
-    _check_size(solution, size)
-    removed: set[int] = set()
+    """Remove, one at a time, the robot whose loss hurts the survivors most; ties go to
+    the smallest id. Each step scores the one-robot extensions of the removal so far."""
+    _check_size("greedy", solution, size)
+    residual, removal = _least(model, solution, [()]) if size == 0 else (None, ())
     for _ in range(size):
-        candidates = [r for r in range(solution.n_robots) if r not in removed]
-        # min keeps the first of equal residuals: the smallest robot id.
-        removed.add(min(candidates, key=lambda r: _residual(model, solution, removed | {r})))
-    return AttackOutcome(removed=frozenset(removed),
-                         residual=_residual(model, solution, removed),
-                         model="worst-greedy")
+        extensions = [removal + (r,) for r in range(solution.n_robots) if r not in removal]
+        residual, removal = _least(model, solution, extensions)
+    return AttackOutcome(removed=frozenset(removal), residual=residual, model="worst-greedy")
 
 
 def random_attack(model: RewardModel, solution: Solution, size: int, seed: int) -> AttackOutcome:
     """Uniformly random removal of exactly `size` robots, deterministic per seed."""
-    _check_size(solution, size)
+    _check_size("random", solution, size)
     rng = np.random.default_rng(seed)
-    removed = frozenset(int(r) for r in rng.choice(solution.n_robots, size=size, replace=False))
-    return AttackOutcome(removed=removed, residual=_residual(model, solution, removed),
-                         model="random", seed=seed)
+    residual, removal = _least(model, solution, [tuple(
+        int(r) for r in rng.choice(solution.n_robots, size=size, replace=False))])
+    return AttackOutcome(removed=frozenset(removal), residual=residual, model="random", seed=seed)
 
 
 def run_attack(name: str, model: RewardModel, solution: Solution, size: int,
@@ -114,6 +108,6 @@ def run_attack(name: str, model: RewardModel, solution: Solution, size: int,
         if planned_alpha is None:
             raise ValueError("partial attacks require planned_alpha")
         if size > planned_alpha:
-            raise ValueError(f"actual_size {size} exceeds the planned attack size {planned_alpha}")
+            raise ValueError(f"attack size {size} exceeds the planned attack size {planned_alpha}")
         return replace(worst_case_attack(model, solution, size), model="partial")
     raise ValueError(f"unknown attack model {name!r}; expected one of {ATTACK_MODELS}")

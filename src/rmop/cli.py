@@ -68,18 +68,34 @@ def solution_to_document(solution: Solution, planner: str, solver: OpSolverConfi
     }
 
 
+def _read_robots(doc: dict, key: str) -> frozenset[int]:
+    first: dict[int, int] = {}  # robot -> the index that first lists it
+    for i, robot in enumerate(read_ints(doc, key)):
+        if first.setdefault(robot, i) != i:
+            raise ScenarioError(f"{key}[{i}] repeats robot {robot} from {key}[{first[robot]}]")
+    return frozenset(first)
+
+
+def _check_all_keys(obj: dict, keys: set, what: str) -> None:
+    """Refuse an object whose keys are not exactly `keys`, naming the unknown or missing ones."""
+    check_keys(obj, keys, what)
+    if set(obj) != keys:
+        raise ScenarioError(f"missing {what} {sorted(keys - set(obj))}")
+
+
 def load_solution(data: bytes) -> tuple[Solution, str]:
     """Rebuild (solution, scenario digest) from a solution document's bytes.
 
-    Only keys and types are checked here, `planner` among them; read_solution
-    judges the solution against a scenario.
+    Keys, types and every value a writer fixes are checked here (the planner, the
+    loop count, repeated robots, the solver, the bound report's keys and eta);
+    read_solution judges the solution against a scenario.
     """
     doc = load_json(data)
     if not isinstance(doc, dict):
         raise ScenarioError("expected a JSON object")
-    check_keys(doc, {"scenario_sha256", "planner", "solver", "paths", "s1_robots", "s2_robots",
-                     "team_reward", "loop_iterations", "bound_report", "bound_note"},
-               "solution keys")
+    _check_all_keys(doc, {"scenario_sha256", "planner", "solver", "paths", "s1_robots",
+                          "s2_robots", "team_reward", "loop_iterations", "bound_report",
+                          "bound_note"}, "solution keys")
     raw_paths = read_field(doc, "paths", list)
     paths, rewards = [], []
     for i in range(len(raw_paths)):
@@ -92,13 +108,35 @@ def load_solution(data: bytes) -> tuple[Solution, str]:
         rewards.append(read_field(entry, "reward", float, where))
     solution = Solution(
         paths=tuple(paths),
-        s1_robots=frozenset(read_ints(doc, "s1_robots")),
-        s2_robots=frozenset(read_ints(doc, "s2_robots")),
+        s1_robots=_read_robots(doc, "s1_robots"),
+        s2_robots=_read_robots(doc, "s2_robots"),
         team_reward=read_field(doc, "team_reward", float),
         loop_iterations=read_field(doc, "loop_iterations", int),
         per_path_rewards=tuple(rewards),
     )
-    read_field(doc, "planner", str)
+    if solution.loop_iterations < 0:
+        raise ScenarioError(f"loop_iterations must be >= 0, got {solution.loop_iterations}")
+    planner = read_field(doc, "planner", str)
+    if planner not in bench.PLANNER_NAMES:
+        raise ScenarioError(f"unknown planner {planner!r}; expected one of {bench.PLANNER_NAMES}")
+    solver = read_field(doc, "solver", dict)
+    method = read_field(solver, "method", str, "solver")
+    if method not in SUBROUTINES:
+        raise ScenarioError(f"unknown solver.method {method!r}; expected one of {SUBROUTINES}")
+    config = OpSolverConfig(method)
+    read_field(solver, "eta", float, "solver")  # true equals 1.0 but is no number
+    if solver != {"method": method, "eta": config.eta, "eta_note": config.eta_note}:
+        raise ScenarioError(f"solver must be the method, eta and eta_note of the {method!r} "
+                            f"solver, whose eta is {config.eta}")
+    if doc["bound_report"] is not None:  # the solve writes its solver's eta into the report
+        report = read_field(doc, "bound_report", dict)
+        _check_all_keys(report, {f.name for f in dataclasses.fields(bench.BoundReport)},
+                        "bound_report keys")
+        if read_field(report, "eta", float, "bound_report") != config.eta:
+            raise ScenarioError(f"bound_report.eta is {report['eta']}; the {method!r} "
+                                f"solver's eta is {config.eta}")
+    if doc["bound_note"] is not None:
+        read_field(doc, "bound_note", str)
     return solution, read_field(doc, "scenario_sha256", str)
 
 

@@ -34,6 +34,12 @@ And the map checker as it was when one walk over each vertex's cells both typed
 them and checked the coverage, holding the first coverage fault back until every
 vertex had passed its own checks. `MetricGraph` must store the same vertices and
 matrix, or raise the same exception with the same message.
+
+And the attacks as they were before one search scored every removal: the
+exhaustive attack as a `min` over (residual, removal) pairs, the greedy attack
+as a loop over a set of removed robots that scores its answer once more at the
+end, and the random attack scoring its draw. Each scores survivors through
+`eval_team`; the library's attacks must return the same outcome, bit for bit.
 """
 
 from __future__ import annotations
@@ -47,8 +53,10 @@ import numpy as np
 
 from rmop.graph import (AREA_SIDE, MetricGraph, Path, RewardError, Scenario, ScenarioError,
                         Vertex, _check_total, _verified)
-from rmop.reward import IncrementalEval, RewardModel, eval_vertex_set
+from rmop.reward import IncrementalEval, RewardModel, eval_team, eval_vertex_set
+from rmop.attack import AttackOutcome
 from rmop.orienteering import SizeGuardError, _check_problem
+from rmop.planner import Solution
 
 PATH_PRODUCT_GUARD = 10 ** 7
 TABLE_SIZE_GUARD = 20
@@ -477,3 +485,34 @@ def metric_graph_one_walk(vertices, distance=None) -> tuple[tuple[Vertex, ...], 
             f"vertices {i} and {j} are too far apart for a finite distance" if built
             else f"distance_matrix must be finite, violated at ({i},{j})")
     return tuple(vertices), mat, euclidean
+
+
+def _survivors_reward(model: RewardModel, solution: Solution, removed) -> float:
+    return eval_team(model, [p for p in solution.paths if p.robot not in removed])
+
+
+def enumerated_worst_attack(model: RewardModel, solution: Solution, size: int) -> AttackOutcome:
+    """The least residual over every removal of `size` robots; the smaller tuple on ties."""
+    residual, removed = min((_survivors_reward(model, solution, c), c)
+                            for c in combinations(range(solution.n_robots), size))
+    return AttackOutcome(removed=frozenset(removed), residual=residual, model="worst-exhaustive")
+
+
+def stepwise_greedy_attack(model: RewardModel, solution: Solution, size: int) -> AttackOutcome:
+    """Remove, one at a time, the robot whose loss leaves the least; the smaller id on ties."""
+    removed: set[int] = set()
+    for _ in range(size):
+        candidates = [r for r in range(solution.n_robots) if r not in removed]
+        removed.add(min(candidates, key=lambda r: _survivors_reward(model, solution, removed | {r})))
+    return AttackOutcome(removed=frozenset(removed),
+                         residual=_survivors_reward(model, solution, removed),
+                         model="worst-greedy")
+
+
+def drawn_random_attack(model: RewardModel, solution: Solution, size: int,
+                        seed: int) -> AttackOutcome:
+    """The removal of `size` robots that numpy's generator draws from `seed`, scored."""
+    rng = np.random.default_rng(seed)
+    removed = frozenset(int(r) for r in rng.choice(solution.n_robots, size=size, replace=False))
+    return AttackOutcome(removed=removed, residual=_survivors_reward(model, solution, removed),
+                         model="random", seed=seed)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rmop.bench import PLANNER_NAMES, _derived_seed, plan
 from rmop.graph import Path, generate_scenario, resample_starts
@@ -15,6 +16,7 @@ from rmop.attack import (ATTACK_MODELS, greedy_attack, random_attack, run_attack
                          worst_case_attack)
 
 from helpers import random_tiny_scenario, reward_model
+from oracles import drawn_random_attack, enumerated_worst_attack, stepwise_greedy_attack
 
 GCB = OpSolverConfig(method="gcb")
 
@@ -123,6 +125,15 @@ class TestGreedyAttack:
                 worst = worst_case_attack(model, solution, size).residual
                 greedy = greedy_attack(model, solution, size).residual
                 assert greedy >= worst - 1e-9
+
+    def test_a_tie_at_step_two_goes_to_the_smaller_id(self):
+        # Step 1 removes robot 0 (9) alone; step 2 then ties robots 1 and 3 (5 each) at
+        # residual 6, and robot 1 goes.
+        model = reward_model([9.0, 5.0, 1.0, 5.0])
+        solution = Solution.from_paths(model, [Path(r, (r,), 0.0) for r in range(4)])
+        assert greedy_attack(model, solution, 1).removed == {0}
+        outcome = greedy_attack(model, solution, 2)
+        assert (outcome.removed, outcome.residual) == ({0, 1}, 6.0)
 
 
 class TestRandomAttack:
@@ -253,3 +264,58 @@ def test_removal_sets_are_pinned():
                                  repr(outcome.residual)))
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
         "a9741f8437e386e4ae71093a06877f231a24e6f0ae450641b6e13375496908c2")
+
+
+@st.composite
+def desk_plans(draw):
+    """A team of 1-6 robots on up to 8 vertices, with modular or coverage rewards.
+
+    Weights are integers 0..10, or those divided by 3, so residual sums round and
+    near-ties are decided by the order in which the evaluator adds.
+    """
+    n_vertices = draw(st.integers(1, 8))
+    divisor = draw(st.sampled_from([1.0, 3.0]))
+    weight = st.integers(0, 10).map(lambda w: w / divisor)
+    if draw(st.booleans()):
+        model = reward_model([draw(weight) for _ in range(n_vertices)])
+    else:
+        n_cells = draw(st.integers(1, 6))
+        weights = [draw(weight) for _ in range(n_cells)]
+        model = reward_model(cells=[[(c, weights[c]) for c in sorted(
+            draw(st.sets(st.integers(0, n_cells - 1))))] for _ in range(n_vertices)])
+    visits = st.lists(st.integers(0, n_vertices - 1), min_size=1, max_size=4, unique=True)
+    paths = [Path(r, tuple(draw(visits)), 0.0) for r in range(draw(st.integers(1, 6)))]
+    return model, Solution.from_paths(model, paths)
+
+
+def _bits(outcome):
+    return sorted(outcome.removed), outcome.residual.hex(), outcome.model, outcome.seed
+
+
+@settings(max_examples=200, deadline=None)
+@given(desk_plans(), st.integers(0, 2 ** 32 - 1))
+def test_every_attack_matches_its_reference_at_every_size(plan, seed):
+    model, solution = plan
+    for size in range(solution.n_robots):
+        assert _bits(worst_case_attack(model, solution, size)) == _bits(
+            enumerated_worst_attack(model, solution, size))
+        assert _bits(greedy_attack(model, solution, size)) == _bits(
+            stepwise_greedy_attack(model, solution, size))
+        assert _bits(random_attack(model, solution, size, seed)) == _bits(
+            drawn_random_attack(model, solution, size, seed))
+
+
+@pytest.mark.parametrize("size", range(5))
+def test_eval_team_calls_per_attack(size, monkeypatch):
+    # Worst scores each removal once, random its one draw, and greedy the n - k
+    # extensions at each step k; none scores its answer again. Size 0 scores the team once.
+    model = reward_model([float(v + 1) for v in range(5)])
+    solution = Solution.from_paths(model, [Path(r, (r,), 0.0) for r in range(5)])
+    calls = []
+    monkeypatch.setattr(rmop.attack, "eval_team", lambda *args: calls.append(1) or eval_team(*args))
+    expected = {"worst": math.comb(5, size), "random": 1,
+                "greedy": sum(5 - k for k in range(size)) or 1}
+    for name, cap in expected.items():
+        calls.clear()
+        run_attack(name, model, solution, size, seed=3)
+        assert len(calls) == cap, name

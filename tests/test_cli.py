@@ -253,6 +253,14 @@ class TestAttack:
         doc = json.loads(capsys.readouterr().out)
         assert doc["model"] == "partial"
 
+    def test_partial_above_the_scenario_alpha_names_the_attack_size(self, solved, capsys):
+        scenario_file, solution_file = solved
+        capsys.readouterr()
+        assert run_cli("attack", str(solution_file), "--scenario", str(scenario_file),
+                       "--model", "partial", "--size", "2") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: attack size 2 exceeds the planned attack size 1"]
+
     @pytest.mark.parametrize("model", ["worst", "greedy", "random", "partial"])
     def test_report_matches_the_library_dispatch(self, solved, capsys, model):
         scenario_file, solution_file = solved
@@ -557,6 +565,22 @@ class TestVerify:
         assert code == 1
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] is False
+
+    def test_an_exact_label_on_a_gcb_plan_is_refused_by_its_bound_report(self, tmp_path, solved,
+                                                                         capsys):
+        # The solve wrote gcb's eta into the bound report; relabelled, the solver claims 1.0.
+        scenario_file, solution_file = solved
+        doc = json.loads(solution_file.read_text())
+        assert doc["bound_report"]["eta"] == doc["solver"]["eta"] > 1.0
+        doc["solver"] = {"method": "exact", "eta": 1.0, "eta_note": None}
+        relabelled = tmp_path / "relabelled.json"
+        relabelled.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("verify", "--scenario", str(scenario_file),
+                       "--solution", str(relabelled)) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"FAIL: solution: {relabelled}: bound_report.eta is {doc['bound_report']['eta']}; "
+            f"the 'exact' solver's eta is 1.0"]
 
     def test_json_report_shape(self, solved, capsys):
         scenario_file, solution_file = solved

@@ -18,7 +18,7 @@ import rmop.bench
 from rmop.bench import SPEC_SIZE_LIMIT, ExperimentSpec
 from rmop.cli import load_solution, main
 from rmop.graph import ScenarioError, scenario_from_document
-from rmop.orienteering import EXACT_SIZE_LIMIT
+from rmop.orienteering import EXACT_SIZE_LIMIT, GCB_ETA
 
 SCENARIO = {
     "vertices": [{"id": i, "x": float(i), "y": 0.0, "reward": 1.0, "coverage": [[i, 1.0]]}
@@ -50,6 +50,9 @@ SCENARIO_CASES = [
     ("no-vertices", ("vertices",), []),
     ("two-row-matrix", ("distance_matrix",), [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0]]),
 ]
+# A bound report with every key, as `rmop solve` writes one, but for a solver of eta 1.
+BOUND_REPORT = {"k_f": 0.0, "k_g": 0.0, "eta": 1.0, "alpha": 1, "n_robots": 2,
+                "robust_fraction": 0.25, "sga_fraction": 0.5, "k_f_ground_set_note": "note"}
 SOLUTION_CASES = [
     ("fractional-path-vertex", ("paths", 0, "vertices", 0), 0.5),
     ("bool-robot", ("paths", 0, "robot"), False),
@@ -59,6 +62,22 @@ SOLUTION_CASES = [
     ("empty-s1-robots", ("s1_robots",), []),  # the planner put robot 1 alone in s2
     ("misspelled-team-reward", ("team_rewrad",), 5),
     ("unknown-path-key", ("paths", 0, "extra"), 1),
+    # Each below verified OK before: a repeat collapsed into a set, or a value no writer sets.
+    ("repeated-s1-robot", ("s1_robots",), [0, 0]),
+    ("repeated-s2-robot", ("s2_robots",), [1, 1]),
+    ("bogus-planner", ("planner",), "bogus"),
+    ("negative-loop-iterations", ("loop_iterations",), -7),
+    ("int-solver", ("solver",), 42),
+    ("bogus-solver-method", ("solver", "method"), "bogus"),
+    ("exact-method-with-gcb-eta", ("solver", "method"), "exact"),
+    ("gcb-method-with-exact-eta", ("solver", "eta"), 1.0),
+    ("bool-solver-eta", ("solver", "eta"), True),
+    ("missing-eta-note", ("solver", "eta_note"), DELETE),
+    ("list-bound-report", ("bound_report",), [1]),
+    ("bound-report-of-one-key", ("bound_report",), {"eta": GCB_ETA}),
+    ("bound-report-with-exact-eta", ("bound_report",), BOUND_REPORT),
+    ("int-bound-note", ("bound_note",), 3),
+    ("missing-bound-note", ("bound_note",), DELETE),
 ]
 SPEC_CASES = [
     ("int-attack", ("attacks",), [1]),
@@ -124,6 +143,23 @@ MESSAGES = {
     "billion-vertices": "scenario.vertices is 1000000000, above the limit of 1000",
     "misspelled-team-reward": "unknown solution keys ['team_rewrad']",
     "unknown-path-key": "unknown keys in paths[0] ['extra']",
+    "repeated-s1-robot": "s1_robots[1] repeats robot 0 from s1_robots[0]",
+    "repeated-s2-robot": "s2_robots[1] repeats robot 1 from s2_robots[0]",
+    "bogus-planner": "unknown planner 'bogus'",
+    "negative-loop-iterations": "loop_iterations must be >= 0, got -7",
+    "int-solver": "solver must be an object, got 42",
+    "bogus-solver-method": "unknown solver.method 'bogus'",
+    "exact-method-with-gcb-eta": "solver must be the method, eta and eta_note of the 'exact' "
+                                 "solver, whose eta is 1.0",
+    "gcb-method-with-exact-eta": "solver must be the method, eta and eta_note of the 'gcb' "
+                                 f"solver, whose eta is {GCB_ETA}",
+    "bool-solver-eta": "solver.eta must be a number, got True",
+    "missing-eta-note": "of the 'gcb' solver",
+    "list-bound-report": "bound_report must be an object",
+    "bound-report-of-one-key": "missing bound_report keys ['alpha', 'k_f', ",
+    "bound-report-with-exact-eta": f"bound_report.eta is 1.0; the 'gcb' solver's eta is {GCB_ETA}",
+    "int-bound-note": "bound_note must be a string, got 3",
+    "missing-bound-note": "missing solution keys ['bound_note']",
 }
 
 
