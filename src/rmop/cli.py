@@ -8,8 +8,8 @@ mis-scored. Exit codes: 0 success, 1 validation/verification failure or a
 request larger than memory, 2 usage error. Library errors become exit 1 and
 one `error:` line in `main` alone; the commands only add context to them.
 Every document is read through `graph.read_document`, so each `error:` or
-`FAIL:` line about a document names its file. `read_solution` alone judges a
-solution against its scenario; `verify` reports a solution it could not check.
+`FAIL:` line about a document names its file. A solution document must be what
+the one writer, `solution_document`, writes for the choices it holds.
 """
 
 from __future__ import annotations
@@ -21,14 +21,16 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .graph import (LAYOUTS, REWARD_KINDS, Path, Scenario, ScenarioError, check_keys,
-                    dump_scenario, generate_scenario, load_json, load_scenario, read_document,
+from .graph import (LAYOUTS, REWARD_KINDS, Path, Scenario, ScenarioError, dump_scenario,
+                    generate_scenario, load_json, load_scenario, path_cost, read_document,
                     read_field, read_ints)
 from .reward import RewardModel
 from .orienteering import SUBROUTINES, OpSolverConfig, SizeGuardError
 from .planner import PlannerLoopError, Solution, check_solution
 from .attack import ATTACK_MODELS, run_attack
 from . import bench
+
+_ABSENT = object()  # a key that a JSON object lacks
 
 
 def _write_text(path: str, text: str) -> None:
@@ -47,104 +49,95 @@ def scenario_digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def solution_to_document(solution: Solution, planner: str, solver: OpSolverConfig,
-                         digest: str, bound: Optional[bench.BoundReport],
-                         bound_note: Optional[str]) -> dict:
+def solution_document(scenario: Scenario, data: bytes, solution: Solution, planner: str,
+                      solver: OpSolverConfig) -> dict:
+    """The document `rmop solve` writes for `solution`; `data` is its scenario's bytes."""
+    bound = note = None
+    if planner == "ng":
+        note = "no guarantee fractions for the uncoordinated baseline"
+    elif scenario.alpha == 0:
+        note = "alpha is 0: no adversary, no robust fraction to report"
+    else:
+        model = RewardModel.from_scenario(scenario)
+        try:
+            bound = dataclasses.asdict(bench.bound_report(model, solution, solver.eta,
+                                                          scenario.alpha, scenario.n_robots))
+        except ValueError as exc:
+            note = f"bound fractions unavailable: {exc}"
     return {
-        "scenario_sha256": digest,
+        "scenario_sha256": scenario_digest(data),
         "planner": planner,
         "solver": {"method": solver.method, "eta": solver.eta, "eta_note": solver.eta_note},
-        "paths": [
-            {"robot": p.robot, "vertices": list(p.vertices), "cost": p.cost,
-             "reward": solution.per_path_rewards[i]}
-            for i, p in enumerate(solution.paths)
-        ],
+        "paths": [{"robot": p.robot, "vertices": list(p.vertices), "cost": p.cost, "reward": r}
+                  for p, r in zip(solution.paths, solution.per_path_rewards)],
         "s1_robots": sorted(solution.s1_robots),
         "s2_robots": sorted(solution.s2_robots),
         "team_reward": solution.team_reward,
         "loop_iterations": solution.loop_iterations,
-        "bound_report": None if bound is None else dataclasses.asdict(bound),
-        "bound_note": bound_note,
+        "bound_report": bound,
+        "bound_note": note,
     }
 
 
-def _read_robots(doc: dict, key: str) -> frozenset[int]:
-    first: dict[int, int] = {}  # robot -> the index that first lists it
-    for i, robot in enumerate(read_ints(doc, key)):
-        if first.setdefault(robot, i) != i:
-            raise ScenarioError(f"{key}[{i}] repeats robot {robot} from {key}[{first[robot]}]")
-    return frozenset(first)
+def _difference(got, want, name: str = "") -> Optional[str]:
+    """Where the JSON value `got` first differs from `want`, each read as canonical JSON text.
 
-
-def _check_all_keys(obj: dict, keys: set, what: str) -> None:
-    """Refuse an object whose keys are not exactly `keys`, naming the unknown or missing ones."""
-    check_keys(obj, keys, what)
-    if set(obj) != keys:
-        raise ScenarioError(f"missing {what} {sorted(keys - set(obj))}")
-
-
-def load_solution(data: bytes) -> tuple[Solution, str]:
-    """Rebuild (solution, scenario digest) from a solution document's bytes.
-
-    Keys, types and every value a writer fixes are checked here (the planner, the
-    loop count, repeated robots, the solver, the bound report's keys and eta);
-    read_solution judges the solution against a scenario.
+    Objects are walked in `want`'s key order, then `got`'s other keys, sorted; arrays of
+    one length item by item. So `true` is not `1.0`, and `-0.0` is not `0.0`.
     """
-    doc = load_json(data)
+    if isinstance(got, dict) and isinstance(want, dict):
+        parts = [(f"{name}.{k}" if name else k, got.get(k, _ABSENT), want.get(k, _ABSENT))
+                 for k in [*want, *sorted(set(got) - set(want))]]
+    elif isinstance(got, list) and isinstance(want, list) and len(got) == len(want):
+        parts = [(f"{name}[{i}]", g, w) for i, (g, w) in enumerate(zip(got, want))]
+    else:
+        text = "missing" if got is _ABSENT else json.dumps(got, sort_keys=True)
+        wanted = "no such key" if want is _ABSENT else json.dumps(want, sort_keys=True)
+        return None if text == wanted else f"{name} is {text}; rmop solve writes {wanted}"
+    return next(filter(None, (_difference(g, w, n) for n, g, w in parts)), None)
+
+
+def _rebuild(doc, scenario: Scenario, data: bytes) -> tuple[Solution, list[str]]:
+    """read_solution's work on the parsed document `doc`; a malformed choice raises."""
     if not isinstance(doc, dict):
         raise ScenarioError("expected a JSON object")
-    _check_all_keys(doc, {"scenario_sha256", "planner", "solver", "paths", "s1_robots",
-                          "s2_robots", "team_reward", "loop_iterations", "bound_report",
-                          "bound_note"}, "solution keys")
-    raw_paths = read_field(doc, "paths", list)
-    paths, rewards = [], []
-    for i in range(len(raw_paths)):
-        where = f"paths[{i}]"
-        entry = read_field(raw_paths, i, dict, "paths")
-        check_keys(entry, {"robot", "vertices", "cost", "reward"}, f"keys in {where}")
-        paths.append(Path(robot=read_field(entry, "robot", int, where),
-                          vertices=tuple(read_ints(entry, "vertices", where)),
-                          cost=read_field(entry, "cost", float, where)))
-        rewards.append(read_field(entry, "reward", float, where))
-    solution = Solution(
-        paths=tuple(paths),
-        s1_robots=_read_robots(doc, "s1_robots"),
-        s2_robots=_read_robots(doc, "s2_robots"),
-        team_reward=read_field(doc, "team_reward", float),
-        loop_iterations=read_field(doc, "loop_iterations", int),
-        per_path_rewards=tuple(rewards),
-    )
-    if solution.loop_iterations < 0:
-        raise ScenarioError(f"loop_iterations must be >= 0, got {solution.loop_iterations}")
     planner = read_field(doc, "planner", str)
     if planner not in bench.PLANNER_NAMES:
         raise ScenarioError(f"unknown planner {planner!r}; expected one of {bench.PLANNER_NAMES}")
-    solver = read_field(doc, "solver", dict)
-    method = read_field(solver, "method", str, "solver")
+    method = read_field(read_field(doc, "solver", dict), "method", str, "solver")
     if method not in SUBROUTINES:
         raise ScenarioError(f"unknown solver.method {method!r}; expected one of {SUBROUTINES}")
-    config = OpSolverConfig(method)
-    read_field(solver, "eta", float, "solver")  # true equals 1.0 but is no number
-    if solver != {"method": method, "eta": config.eta, "eta_note": config.eta_note}:
-        raise ScenarioError(f"solver must be the method, eta and eta_note of the {method!r} "
-                            f"solver, whose eta is {config.eta}")
-    if doc["bound_report"] is not None:  # the solve writes its solver's eta into the report
-        report = read_field(doc, "bound_report", dict)
-        _check_all_keys(report, {f.name for f in dataclasses.fields(bench.BoundReport)},
-                        "bound_report keys")
-        if read_field(report, "eta", float, "bound_report") != config.eta:
-            raise ScenarioError(f"bound_report.eta is {report['eta']}; the {method!r} "
-                                f"solver's eta is {config.eta}")
-    if doc["bound_note"] is not None:
-        read_field(doc, "bound_note", str)
-    return solution, read_field(doc, "scenario_sha256", str)
+    loops = read_field(doc, "loop_iterations", int)
+    if loops < 0:
+        raise ScenarioError(f"loop_iterations must be >= 0, got {loops}")
+    raw_paths, paths = read_field(doc, "paths", list), []
+    for i in range(len(raw_paths)):
+        where = f"paths[{i}]"
+        entry = read_field(raw_paths, i, dict, "paths")
+        vertices = read_ints(entry, "vertices", where)
+        try:
+            cost = path_cost(scenario.graph, vertices)
+        except ScenarioError as exc:  # an empty path, or a repeated or unknown vertex
+            raise ScenarioError(f"{where}.vertices: {exc}") from exc
+        paths.append(Path(read_field(entry, "robot", int, where), tuple(vertices), cost))
+    solution = Solution.from_paths(RewardModel.from_scenario(scenario), paths,
+                                   read_ints(doc, "s1_robots"), loops)
+    fresh = doc.get("scenario_sha256") == scenario_digest(data)
+    problems = ([] if fresh else ["scenario digest mismatch"]) + check_solution(scenario, solution)
+    if not problems:
+        written = solution_document(scenario, data, solution, planner, OpSolverConfig(method))
+        problems = [p for p in [_difference(doc, written)] if p]
+    return solution, problems
 
 
 def read_solution(path: str, scenario: Scenario, data: bytes) -> tuple[Solution, list[str]]:
-    """The solution at `path` and its problems against `scenario`, whose bytes are `data`."""
-    (solution, digest), _ = read_document(path, load_solution)
-    problems = [] if digest == scenario_digest(data) else ["scenario digest mismatch"]
-    return solution, problems + check_solution(scenario, solution)
+    """The solution at `path` and its problems against `scenario`, whose bytes are `data`.
+
+    Only the choices are read: the planner, `solver.method`, each path's robot and vertices,
+    `s1_robots` and `loop_iterations`. Once check_solution passes the solution they rebuild,
+    the first key that differs from what `solution_document` writes is the one problem.
+    """
+    return read_document(path, lambda raw: _rebuild(load_json(raw), scenario, data))[0]
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -161,24 +154,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     scenario, data = read_document(args.scenario, load_scenario)
     solver = OpSolverConfig(method=args.subroutine)
     solution = bench.plan(args.planner, scenario, solver)
-
-    bound = None
-    bound_note = None
-    if args.planner in ("rmop", "sga") and scenario.alpha >= 1:
-        model = RewardModel.from_scenario(scenario)
-        try:
-            bound = bench.bound_report(model, solution, solver.eta, scenario.alpha,
-                                       scenario.n_robots)
-        except ValueError as exc:
-            bound_note = f"bound fractions unavailable: {exc}"
-    elif args.planner == "ng":
-        bound_note = "no guarantee fractions for the uncoordinated baseline"
-    else:
-        bound_note = "alpha is 0: no adversary, no robust fraction to report"
-
-    doc = solution_to_document(solution, args.planner, solver, scenario_digest(data), bound,
-                               bound_note)
-    _write_text(args.out, _dump_json(doc))
+    _write_text(args.out, _dump_json(solution_document(scenario, data, solution, args.planner,
+                                                       solver)))
     print(f"wrote solution (team reward {solution.team_reward}) to {args.out}")
     return 0
 

@@ -560,6 +560,7 @@ def generate_scenario(n_vertices: int, n_robots: int, alpha: int, budget: float,
         raise ScenarioError("number of bumps must be >= 1")
     if seed < 0:
         raise ScenarioError(f"seed must be >= 0, got {seed}")
+    np.empty((n_vertices, n_vertices))  # numpy refuses a distance matrix larger than memory
 
     side = AREA_SIDE
     rng = np.random.default_rng(seed)

@@ -13,6 +13,7 @@ import warnings
 
 import numpy as np
 
+import rmop.orienteering
 from rmop.graph import Scenario, generate_scenario, resample_starts
 from rmop.reward import (RewardModel, eval_team, eval_vertex_set, team_curvature,
                          vertex_curvature)
@@ -303,6 +304,22 @@ def test_criterion_8_attack_oracle_soundness():
             f"{disjoint_cases} disjoint-modular cases all matched")
 
 
+CRITERION_9_CONFIGS = ([("V", n, 10) for n in (25, 50, 96)]
+                       + [("N", 96, n) for n in (4, 7, 10)])
+
+
+@functools.cache
+def _criterion_9_map(n_vertices):
+    return generate_scenario(n_vertices, 10, 3, 60.0, layout="grid", bumps=3, seed=13)
+
+
+def _criterion_9_instance(config, seed):
+    """The map of `config`, with its starts redrawn by `seed` and cut to the team size."""
+    _, n_vertices, n_robots = config
+    full = resample_starts(_criterion_9_map(n_vertices), seed)
+    return full.with_starts(full.starts[:n_robots])
+
+
 def test_criterion_9_runtime_scaling():
     """Planning time grows with the map and the team, and the robust
     planner never beats its own sequential subroutine.
@@ -313,23 +330,15 @@ def test_criterion_9_runtime_scaling():
     prefixes of one shared start vector so a larger team always does a
     strict superset of the smaller team's work."""
     t0 = time.perf_counter()
-    configs = [("V", n, 10) for n in (25, 50, 96)] + [("N", 96, n) for n in (4, 7, 10)]
+    configs = CRITERION_9_CONFIGS
     samples = {c: ([], []) for c in configs}
-    bases = {n: generate_scenario(n, 10, 3, 60.0, layout="grid", bumps=3, seed=13)
-             for n in (25, 50, 96)}
-
-    def instance(c, seed):
-        _, n_vertices, n_robots = c
-        full = resample_starts(bases[n_vertices], seed)
-        return full.with_starts(full.starts[:n_robots])
-
     for c in configs:
-        warm = instance(c, 899)
+        warm = _criterion_9_instance(c, 899)
         solve_sga(warm, GCB)
         solve_rmop(warm, GCB)
     for run in range(5):
         for c in configs:
-            batch = [instance(c, 900 + 3 * run + k) for k in (0, 1, 2)]
+            batch = [_criterion_9_instance(c, 900 + 3 * run + k) for k in (0, 1, 2)]
             t1 = time.perf_counter()
             for scenario in batch:
                 solve_sga(scenario, GCB)
@@ -358,6 +367,45 @@ def test_criterion_9_runtime_scaling():
     _report("criterion 9 (runtime scaling)", not problems,
             f"|V| sweep: {fmt(vertex_rows)}; N sweep: {fmt(robot_rows)}; "
             f"{elapsed:.0f}s" + (f"; problems: {problems}" if problems else ""))
+
+
+def test_criterion_9_work_counts(monkeypatch):
+    """Criterion 9's claims, counted instead of timed, on its maps and seeds 900-914.
+
+    A spy on `solve_op_gcb` counts the solves and the vertices of the routes they
+    return. Per configuration, the robust planner does more of both than its own
+    sequential subroutine, and route vertices grow along the map and the team sweeps.
+    Measured: route vertices, sga -> rmop, |V| 25/50/96: 394/672/968 -> 754/1244/1750;
+    N 4/7/10: 403/700/968 -> 506/1126/1750."""
+    solve, counts = rmop.orienteering.solve_op_gcb, [0, 0]
+
+    def counted(*args, **kwargs):
+        path = solve(*args, **kwargs)
+        counts[0] += 1
+        counts[1] += len(path.vertices)
+        return path
+
+    monkeypatch.setattr(rmop.orienteering, "solve_op_gcb", counted)
+    work = {}
+    for c in CRITERION_9_CONFIGS:
+        for planner in (solve_sga, solve_rmop):
+            counts[:] = [0, 0]
+            for seed in range(900, 915):
+                planner(_criterion_9_instance(c, seed), GCB)
+            work[c, planner.__name__] = tuple(counts)
+    problems = [f"{c}: rmop {work[c, 'solve_rmop']} not above sga {work[c, 'solve_sga']}"
+                for c in CRITERION_9_CONFIGS
+                if not all(r > s for r, s in zip(work[c, "solve_rmop"], work[c, "solve_sga"]))]
+    for sweep in (CRITERION_9_CONFIGS[:3], CRITERION_9_CONFIGS[3:]):
+        for planner in ("solve_sga", "solve_rmop"):
+            route_vertices = [work[c, planner][1] for c in sweep]
+            if not all(a < b for a, b in zip(route_vertices, route_vertices[1:])):
+                problems.append(f"{planner} route vertices {route_vertices} not growing "
+                                f"along {sweep}")
+    rows = "; ".join(f"{c}: sga {work[c, 'solve_sga']}, rmop {work[c, 'solve_rmop']}"
+                     for c in CRITERION_9_CONFIGS)
+    _report("criterion 9 (work counts)", not problems, f"(solves, route vertices) {rows}"
+            + (f"; problems: {problems}" if problems else ""))
 
 
 def test_criterion_6_loop_behavior_last():

@@ -20,7 +20,7 @@ import rmop.graph
 import rmop.planner
 from rmop.attack import ATTACK_MODELS, run_attack
 from rmop.bench import PLANNER_NAMES
-from rmop.cli import build_parser, load_solution, main
+from rmop.cli import build_parser, main, read_solution
 from rmop.graph import (LAYOUTS, REWARD_KINDS, dump_scenario, generate_scenario, load_scenario,
                         scenario_to_document)
 from rmop.orienteering import SUBROUTINES
@@ -91,6 +91,20 @@ class TestGen:
                        "--budget", "30", "--seed", "7", "--out", str(out))
         assert code == 1 and not out.exists()
         assert capsys.readouterr().err.splitlines() == [line]
+
+    def test_a_map_larger_than_memory_is_refused_before_any_vertex_is_placed(
+            self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("placed the vertices of a map larger than memory")
+
+        monkeypatch.setattr(rmop.graph, "_grid_positions", refuse)
+        out = tmp_path / "s.json"
+        code = run_cli("gen", "--vertices", "100000000", "--robots", "3", "--alpha", "1",
+                       "--budget", "30", "--seed", "7", "--out", str(out))
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "error: Unable to allocate 71.1 PiB for an array with shape (100000000, 100000000) "
+            "and data type float64"]
 
     def test_robots_beyond_numpy_dimensions_is_one_error_line(self, tmp_path, capsys):
         # numpy refuses the robot array with a ValueError before allocating anything.
@@ -269,7 +283,9 @@ class TestAttack:
                        "--model", model, "--size", "1", "--seed", "3") == 0
         doc = json.loads(capsys.readouterr().out)
         scenario = load_scenario(scenario_file.read_bytes())
-        solution, _ = load_solution(solution_file.read_bytes())
+        solution, problems = read_solution(str(solution_file), scenario,
+                                           scenario_file.read_bytes())
+        assert problems == []
         outcome = run_attack(model, RewardModel.from_scenario(scenario), solution, 1, seed=3,
                              planned_alpha=scenario.alpha)
         assert doc["removed"] == sorted(outcome.removed)
@@ -579,8 +595,8 @@ class TestVerify:
         assert run_cli("verify", "--scenario", str(scenario_file),
                        "--solution", str(relabelled)) == 1
         assert capsys.readouterr().out.splitlines() == [
-            f"FAIL: solution: {relabelled}: bound_report.eta is {doc['bound_report']['eta']}; "
-            f"the 'exact' solver's eta is 1.0"]
+            f"FAIL: {relabelled}: bound_report.eta is {doc['bound_report']['eta']}; "
+            f"rmop solve writes 1.0"]
 
     def test_json_report_shape(self, solved, capsys):
         scenario_file, solution_file = solved
@@ -688,6 +704,7 @@ class TestCommandChain:
             for planner in PLANNER_NAMES:
                 solution = os.path.join(tmp, f"{planner}.json")
                 code = chain_step("solve", "--scenario", scenario, "--planner", planner,
+                                  "--subroutine", data.draw(st.sampled_from(SUBROUTINES)),
                                   "--out", solution)
                 assert code == 0 or edited  # gen's own document always solves
                 if code:

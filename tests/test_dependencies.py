@@ -16,7 +16,8 @@ import sys
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "rmop"
 ALLOWED = {"numpy"} | set(sys.stdlib_module_names)
 CACHES = {"cache", "lru_cache", "cached_property"}
-# cli.solution_to_document writes a BoundReport whole, through dataclasses.asdict.
+# cli.solution_document, the one solution writer, writes a BoundReport whole, through
+# dataclasses.asdict.
 READ_WHOLE = {"BoundReport"}
 
 

@@ -8,7 +8,9 @@ never a silently truncated value.
 import copy
 import json
 import math
+import os
 import re
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,9 +18,9 @@ from hypothesis import given, settings, strategies as st
 import rmop.attack
 import rmop.bench
 from rmop.bench import SPEC_SIZE_LIMIT, ExperimentSpec
-from rmop.cli import load_solution, main
+from rmop.cli import main, read_solution, solution_document
 from rmop.graph import ScenarioError, scenario_from_document
-from rmop.orienteering import EXACT_SIZE_LIMIT, GCB_ETA
+from rmop.orienteering import EXACT_SIZE_LIMIT, GCB_ETA, OpSolverConfig
 
 SCENARIO = {
     "vertices": [{"id": i, "x": float(i), "y": 0.0, "reward": 1.0, "coverage": [[i, 1.0]]}
@@ -50,7 +52,8 @@ SCENARIO_CASES = [
     ("no-vertices", ("vertices",), []),
     ("two-row-matrix", ("distance_matrix",), [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0]]),
 ]
-# A bound report with every key, as `rmop solve` writes one, but for a solver of eta 1.
+# A bound report with every key, as `rmop solve` writes one, but for a solver of eta 1. For
+# the plan of SCENARIO, whose two paths are redundant (k_f = 1), `rmop solve` writes none.
 BOUND_REPORT = {"k_f": 0.0, "k_g": 0.0, "eta": 1.0, "alpha": 1, "n_robots": 2,
                 "robust_fraction": 0.25, "sga_fraction": 0.5, "k_f_ground_set_note": "note"}
 SOLUTION_CASES = [
@@ -78,6 +81,15 @@ SOLUTION_CASES = [
     ("bound-report-with-exact-eta", ("bound_report",), BOUND_REPORT),
     ("int-bound-note", ("bound_note",), 3),
     ("missing-bound-note", ("bound_note",), DELETE),
+    # Within check_solution's INVARIANT_TOL of the value written, or a note that `rmop solve`
+    # writes for another plan: only the rebuilt document tells them apart.
+    ("cost-one-ulp-up", ("paths", 0, "cost"), math.nextafter(2.0, math.inf)),
+    ("team-reward-within-tolerance", ("team_reward",), 3.0 + 1e-10),
+    ("another-bound-note", ("bound_note",),
+     "no guarantee fractions for the uncoordinated baseline"),
+    # Values of another JSON type than the one written: `true` is not 1.0, nor 3 3.0.
+    ("exact-solver-with-bool-eta", ("solver",), {"method": "exact", "eta": True, "eta_note": None}),
+    ("int-team-reward", ("team_reward",), 3),
 ]
 SPEC_CASES = [
     ("int-attack", ("attacks",), [1]),
@@ -125,7 +137,7 @@ MESSAGES = {
     "no-vertices": "at least one vertex",
     "two-row-matrix": "got 2 rows",
     "missing-second-path": "expected 2 paths, found 1",
-    "empty-s1-robots": "do not cover all robots",
+    "empty-s1-robots": "s2_robots is [1]; rmop solve writes [0, 1]",
     "bogus-subroutine": "unknown subroutine 'bogus'",
     "bogus-attack-model": "unknown attack model 'bogus'",
     "path-with-params": "must contain only 'path'",
@@ -141,25 +153,30 @@ MESSAGES = {
     "repeated-planner": "planners[1] repeats 'rmop' from planners[0]",
     "nul-in-scenario-path": "cannot read a\u0000: embedded null byte",
     "billion-vertices": "scenario.vertices is 1000000000, above the limit of 1000",
-    "misspelled-team-reward": "unknown solution keys ['team_rewrad']",
-    "unknown-path-key": "unknown keys in paths[0] ['extra']",
-    "repeated-s1-robot": "s1_robots[1] repeats robot 0 from s1_robots[0]",
-    "repeated-s2-robot": "s2_robots[1] repeats robot 1 from s2_robots[0]",
+    "misspelled-team-reward": "team_rewrad is 5; rmop solve writes no such key",
+    "unknown-path-key": "paths[0].extra is 1; rmop solve writes no such key",
+    "repeated-s1-robot": "s1_robots is [0, 0]; rmop solve writes [0]",
+    "repeated-s2-robot": "s2_robots is [1, 1]; rmop solve writes [1]",
     "bogus-planner": "unknown planner 'bogus'",
     "negative-loop-iterations": "loop_iterations must be >= 0, got -7",
     "int-solver": "solver must be an object, got 42",
     "bogus-solver-method": "unknown solver.method 'bogus'",
-    "exact-method-with-gcb-eta": "solver must be the method, eta and eta_note of the 'exact' "
-                                 "solver, whose eta is 1.0",
-    "gcb-method-with-exact-eta": "solver must be the method, eta and eta_note of the 'gcb' "
-                                 f"solver, whose eta is {GCB_ETA}",
-    "bool-solver-eta": "solver.eta must be a number, got True",
-    "missing-eta-note": "of the 'gcb' solver",
-    "list-bound-report": "bound_report must be an object",
-    "bound-report-of-one-key": "missing bound_report keys ['alpha', 'k_f', ",
-    "bound-report-with-exact-eta": f"bound_report.eta is 1.0; the 'gcb' solver's eta is {GCB_ETA}",
-    "int-bound-note": "bound_note must be a string, got 3",
-    "missing-bound-note": "missing solution keys ['bound_note']",
+    "exact-method-with-gcb-eta": f"solver.eta is {GCB_ETA}; rmop solve writes 1.0",
+    "gcb-method-with-exact-eta": f"solver.eta is 1.0; rmop solve writes {GCB_ETA}",
+    "bool-solver-eta": f"solver.eta is true; rmop solve writes {GCB_ETA}",
+    "missing-eta-note": 'solver.eta_note is missing; rmop solve writes "factor assumes',
+    "list-bound-report": "bound_report is [1]; rmop solve writes null",
+    "bound-report-of-one-key": f'bound_report is {{"eta": {GCB_ETA}}}; rmop solve writes null',
+    "bound-report-with-exact-eta": f"bound_report is {json.dumps(BOUND_REPORT, sort_keys=True)}; "
+                                   "rmop solve writes null",
+    "int-bound-note": 'bound_note is 3; rmop solve writes "bound fractions unavailable: k_f',
+    "missing-bound-note": 'bound_note is missing; rmop solve writes "bound fractions unavailable',
+    "cost-one-ulp-up": "paths[0].cost is 2.0000000000000004; rmop solve writes 2.0",
+    "team-reward-within-tolerance": "team_reward is 3.0000000001; rmop solve writes 3.0",
+    "another-bound-note": 'bound_note is "no guarantee fractions for the uncoordinated baseline"; '
+                          'rmop solve writes "bound fractions unavailable: k_f',
+    "exact-solver-with-bool-eta": "solver.eta is true; rmop solve writes 1.0",
+    "int-team-reward": "team_reward is 3; rmop solve writes 3.0",
 }
 
 
@@ -375,6 +392,46 @@ def test_partial_sizes_up_to_planned_alpha_parse():
     assert spec.attacks[0].sizes == (1, 2) and spec.attacks[0].planned_alpha == 2
 
 
+def test_an_edited_guarantee_fraction_is_refused(tmp_path, monkeypatch, capsys):
+    # The bound report holds values derived from the plan; edited ones are refused.
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--vertices", "30", "--robots", "3", "--alpha", "1", "--budget", "25",
+                 "--seed", "1", "--out", "s.json"]) == 0
+    assert main(["solve", "--scenario", "s.json", "--planner", "rmop", "--out", "r.json"]) == 0
+    with open("r.json") as fh:
+        solution = json.load(fh)
+    assert solution["bound_report"]["k_f"] == 0.0
+    solution["bound_report"].update(k_f=0.5, robust_fraction=0.99)
+    with open("r.json", "w") as fh:
+        json.dump(solution, fh)
+    capsys.readouterr()
+    assert main(["verify", "--scenario", "s.json", "--solution", "r.json"]) == 1
+    assert main(["attack", "r.json", "--scenario", "s.json", "--model", "worst",
+                 "--size", "1"]) == 1
+    problem = "r.json: bound_report.k_f is 0.5; rmop solve writes 0.0\n"
+    assert capsys.readouterr() == ("FAIL: " + problem, "error: " + problem)
+
+
+SCENARIO_BYTES = json.dumps(SCENARIO).encode()
+LOADED, GCB = scenario_from_document(SCENARIO), OpSolverConfig("gcb")
+# The document `rmop solve --planner rmop` writes for SCENARIO, whose bytes are SCENARIO_BYTES.
+SOLUTION = solution_document(LOADED, SCENARIO_BYTES, rmop.bench.plan("rmop", LOADED, GCB),
+                             "rmop", GCB)
+
+
+def read_solution_document(doc):
+    """read_solution of `doc`, written to a file, against SCENARIO."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "r.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        return read_solution(path, LOADED, SCENARIO_BYTES)
+
+
+def test_the_written_solution_reads_back_with_no_problem():
+    assert read_solution_document(SOLUTION)[1] == []
+
+
 KEYS = sorted(set(SCENARIO) | set(SCENARIO["vertices"][0]) | set(SPEC) | set(SPEC["scenario"])
               | {"distance_matrix", "path", "model", "planned_alpha", "subroutine", "paths",
                  "robot", "cost", "reward", "s1_robots", "s2_robots", "team_reward",
@@ -389,8 +446,8 @@ json_values = st.recursive(
 
 @st.composite
 def near_valid_documents(draw):
-    """A valid scenario or spec with one randomly chosen node replaced."""
-    doc = copy.deepcopy(draw(st.sampled_from([SCENARIO, SPEC])))
+    """A valid scenario, spec or solution with one randomly chosen node replaced."""
+    doc = copy.deepcopy(draw(st.sampled_from([SCENARIO, SPEC, SOLUTION])))
     target = doc
     while True:
         key = draw(st.sampled_from(list(target) if isinstance(target, dict)
@@ -406,8 +463,7 @@ def near_valid_documents(draw):
 @settings(max_examples=300, deadline=None)
 @given(json_values | near_valid_documents())
 def test_loaders_raise_only_document_errors(value):
-    loaders = (scenario_from_document, lambda doc: load_solution(json.dumps(doc).encode()),
-               ExperimentSpec.from_document)
+    loaders = (scenario_from_document, read_solution_document, ExperimentSpec.from_document)
     for load in loaders:
         try:
             load(value)
