@@ -17,7 +17,7 @@ import numpy as np
 
 from .graph import (Path, Scenario, ScenarioError, check_keys, generate_scenario, load_scenario,
                     read_document, read_field, read_ints, resample_starts)
-from .reward import IncrementalEval, RewardModel, team_curvature, vertex_curvature
+from .reward import IncrementalEval, RewardModel, eval_team, team_curvature, vertex_curvature
 from .orienteering import SUBROUTINES, OpSolverConfig, SizeGuardError, check_exact_size
 from .planner import Solution, solve_rmop, solve_sga
 from .attack import ATTACK_MODELS, check_subset_guard, run_attack
@@ -253,8 +253,7 @@ def plan(planner: str, scenario: Scenario, solver: OpSolverConfig) -> Solution:
     if planner == "sga":
         return solve_sga(scenario, solver)
     if planner == "ng":
-        return Solution.from_paths(RewardModel.from_scenario(scenario),
-                                   naive_greedy_baseline(scenario))
+        return Solution(tuple(naive_greedy_baseline(scenario)))
     raise ValueError(f"unknown planner {planner!r}")
 
 
@@ -273,30 +272,30 @@ def run_experiment(spec: ExperimentSpec, measure_time: bool = True) -> list[Expe
     for trial in range(spec.trials):
         scenario_t = resample_starts(base, _derived_seed(spec.seed, trial, 101))
         model = RewardModel.from_scenario(scenario_t)
-        plan_cache: dict[tuple[str, int], tuple[Solution, float]] = {}
+        plan_cache: dict[tuple[str, int], tuple[Solution, float, float]] = {}
 
-        def planned(planner: str, alpha: int) -> tuple[Solution, float]:
-            # sga/ng ignore alpha; cache them under one key
+        def planned(planner: str, alpha: int) -> tuple[Solution, float, float]:
+            """The plan, its team reward f_S and its planning time; sga/ng ignore alpha."""
             key = (planner, alpha if planner == "rmop" else -1)
             if key not in plan_cache:
                 sc = scenario_t.with_alpha(alpha) if planner == "rmop" else scenario_t
                 t0 = time.perf_counter()
                 solution = plan(planner, sc, solver)
                 elapsed = (time.perf_counter() - t0) * 1000.0 if measure_time else 0.0
-                plan_cache[key] = (solution, elapsed)
+                plan_cache[key] = (solution, eval_team(model, solution.paths), elapsed)
             return plan_cache[key]
 
         for a_idx, attack in enumerate(spec.attacks):
             for size in attack.sizes:
                 plan_alpha = attack.planned_alpha if attack.model == "partial" else size
                 for planner in spec.planners:
-                    solution, elapsed = planned(planner, plan_alpha)
+                    solution, f_S, elapsed = planned(planner, plan_alpha)
                     seed = _derived_seed(spec.seed, trial, 202, a_idx, size)
                     outcome = run_attack(attack.model, model, solution, size, seed=seed,
                                          planned_alpha=attack.planned_alpha)
                     records.append(ExperimentRecord(
                         trial=trial, planner=planner, attack_model=attack.model,
-                        attack_size=size, f_S=solution.team_reward,
+                        attack_size=size, f_S=f_S,
                         residual=outcome.residual, plan_ms=elapsed,
                         loop_iters=solution.loop_iterations))
     return records

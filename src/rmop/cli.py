@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 from .graph import (LAYOUTS, REWARD_KINDS, Path, Scenario, ScenarioError, dump_scenario,
                     generate_scenario, load_json, load_scenario, path_cost, read_document,
                     read_field, read_ints)
-from .reward import RewardModel
+from .reward import RewardModel, eval_team, eval_vertex_set
 from .orienteering import SUBROUTINES, OpSolverConfig, SizeGuardError
 from .planner import PlannerLoopError, Solution, check_solution
 from .attack import ATTACK_MODELS, run_attack
@@ -52,13 +52,13 @@ def scenario_digest(data: bytes) -> str:
 def solution_document(scenario: Scenario, data: bytes, solution: Solution, planner: str,
                       solver: OpSolverConfig) -> dict:
     """The document `rmop solve` writes for `solution`; `data` is its scenario's bytes."""
+    model = RewardModel.from_scenario(scenario)
     bound = note = None
     if planner == "ng":
         note = "no guarantee fractions for the uncoordinated baseline"
     elif scenario.alpha == 0:
         note = "alpha is 0: no adversary, no robust fraction to report"
     else:
-        model = RewardModel.from_scenario(scenario)
         try:
             bound = dataclasses.asdict(bench.bound_report(model, solution, solver.eta,
                                                           scenario.alpha, scenario.n_robots))
@@ -68,11 +68,11 @@ def solution_document(scenario: Scenario, data: bytes, solution: Solution, plann
         "scenario_sha256": scenario_digest(data),
         "planner": planner,
         "solver": {"method": solver.method, "eta": solver.eta, "eta_note": solver.eta_note},
-        "paths": [{"robot": p.robot, "vertices": list(p.vertices), "cost": p.cost, "reward": r}
-                  for p, r in zip(solution.paths, solution.per_path_rewards)],
+        "paths": [{"robot": p.robot, "vertices": list(p.vertices), "cost": p.cost,
+                   "reward": eval_vertex_set(model, p.vertices)} for p in solution.paths],
         "s1_robots": sorted(solution.s1_robots),
         "s2_robots": sorted(solution.s2_robots),
-        "team_reward": solution.team_reward,
+        "team_reward": eval_team(model, solution.paths),
         "loop_iterations": solution.loop_iterations,
         "bound_report": bound,
         "bound_note": note,
@@ -120,13 +120,18 @@ def _rebuild(doc, scenario: Scenario, data: bytes) -> tuple[Solution, list[str]]
         except ScenarioError as exc:  # an empty path, or a repeated or unknown vertex
             raise ScenarioError(f"{where}.vertices: {exc}") from exc
         paths.append(Path(read_field(entry, "robot", int, where), tuple(vertices), cost))
-    solution = Solution.from_paths(RewardModel.from_scenario(scenario), paths,
-                                   read_ints(doc, "s1_robots"), loops)
+    s1 = frozenset(read_ints(doc, "s1_robots"))
+    # Only a robust plan holds a redundancy set and loop passes; any other writes [] and 0.
+    robust = planner == "rmop" and scenario.alpha > 0
+    solution = Solution(tuple(paths), s1, loops) if robust else Solution(tuple(paths))
     fresh = doc.get("scenario_sha256") == scenario_digest(data)
     problems = ([] if fresh else ["scenario digest mismatch"]) + check_solution(scenario, solution)
     if not problems:
         written = solution_document(scenario, data, solution, planner, OpSolverConfig(method))
         problems = [p for p in [_difference(doc, written)] if p]
+    if not problems and robust and not (loops and s1):
+        key, want = ("s1_robots", "one robot") if loops else ("loop_iterations", "1")
+        problems = [f"{key} is {json.dumps(doc[key])}; rmop solve writes at least {want}"]
     return solution, problems
 
 
@@ -134,8 +139,9 @@ def read_solution(path: str, scenario: Scenario, data: bytes) -> tuple[Solution,
     """The solution at `path` and its problems against `scenario`, whose bytes are `data`.
 
     Only the choices are read: the planner, `solver.method`, each path's robot and vertices,
-    `s1_robots` and `loop_iterations`. Once check_solution passes the solution they rebuild,
-    the first key that differs from what `solution_document` writes is the one problem.
+    and a robust plan's `s1_robots` and `loop_iterations`, which must not be empty or 0. Once
+    check_solution passes the solution they rebuild, the first key that differs from what
+    `solution_document` writes is the one problem.
     """
     return read_document(path, lambda raw: _rebuild(load_json(raw), scenario, data))[0]
 
@@ -153,10 +159,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     scenario, data = read_document(args.scenario, load_scenario)
     solver = OpSolverConfig(method=args.subroutine)
-    solution = bench.plan(args.planner, scenario, solver)
-    _write_text(args.out, _dump_json(solution_document(scenario, data, solution, args.planner,
-                                                       solver)))
-    print(f"wrote solution (team reward {solution.team_reward}) to {args.out}")
+    doc = solution_document(scenario, data, bench.plan(args.planner, scenario, solver),
+                            args.planner, solver)
+    _write_text(args.out, _dump_json(doc))
+    print(f"wrote solution (team reward {doc['team_reward']}) to {args.out}")
     return 0
 
 
@@ -165,15 +171,16 @@ def cmd_attack(args: argparse.Namespace) -> int:
     solution, problems = read_solution(args.solution, scenario, data)
     if problems:
         raise ScenarioError(f"{args.solution}: {problems[0]}")
-    outcome = run_attack(args.model, RewardModel.from_scenario(scenario), solution,
-                         args.size, seed=args.seed, planned_alpha=scenario.alpha)
+    model = RewardModel.from_scenario(scenario)
+    outcome = run_attack(args.model, model, solution, args.size, seed=args.seed,
+                         planned_alpha=scenario.alpha)
     report = {
         "scenario_sha256": scenario_digest(data),
         "model": outcome.model,
         "requested_size": args.size,
         "removed": sorted(outcome.removed),
         "residual": outcome.residual,
-        "f_S": solution.team_reward,
+        "f_S": eval_team(model, solution.paths),
         "seed": outcome.seed,
     }
     text = _dump_json(report)

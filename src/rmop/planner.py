@@ -8,7 +8,8 @@ outscores every coverage path, swapping better coverage paths into the
 candidate pool until it holds. With deterministic subroutines the loop
 almost always settles in one pass, but the machinery is kept for the
 approximate solver, which can surface a better path on the masked problem
-than it found on the clean one.
+than it found on the clean one. A `Solution` holds only what its planner
+chose; the coverage set and every reward derive from it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .graph import Path, Scenario, ScenarioError, path_cost
-from .reward import RewardModel, eval_team, eval_vertex_set
+from .reward import RewardModel, eval_vertex_set
 from .orienteering import OpSolverConfig, solve_op
 
 LOOP_CAP_PER_ROBOT = 10
@@ -31,33 +32,23 @@ class PlannerLoopError(RuntimeError):
 
 @dataclass(frozen=True)
 class Solution:
-    """Paths for every robot, the redundancy/coverage split, the rewards and the loop count."""
+    """What a planner chose: a path per robot, the redundancy set and the loop passes it took.
+
+    Every reward is a function of the scenario, so none is stored: read it from a model
+    with `eval_vertex_set` or `eval_team`. The coverage set is every other robot.
+    """
 
     paths: tuple[Path, ...]
-    s1_robots: frozenset[int]
-    s2_robots: frozenset[int]
-    team_reward: float
-    loop_iterations: int
-    per_path_rewards: tuple[float, ...]
+    s1_robots: frozenset[int] = frozenset()
+    loop_iterations: int = 0
 
     @property
     def n_robots(self) -> int:
         return len(self.paths)
 
-    @classmethod
-    def from_paths(cls, model: RewardModel, paths: Sequence[Path], s1: Sequence[int] = (),
-                   loop_iterations: int = 0) -> "Solution":
-        """Score `paths` under `model`; robots outside the redundancy set `s1` cover."""
-        paths = tuple(paths)
-        s1_robots = frozenset(s1)
-        return cls(
-            paths=paths,
-            s1_robots=s1_robots,
-            s2_robots=frozenset(p.robot for p in paths) - s1_robots,
-            team_reward=eval_team(model, paths),
-            loop_iterations=loop_iterations,
-            per_path_rewards=tuple(eval_vertex_set(model, p.vertices) for p in paths),
-        )
+    @property
+    def s2_robots(self) -> frozenset[int]:
+        return frozenset(p.robot for p in self.paths) - self.s1_robots
 
 
 def sga(scenario: Scenario, model: RewardModel, solver: OpSolverConfig,
@@ -93,8 +84,7 @@ def sga(scenario: Scenario, model: RewardModel, solver: OpSolverConfig,
 
 def solve_sga(scenario: Scenario, solver: OpSolverConfig) -> Solution:
     """Plain sequential planning for the whole team; no redundancy set."""
-    model = RewardModel.from_scenario(scenario)
-    return Solution.from_paths(model, sga(scenario, model, solver))
+    return Solution(sga(scenario, RewardModel.from_scenario(scenario), solver))
 
 
 def solve_rmop(scenario: Scenario, solver: OpSolverConfig) -> Solution:
@@ -130,14 +120,14 @@ def solve_rmop(scenario: Scenario, solver: OpSolverConfig) -> Solution:
         for path in better or s2_paths:
             pool[path.robot] = path
         if not better:
-            return Solution.from_paths(model, pool, s1=order[:alpha], loop_iterations=iterations)
+            return Solution(tuple(pool), frozenset(order[:alpha]), iterations)
     raise PlannerLoopError(
         f"reassignment loop exceeded {cap} iterations; pool rewards {tuple(rewards)}")
 
 
 def check_solution(scenario: Scenario, solution: Solution) -> list[str]:
-    """Re-verify every solution invariant; returns violations as strings."""
-    model = RewardModel.from_scenario(scenario)
+    """Re-verify every invariant of the choices that `solution` holds (it stores no reward to
+    compare); returns violations as strings."""
     graph = scenario.graph
     n = scenario.n_robots
     problems: list[str] = []
@@ -169,30 +159,16 @@ def check_solution(scenario: Scenario, solution: Solution) -> list[str]:
 
     everyone = set(range(n))
     unknown = sorted((solution.s1_robots | solution.s2_robots) - everyone)
-    if solution.s1_robots & solution.s2_robots:
-        problems.append("redundancy and coverage sets overlap")
     if unknown:
         problems.append(f"robot sets name robot {unknown[0]}, outside 0..{n - 1}")
-    elif (solution.s1_robots | solution.s2_robots) != everyone:
-        problems.append("redundancy and coverage sets do not cover all robots")
     if len(solution.s1_robots) not in (scenario.alpha, 0):
         problems.append(
             f"redundancy set has {len(solution.s1_robots)} robots, expected {scenario.alpha} or 0")
 
-    if not evaluable:
-        # Unknown or repeated vertices make the reward checks ill-defined.
-        return problems
-
-    rewards = [eval_vertex_set(model, p.vertices) for p in solution.paths]
-    for i, (got, expect) in enumerate(zip(solution.per_path_rewards, rewards)):
-        if not abs(got - expect) <= INVARIANT_TOL:
-            problems.append(f"robot {i} stored reward {got} differs from recomputed {expect}")
-    team = eval_team(model, solution.paths)
-    if not abs(team - solution.team_reward) <= INVARIANT_TOL:
-        problems.append(
-            f"stored team reward {solution.team_reward} differs from recomputed {team}")
-
-    if solution.s1_robots and solution.s2_robots and not unknown:
+    if evaluable and solution.s1_robots and solution.s2_robots and not unknown:
+        # Unknown or repeated vertices leave the path rewards undefined.
+        model = RewardModel.from_scenario(scenario)
+        rewards = [eval_vertex_set(model, p.vertices) for p in solution.paths]
         min_s1 = min(rewards[i] for i in solution.s1_robots)
         max_s2 = max(rewards[j] for j in solution.s2_robots)
         if min_s1 < max_s2 - INVARIANT_TOL:

@@ -116,7 +116,7 @@ def test_criterion_2_sequential_guarantee_holds():
         else:
             bound = sga_bound(k_f, k_g, 1.0)
         checked += 1
-        if solution.team_reward < bound * q_star - TOL:
+        if eval_team(model, solution.paths) < bound * q_star - TOL:
             violations += 1
     elapsed = time.perf_counter() - t0
     _report("criterion 2 (sequential guarantee, exact subroutine)",

@@ -25,18 +25,14 @@ def disjoint_solution():
     """Three robots on vertex-disjoint single-vertex collections: 10, 7, 3."""
     model = reward_model([10.0, 7.0, 3.0])
     paths = (Path(0, (0,), 0.0), Path(1, (1,), 0.0), Path(2, (2,), 0.0))
-    return model, Solution(paths=paths, s1_robots=frozenset(), s2_robots=frozenset({0, 1, 2}),
-                           team_reward=20.0, loop_iterations=0,
-                           per_path_rewards=(10.0, 7.0, 3.0))
+    return model, Solution(paths)
 
 
 def shared_solution():
     """Two robots share one 5-reward vertex; a third holds a 3-reward vertex."""
     model = reward_model([5.0, 3.0])
     paths = (Path(0, (0,), 0.0), Path(1, (0,), 0.0), Path(2, (1,), 0.0))
-    return model, Solution(paths=paths, s1_robots=frozenset(), s2_robots=frozenset({0, 1, 2}),
-                           team_reward=8.0, loop_iterations=0,
-                           per_path_rewards=(5.0, 5.0, 3.0))
+    return model, Solution(paths)
 
 
 class TestWorstCaseAttack:
@@ -90,15 +86,14 @@ class TestWorstCaseAttack:
         # C(24, 12) = 2,704,156 removal subsets is above SUBSET_GUARD, so the
         # attack refuses before enumerating any of them.
         model = reward_model([1.0] * 24)
-        solution = Solution.from_paths(model, [Path(r, (r,), 0.0) for r in range(24)])
+        solution = Solution(tuple(Path(r, (r,), 0.0) for r in range(24)))
         with pytest.raises(SizeGuardError, match="guard of 1000000"):
             worst_case_attack(model, solution, 12)
 
     def test_tie_breaks_to_lexicographically_smallest(self):
         model = reward_model([4.0, 4.0])
         paths = (Path(0, (0,), 0.0), Path(1, (1,), 0.0))
-        solution = Solution(paths=paths, s1_robots=frozenset(), s2_robots=frozenset({0, 1}),
-                            team_reward=8.0, loop_iterations=0, per_path_rewards=(4.0, 4.0))
+        solution = Solution(paths)
         assert worst_case_attack(model, solution, 1).removed == {0}
 
 
@@ -130,7 +125,7 @@ class TestGreedyAttack:
         # Step 1 removes robot 0 (9) alone; step 2 then ties robots 1 and 3 (5 each) at
         # residual 6, and robot 1 goes.
         model = reward_model([9.0, 5.0, 1.0, 5.0])
-        solution = Solution.from_paths(model, [Path(r, (r,), 0.0) for r in range(4)])
+        solution = Solution(tuple(Path(r, (r,), 0.0) for r in range(4)))
         assert greedy_attack(model, solution, 1).removed == {0}
         outcome = greedy_attack(model, solution, 2)
         assert (outcome.removed, outcome.residual) == ({0, 1}, 6.0)
@@ -194,7 +189,7 @@ class TestPartialWorstAttack:
         # Verified by enumeration: minima over nested removal families are ordered.
         for actual in range(0, 3):
             residual = run_attack("partial", model, solution, actual, planned_alpha=2).residual
-            assert full - 1e-9 <= residual <= solution.team_reward + 1e-9
+            assert full - 1e-9 <= residual <= eval_team(model, solution.paths) + 1e-9
 
 
 class TestRunAttack:
@@ -226,7 +221,7 @@ class TestRunAttack:
         # Robots 3 and 5 planned alone: removing "robot 0" would remove no path at all.
         scenario = generate_scenario(30, 6, 1, 40.0, seed=3)
         model = RewardModel.from_scenario(scenario)
-        solution = Solution.from_paths(model, sga(scenario, model, GCB, robots=[3, 5]))
+        solution = Solution(sga(scenario, model, GCB, robots=[3, 5]))
         with pytest.raises(ValueError, match=r"^path 0 is labeled for robot 3; "):
             attack(model, solution, 1)
 
@@ -284,8 +279,8 @@ def desk_plans(draw):
         model = reward_model(cells=[[(c, weights[c]) for c in sorted(
             draw(st.sets(st.integers(0, n_cells - 1))))] for _ in range(n_vertices)])
     visits = st.lists(st.integers(0, n_vertices - 1), min_size=1, max_size=4, unique=True)
-    paths = [Path(r, tuple(draw(visits)), 0.0) for r in range(draw(st.integers(1, 6)))]
-    return model, Solution.from_paths(model, paths)
+    return model, Solution(tuple(Path(r, tuple(draw(visits)), 0.0)
+                                 for r in range(draw(st.integers(1, 6)))))
 
 
 def _bits(outcome):
@@ -310,7 +305,7 @@ def test_eval_team_calls_per_attack(size, monkeypatch):
     # Worst scores each removal once, random its one draw, and greedy the n - k
     # extensions at each step k; none scores its answer again. Size 0 scores the team once.
     model = reward_model([float(v + 1) for v in range(5)])
-    solution = Solution.from_paths(model, [Path(r, (r,), 0.0) for r in range(5)])
+    solution = Solution(tuple(Path(r, (r,), 0.0) for r in range(5)))
     calls = []
     monkeypatch.setattr(rmop.attack, "eval_team", lambda *args: calls.append(1) or eval_team(*args))
     expected = {"worst": math.comb(5, size), "random": 1,

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -204,6 +205,25 @@ def small_spec(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+@pytest.mark.parametrize("planner, cap", [("ng", 0), ("sga", 4), ("rmop", 14)])
+def test_eval_vertex_set_calls_per_plan(planner, cap, monkeypatch):
+    # gcb scores its route once per solve (4 for sga, 4 + 3 for rmop), and rmop's one loop
+    # pass scores its pool (4) and its coverage paths (3); a `Solution` stores no reward.
+    scenario = generate_scenario(30, 4, 1, 25.0, seed=1)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return eval_vertex_set(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rmop" and getattr(module, "eval_vertex_set", None) is \
+                eval_vertex_set:
+            monkeypatch.setattr(module, "eval_vertex_set", counted)
+    plan(planner, scenario, OpSolverConfig(method="gcb"))
+    assert len(calls) == cap
 
 
 class TestExperimentHarness:

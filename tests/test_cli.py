@@ -480,6 +480,28 @@ class TestBench:
             "22e53049c8c55443742c90bf4f9722a0aff597a8565868e5d13b961635b75ab2")
 
 
+def test_every_command_output_is_pinned(tmp_path, monkeypatch):
+    # Two 4-robot maps, each planner's solution on each, and a worst attack of size 1 on
+    # every solution: 14 files, concatenated in sorted order of their names.
+    monkeypatch.chdir(tmp_path)
+    names = []
+    for kind in REWARD_KINDS:
+        assert run_cli("gen", "--vertices", "30", "--robots", "4", "--alpha", "1", "--budget",
+                       "25", "--seed", "1", "--reward-kind", kind, "--out", f"{kind}.json") == 0
+        names.append(f"{kind}.json")
+        for planner in PLANNER_NAMES:
+            solution, report = f"{kind}-{planner}.json", f"{kind}-{planner}-attack.json"
+            assert run_cli("solve", "--scenario", f"{kind}.json", "--planner", planner,
+                           "--out", solution) == 0
+            assert run_cli("attack", solution, "--scenario", f"{kind}.json", "--model", "worst",
+                           "--size", "1", "--out", report) == 0
+            names += [solution, report]
+    assert len(names) == 14
+    digest = hashlib.sha256(b"".join((tmp_path / n).read_bytes() for n in sorted(names)))
+    assert digest.hexdigest() == (
+        "ddebaf660d1cb02b6179747d251fb7bc71ee84963bde8e2599cebc44b8bc53bc")
+
+
 class TestVerify:
     def test_clean_pair_exits_zero(self, solved, capsys):
         scenario_file, solution_file = solved

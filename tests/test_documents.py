@@ -70,6 +70,7 @@ SOLUTION_CASES = [
     ("repeated-s2-robot", ("s2_robots",), [1, 1]),
     ("bogus-planner", ("planner",), "bogus"),
     ("negative-loop-iterations", ("loop_iterations",), -7),
+    ("zero-loop-iterations", ("loop_iterations",), 0),  # rmop at alpha 1 loops at least once
     ("int-solver", ("solver",), 42),
     ("bogus-solver-method", ("solver", "method"), "bogus"),
     ("exact-method-with-gcb-eta", ("solver", "method"), "exact"),
@@ -159,6 +160,7 @@ MESSAGES = {
     "repeated-s2-robot": "s2_robots is [1, 1]; rmop solve writes [1]",
     "bogus-planner": "unknown planner 'bogus'",
     "negative-loop-iterations": "loop_iterations must be >= 0, got -7",
+    "zero-loop-iterations": "loop_iterations is 0; rmop solve writes at least 1",
     "int-solver": "solver must be an object, got 42",
     "bogus-solver-method": "unknown solver.method 'bogus'",
     "exact-method-with-gcb-eta": f"solver.eta is {GCB_ETA}; rmop solve writes 1.0",
@@ -410,6 +412,35 @@ def test_an_edited_guarantee_fraction_is_refused(tmp_path, monkeypatch, capsys):
                  "--size", "1"]) == 1
     problem = "r.json: bound_report.k_f is 0.5; rmop solve writes 0.0\n"
     assert capsys.readouterr() == ("FAIL: " + problem, "error: " + problem)
+
+
+@pytest.mark.parametrize("planner, edits, problem", [
+    ("sga", {"s1_robots": [1], "s2_robots": [0, 2], "loop_iterations": 5},
+     "s1_robots is [1]; rmop solve writes []"),
+    ("sga", {"loop_iterations": 5}, "loop_iterations is 5; rmop solve writes 0"),
+    ("ng", {"s1_robots": [1], "s2_robots": [0, 2]}, "s1_robots is [1]; rmop solve writes []"),
+    ("rmop", {"s1_robots": [], "s2_robots": [0, 1, 2]},
+     "s1_robots is []; rmop solve writes at least one robot"),
+], ids=["sga-as-robust", "sga-with-loops", "ng-as-robust", "rmop-without-s1"])
+def test_a_plan_claims_the_split_and_loops_of_its_planner_alone(planner, edits, problem, tmp_path,
+                                                                monkeypatch, capsys):
+    # Only `rmop` with alpha > 0 writes a redundancy set and loop passes; every other plan
+    # writes [] and 0 (SOLUTION_CASES holds an `rmop` plan that claims 0 loops). Each edit
+    # is consistent in itself, and `check_solution` passes it.
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--vertices", "30", "--robots", "3", "--alpha", "1", "--budget", "25",
+                 "--seed", "1", "--out", "s.json"]) == 0
+    assert main(["solve", "--scenario", "s.json", "--planner", planner, "--out", "r.json"]) == 0
+    with open("r.json") as fh:
+        solution = json.load(fh)
+    solution.update(edits)
+    with open("r.json", "w") as fh:
+        json.dump(solution, fh)
+    capsys.readouterr()
+    assert main(["verify", "--scenario", "s.json", "--solution", "r.json"]) == 1
+    assert main(["attack", "r.json", "--scenario", "s.json", "--model", "worst",
+                 "--size", "1"]) == 1
+    assert capsys.readouterr() == (f"FAIL: r.json: {problem}\n", f"error: r.json: {problem}\n")
 
 
 SCENARIO_BYTES = json.dumps(SCENARIO).encode()

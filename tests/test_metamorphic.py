@@ -17,7 +17,7 @@ from rmop.graph import (AREA_SIDE, LAYOUTS, REWARD_KINDS, generate_scenario, loa
                         scenario_to_document)
 from rmop.orienteering import OpSolverConfig
 from rmop.planner import solve_rmop
-from rmop.reward import RewardModel
+from rmop.reward import RewardModel, eval_team, eval_vertex_set
 
 GCB = OpSolverConfig(method="gcb")
 EXACT = OpSolverConfig(method="exact")
@@ -71,8 +71,10 @@ def test_scaling_by_a_power_of_two_scales_every_value_and_moves_nothing(doc, k):
     assert [(p.robot, p.vertices) for p in again.paths] == [
         (p.robot, p.vertices) for p in plan.paths]
     assert [p.cost for p in again.paths] == [p.cost * factor for p in plan.paths]
-    assert again.per_path_rewards == tuple(r * factor for r in plan.per_path_rewards)
-    assert again.team_reward == plan.team_reward * factor
+    model, scaled_model = RewardModel.from_scenario(before), RewardModel.from_scenario(after)
+    assert [eval_vertex_set(scaled_model, p.vertices) for p in again.paths] == [
+        eval_vertex_set(model, p.vertices) * factor for p in plan.paths]
+    assert eval_team(scaled_model, again.paths) == eval_team(model, plan.paths) * factor
     assert (again.s1_robots, again.s2_robots, again.loop_iterations) == (
         plan.s1_robots, plan.s2_robots, plan.loop_iterations)
     for hit, scaled_hit in zip(attacks(before, plan), attacks(after, again)):

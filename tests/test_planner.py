@@ -100,9 +100,9 @@ class TestSolveRmop:
         assert solution.s2_robots == {1}
         assert solution.paths[0].vertices == (0, 1, 2)
         assert solution.paths[1].vertices == (0, 1, 2)
-        assert solution.team_reward == 8.0
-        assert solution.loop_iterations == 1
         model = RewardModel.from_scenario(scenario)
+        assert eval_team(model, solution.paths) == 8.0
+        assert solution.loop_iterations == 1
         outcome = worst_case_attack(model, solution, 1)
         assert outcome.residual == 8.0
         # Exhaustive max-min over all rooted path pairs confirms 8 is optimal.
@@ -160,8 +160,9 @@ class TestSolveRmop:
                     alone = solve_op(scenario.graph, model, scenario.starts[i], scenario.budget,
                                      GCB, robot=i)
                     baseline = eval_vertex_set(model, alone.vertices)
-                    assert solution.per_path_rewards[i] >= baseline
-                    improved += solution.per_path_rewards[i] > baseline
+                    reward = eval_vertex_set(model, solution.paths[i].vertices)
+                    assert reward >= baseline
+                    improved += reward > baseline
         assert reran >= 1
         assert improved >= 1
 
@@ -238,10 +239,8 @@ class TestCheckSolution:
 
     def test_budget_violation_reported_with_overshoot(self):
         scenario = line_scenario()
-        bad = Solution(
-            paths=(Path(0, (0, 1, 2), 2.0), Path(1, (0, 3, 1), 2.0 + 5 ** 0.5)),
-            s1_robots=frozenset({0}), s2_robots=frozenset({1}),
-            team_reward=12.0, loop_iterations=1, per_path_rewards=(8.0, 9.0))
+        bad = Solution((Path(0, (0, 1, 2), 2.0), Path(1, (0, 3, 1), 2.0 + 5 ** 0.5)),
+                       frozenset({0}), 1)
         problems = check_solution(scenario, bad)
         assert any("robot 1" in p and "exceeds budget" in p for p in problems)
 
@@ -253,24 +252,21 @@ class TestCheckSolution:
         graph = MetricGraph((Vertex(0, 0.0, 0.0, 0.0), Vertex(1, d, 0.0, 1.0)),
                             np.array([[0.0, d], [d, 0.0]]))
         scenario = Scenario(graph=graph, starts=(0,), budget=1.0, alpha=0)
-        solution = Solution.from_paths(RewardModel.from_scenario(scenario), [Path(0, (0, 1), d)])
+        solution = Solution((Path(0, (0, 1), d),))
         problems = check_solution(scenario, solution)
         if flagged:
             assert len(problems) == 1 and "exceeds budget 1.0" in problems[0], problems
         else:
             assert problems == []
 
-    @pytest.mark.parametrize("field", ["cost", "reward", "team reward"])
+    @pytest.mark.parametrize("field", ["cost"])  # a path's cost is the one value it stores
     @pytest.mark.parametrize("off, flagged", [(INVARIANT_TOL, False), (2 * INVARIANT_TOL, True)])
     def test_stored_value_tolerance_boundary(self, field, off, flagged):
-        # One robot stays on a reward-0 vertex: true cost and rewards are 0.0, so the stored
-        # value is off by exactly INVARIANT_TOL, or by twice it.
+        # One robot stays on its start: the true cost is 0.0, so the stored cost is off by
+        # exactly INVARIANT_TOL, or by twice it.
         scenario = Scenario(MetricGraph([Vertex(0, 0.0, 0.0, 0.0)]), starts=(0,), budget=1.0,
                             alpha=0)
-        stored = {"cost": 0.0, "reward": 0.0, "team reward": 0.0, field: off}
-        solution = Solution(paths=(Path(0, (0,), stored["cost"]),), s1_robots=frozenset(),
-                            s2_robots=frozenset({0}), team_reward=stored["team reward"],
-                            loop_iterations=0, per_path_rewards=(stored["reward"],))
+        solution = Solution((Path(0, (0,), off),))
         problems = check_solution(scenario, solution)
         if flagged:
             assert len(problems) == 1 and f"stored {field} {off} differs" in problems[0], problems
@@ -279,42 +275,24 @@ class TestCheckSolution:
 
     def test_outranking_coverage_path_reported(self):
         scenario = line_scenario()
-        bad = Solution(
-            paths=(Path(0, (0, 3), 2.0), Path(1, (0, 1, 2), 2.0)),
-            s1_robots=frozenset({0}), s2_robots=frozenset({1}),
-            team_reward=12.0, loop_iterations=1, per_path_rewards=(4.0, 8.0))
+        bad = Solution((Path(0, (0, 3), 2.0), Path(1, (0, 1, 2), 2.0)), frozenset({0}), 1)
         problems = check_solution(scenario, bad)
         assert any("outranks" in p for p in problems)
 
     def test_wrong_root_reported(self):
         scenario = line_scenario()
-        bad = Solution(
-            paths=(Path(0, (1, 0), 1.0), Path(1, (0,), 0.0)),
-            s1_robots=frozenset({0}), s2_robots=frozenset({1}),
-            team_reward=5.0, loop_iterations=1, per_path_rewards=(5.0, 0.0))
+        bad = Solution((Path(0, (1, 0), 1.0), Path(1, (0,), 0.0)), frozenset({0}), 1)
         problems = check_solution(scenario, bad)
         assert any("starts at 1" in p for p in problems)
 
-    def test_partition_violation_reported(self):
-        scenario = line_scenario()
-        bad = Solution(
-            paths=(Path(0, (0,), 0.0), Path(1, (0,), 0.0)),
-            s1_robots=frozenset({0, 1}), s2_robots=frozenset({1}),
-            team_reward=0.0, loop_iterations=1, per_path_rewards=(0.0, 0.0))
-        problems = check_solution(scenario, bad)
-        assert any("overlap" in p for p in problems)
-
     def test_nan_stored_values_are_reported(self):
-        # abs(nan - x) > tol is false, so each comparison must ask for <= tol instead.
+        # abs(nan - x) > tol is false, so the comparison must ask for <= tol instead.
         scenario = line_scenario()
         solution = solve_rmop(scenario, EXACT)
-        nan = float("nan")
-        doctored = dataclasses.replace(
-            solution, team_reward=nan, per_path_rewards=(nan,) + solution.per_path_rewards[1:],
-            paths=(dataclasses.replace(solution.paths[0], cost=nan),) + solution.paths[1:])
+        doctored = dataclasses.replace(solution, paths=(
+            dataclasses.replace(solution.paths[0], cost=float("nan")),) + solution.paths[1:])
         problems = check_solution(scenario, doctored)
-        assert [p.split(" differs")[0] for p in problems] == [
-            "robot 0 stored cost nan", "robot 0 stored reward nan", "stored team reward nan"]
+        assert [p.split(" differs")[0] for p in problems] == ["robot 0 stored cost nan"]
 
     @pytest.mark.parametrize("vertices, problem", [
         ((), "robot 1: path must contain at least one vertex"),

@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 from rmop.bench import ExperimentSpec
+from rmop.reward import eval_team
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -22,10 +23,10 @@ def test_library_in_one_minute_runs(capsys):
     names = {}
     exec(compile(block, "README.md", "exec"), names)
     solution, hit, scenario = names["solution"], names["hit"], names["scenario"]
+    team_reward = eval_team(names["model"], solution.paths)
     assert len(hit.removed) == scenario.alpha
-    assert 0.0 <= hit.residual <= solution.team_reward
-    assert capsys.readouterr().out == (
-        f"{solution.team_reward} {hit.residual} {sorted(hit.removed)}\n")
+    assert 0.0 <= hit.residual <= team_reward
+    assert capsys.readouterr().out == f"{team_reward} {hit.residual} {sorted(hit.removed)}\n"
 
 
 def test_experiment_specs_parse_and_build_their_scenario():
