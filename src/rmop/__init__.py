@@ -18,8 +18,7 @@ from .orienteering import (EXACT_SIZE_LIMIT, GCB_ETA, OpSolverConfig, SizeGuardE
 from .planner import PlannerLoopError, Solution, check_solution, sga, solve_rmop, solve_sga
 from .attack import (ATTACK_MODELS, AttackOutcome, greedy_attack, random_attack, run_attack,
                      worst_case_attack)
-from .bench import (AttackSpec, BoundReport, ExperimentRecord, ExperimentSpec,
-                    bound_report, naive_greedy_baseline, plan, records_to_csv, rmop_bound,
-                    run_experiment, sga_bound, summarize)
+from .bench import (AttackSpec, ExperimentRecord, ExperimentSpec, naive_greedy_baseline, plan,
+                    records_to_csv, rmop_bound, run_experiment, sga_bound, summarize)
 
 __version__ = "0.1.0"

@@ -40,10 +40,6 @@ def _least(model: RewardModel, solution: Solution, removals) -> tuple[float, tup
 
 
 def _check_size(name: str, solution: Solution, size: int) -> None:
-    for i, path in enumerate(solution.paths):
-        if path.robot != i:
-            raise ValueError(f"path {i} is labeled for robot {path.robot}; "
-                             f"an attack needs paths labeled 0..{solution.n_robots - 1} in order")
     if size < 0:
         raise ValueError("attack size must be non-negative")
     if size >= solution.n_robots:

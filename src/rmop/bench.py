@@ -1,7 +1,8 @@
 """Baselines, guarantee calculators, and the experiment harness.
 
 Everything a benchmark run needs around the planners: the uncoordinated
-greedy baseline, the closed-form worst-case guarantee fractions, and a
+greedy baseline, the closed-form worst-case guarantee fractions (which
+`cli.solution_document` writes into each robust plan's bound report), and a
 seeded trial runner that emits plot-ready records.
 """
 
@@ -17,15 +18,10 @@ import numpy as np
 
 from .graph import (Path, Scenario, ScenarioError, check_keys, generate_scenario, load_scenario,
                     read_document, read_field, read_ints, resample_starts)
-from .reward import IncrementalEval, RewardModel, eval_team, team_curvature, vertex_curvature
+from .reward import IncrementalEval, RewardModel, eval_team
 from .orienteering import SUBROUTINES, OpSolverConfig, SizeGuardError, check_exact_size
 from .planner import Solution, solve_rmop, solve_sga
 from .attack import ATTACK_MODELS, check_subset_guard, run_attack
-
-K_F_SURROGATE_NOTE = (
-    "k_f estimated with the returned solution's paths as the ground set; the true "
-    "ground set of all feasible paths is exponential, so fractions are reported "
-    "diagnostics, not certified constants")
 
 PLANNER_NAMES = ("rmop", "sga", "ng")
 
@@ -84,38 +80,10 @@ def rmop_bound(k_f: float, k_g: float, eta: float, alpha: int, n_robots: int) ->
 
 
 @dataclass(frozen=True)
-class BoundReport:
-    k_f: float
-    k_g: float
-    eta: float
-    alpha: int
-    n_robots: int
-    robust_fraction: float
-    sga_fraction: float
-    k_f_ground_set_note: str = K_F_SURROGATE_NOTE
-
-
-def bound_report(model: RewardModel, solution: Solution, eta: float,
-                 alpha: int, n_robots: int) -> BoundReport:
-    """Compute both guarantee fractions for a solved instance.
-
-    Raises ValueError when either curvature estimate reaches 1 (fully
-    redundant paths or vertices), where the fractions are undefined.
-    """
-    k_g = vertex_curvature(model)
-    k_f = team_curvature(model, solution.paths)
-    return BoundReport(
-        k_f=k_f, k_g=k_g, eta=eta, alpha=alpha, n_robots=n_robots,
-        robust_fraction=rmop_bound(k_f, k_g, eta, alpha, n_robots),
-        sga_fraction=sga_bound(k_f, k_g, eta),
-    )
-
-
-@dataclass(frozen=True)
 class AttackSpec:
     model: str
     sizes: tuple[int, ...]
-    planned_alpha: Optional[int] = None
+    planned_alpha: Optional[int]
 
 
 @dataclass(frozen=True)
@@ -127,7 +95,7 @@ class ExperimentSpec:
     trials: int
     seed: int
     base: Scenario
-    subroutine: str = "gcb"
+    subroutine: str
 
     @classmethod
     def from_document(cls, doc: dict) -> "ExperimentSpec":

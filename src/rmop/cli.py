@@ -9,13 +9,13 @@ request larger than memory, 2 usage error. Library errors become exit 1 and
 one `error:` line in `main` alone; the commands only add context to them.
 Every document is read through `graph.read_document`, so each `error:` or
 `FAIL:` line about a document names its file. A solution document must be what
-the one writer, `solution_document`, writes for the choices it holds.
+the one writer, `solution_document`, writes for the choices it holds: the writer
+is the document's schema, as `planner.Solution` is the plan's.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import sys
@@ -24,13 +24,18 @@ from typing import Optional, Sequence
 from .graph import (LAYOUTS, REWARD_KINDS, Path, Scenario, ScenarioError, dump_scenario,
                     generate_scenario, load_json, load_scenario, path_cost, read_document,
                     read_field, read_ints)
-from .reward import RewardModel, eval_team, eval_vertex_set
+from .reward import RewardModel, eval_team, eval_vertex_set, team_curvature, vertex_curvature
 from .orienteering import SUBROUTINES, OpSolverConfig, SizeGuardError
 from .planner import PlannerLoopError, Solution, check_solution
 from .attack import ATTACK_MODELS, run_attack
 from . import bench
 
 _ABSENT = object()  # a key that a JSON object lacks
+
+K_F_SURROGATE_NOTE = (
+    "k_f estimated with the returned solution's paths as the ground set; the true "
+    "ground set of all feasible paths is exponential, so fractions are reported "
+    "diagnostics, not certified constants")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -51,7 +56,12 @@ def scenario_digest(data: bytes) -> str:
 
 def solution_document(scenario: Scenario, data: bytes, solution: Solution, planner: str,
                       solver: OpSolverConfig) -> dict:
-    """The document `rmop solve` writes for `solution`; `data` is its scenario's bytes."""
+    """The document `rmop solve` writes for `solution`; `data` is its scenario's bytes.
+
+    Its keys and values are the solution document's whole schema: each path's `robot` is
+    its position, every reward is read from the scenario's model, and a robust plan carries
+    both guarantee fractions, or a note on why a curvature of 1 leaves them undefined.
+    """
     model = RewardModel.from_scenario(scenario)
     bound = note = None
     if planner == "ng":
@@ -59,9 +69,14 @@ def solution_document(scenario: Scenario, data: bytes, solution: Solution, plann
     elif scenario.alpha == 0:
         note = "alpha is 0: no adversary, no robust fraction to report"
     else:
+        alpha, n, eta = scenario.alpha, scenario.n_robots, solver.eta
         try:
-            bound = dataclasses.asdict(bench.bound_report(model, solution, solver.eta,
-                                                          scenario.alpha, scenario.n_robots))
+            k_g = vertex_curvature(model)
+            k_f = team_curvature(model, solution.paths)
+            bound = {"k_f": k_f, "k_g": k_g, "eta": eta, "alpha": alpha, "n_robots": n,
+                     "robust_fraction": bench.rmop_bound(k_f, k_g, eta, alpha, n),
+                     "sga_fraction": bench.sga_bound(k_f, k_g, eta),
+                     "k_f_ground_set_note": K_F_SURROGATE_NOTE}
         except ValueError as exc:
             note = f"bound fractions unavailable: {exc}"
     return {
@@ -108,18 +123,15 @@ def _rebuild(doc, scenario: Scenario, data: bytes) -> tuple[Solution, list[str]]
     if method not in SUBROUTINES:
         raise ScenarioError(f"unknown solver.method {method!r}; expected one of {SUBROUTINES}")
     loops = read_field(doc, "loop_iterations", int)
-    if loops < 0:
-        raise ScenarioError(f"loop_iterations must be >= 0, got {loops}")
     raw_paths, paths = read_field(doc, "paths", list), []
     for i in range(len(raw_paths)):
         where = f"paths[{i}]"
-        entry = read_field(raw_paths, i, dict, "paths")
-        vertices = read_ints(entry, "vertices", where)
+        vertices = read_ints(read_field(raw_paths, i, dict, "paths"), "vertices", where)
         try:
             cost = path_cost(scenario.graph, vertices)
         except ScenarioError as exc:  # an empty path, or a repeated or unknown vertex
             raise ScenarioError(f"{where}.vertices: {exc}") from exc
-        paths.append(Path(read_field(entry, "robot", int, where), tuple(vertices), cost))
+        paths.append(Path(i, tuple(vertices), cost))
     s1 = frozenset(read_ints(doc, "s1_robots"))
     # Only a robust plan holds a redundancy set and loop passes; any other writes [] and 0.
     robust = planner == "rmop" and scenario.alpha > 0
@@ -138,10 +150,11 @@ def _rebuild(doc, scenario: Scenario, data: bytes) -> tuple[Solution, list[str]]
 def read_solution(path: str, scenario: Scenario, data: bytes) -> tuple[Solution, list[str]]:
     """The solution at `path` and its problems against `scenario`, whose bytes are `data`.
 
-    Only the choices are read: the planner, `solver.method`, each path's robot and vertices,
-    and a robust plan's `s1_robots` and `loop_iterations`, which must not be empty or 0. Once
-    check_solution passes the solution they rebuild, the first key that differs from what
-    `solution_document` writes is the one problem.
+    Only the choices are read: the planner, `solver.method`, each path's vertices (path i
+    is robot i's), and a robust plan's `s1_robots` and `loop_iterations`, which must not be
+    empty or 0. `Solution` refuses a choice that no planner makes; once check_solution
+    passes the solution they rebuild, the first key that differs from what
+    `solution_document` writes, a path's `robot` label among them, is the one problem.
     """
     return read_document(path, lambda raw: _rebuild(load_json(raw), scenario, data))[0]
 

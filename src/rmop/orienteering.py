@@ -46,7 +46,7 @@ def check_exact_size(n: int) -> None:
 class OpSolverConfig:
     """Which single-robot subroutine to run; `eta` is the factor credited to it."""
 
-    method: str = "exact"
+    method: str
 
     def __post_init__(self):
         if self.method not in SUBROUTINES:

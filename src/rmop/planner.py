@@ -9,7 +9,8 @@ candidate pool until it holds. With deterministic subroutines the loop
 almost always settles in one pass, but the machinery is kept for the
 approximate solver, which can surface a better path on the masked problem
 than it found on the clean one. A `Solution` holds only what its planner
-chose; the coverage set and every reward derive from it.
+chose, and its constructor refuses any shape that no planner returns; the
+coverage set and every reward derive from it.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from .orienteering import OpSolverConfig, solve_op
 
 LOOP_CAP_PER_ROBOT = 10
 
-INVARIANT_TOL = 1e-9
-
 
 class PlannerLoopError(RuntimeError):
     """The reassignment loop exceeded its hard cap; indicates a solver bug."""
@@ -34,13 +33,26 @@ class PlannerLoopError(RuntimeError):
 class Solution:
     """What a planner chose: a path per robot, the redundancy set and the loop passes it took.
 
-    Every reward is a function of the scenario, so none is stored: read it from a model
-    with `eval_vertex_set` or `eval_team`. The coverage set is every other robot.
+    Path i is robot i's path, and the redundancy set names robots of the team; the
+    constructor raises ScenarioError otherwise, or for a negative loop count. Every reward
+    is a function of the scenario, so none is stored: read it from a model with
+    `eval_vertex_set` or `eval_team`. The coverage set is every other robot.
     """
 
     paths: tuple[Path, ...]
     s1_robots: frozenset[int] = frozenset()
     loop_iterations: int = 0
+
+    def __post_init__(self):
+        for i, path in enumerate(self.paths):
+            if path.robot != i:
+                raise ScenarioError(f"path {i} is labeled for robot {path.robot}")
+        outside = sorted(r for r in self.s1_robots if not 0 <= r < self.n_robots)
+        if outside:
+            raise ScenarioError(f"s1_robots names robot {outside[0]}, "
+                                f"outside 0..{self.n_robots - 1}")
+        if self.loop_iterations < 0:
+            raise ScenarioError(f"loop_iterations must be >= 0, got {self.loop_iterations}")
 
     @property
     def n_robots(self) -> int:
@@ -48,7 +60,7 @@ class Solution:
 
     @property
     def s2_robots(self) -> frozenset[int]:
-        return frozenset(p.robot for p in self.paths) - self.s1_robots
+        return frozenset(range(self.n_robots)) - self.s1_robots
 
 
 def sga(scenario: Scenario, model: RewardModel, solver: OpSolverConfig,
@@ -126,8 +138,12 @@ def solve_rmop(scenario: Scenario, solver: OpSolverConfig) -> Solution:
 
 
 def check_solution(scenario: Scenario, solution: Solution) -> list[str]:
-    """Re-verify every invariant of the choices that `solution` holds (it stores no reward to
-    compare); returns violations as strings."""
+    """The violations of `solution` against `scenario`, as strings; `Solution` checks the rest.
+
+    Path count, starts, walks, stored costs, budget, redundancy-set size and path rank are
+    compared exactly: planners add costs from 0.0 left to right, as `path_cost` does, and
+    rank paths by the `eval_vertex_set` values read here.
+    """
     graph = scenario.graph
     n = scenario.n_robots
     problems: list[str] = []
@@ -138,8 +154,6 @@ def check_solution(scenario: Scenario, solution: Solution) -> list[str]:
 
     evaluable = True
     for i, path in enumerate(solution.paths):
-        if path.robot != i:
-            problems.append(f"path {i} is labeled for robot {path.robot}")
         if path.vertices and path.vertices[0] != scenario.starts[i]:
             problems.append(
                 f"robot {i} path starts at {path.vertices[0]}, expected {scenario.starts[i]}")
@@ -149,29 +163,25 @@ def check_solution(scenario: Scenario, solution: Solution) -> list[str]:
             problems.append(f"robot {i}: {exc}")
             evaluable = False
             continue
-        if not abs(true_cost - path.cost) <= INVARIANT_TOL:
+        if true_cost != path.cost:
             problems.append(
                 f"robot {i} stored cost {path.cost} differs from recomputed {true_cost}")
-        if true_cost > scenario.budget + INVARIANT_TOL:
+        if true_cost > scenario.budget:
             problems.append(
                 f"robot {i} path cost {true_cost} exceeds budget {scenario.budget} "
                 f"by {true_cost - scenario.budget}")
 
-    everyone = set(range(n))
-    unknown = sorted((solution.s1_robots | solution.s2_robots) - everyone)
-    if unknown:
-        problems.append(f"robot sets name robot {unknown[0]}, outside 0..{n - 1}")
     if len(solution.s1_robots) not in (scenario.alpha, 0):
         problems.append(
             f"redundancy set has {len(solution.s1_robots)} robots, expected {scenario.alpha} or 0")
 
-    if evaluable and solution.s1_robots and solution.s2_robots and not unknown:
+    if evaluable and solution.s1_robots and solution.s2_robots:
         # Unknown or repeated vertices leave the path rewards undefined.
         model = RewardModel.from_scenario(scenario)
         rewards = [eval_vertex_set(model, p.vertices) for p in solution.paths]
         min_s1 = min(rewards[i] for i in solution.s1_robots)
         max_s2 = max(rewards[j] for j in solution.s2_robots)
-        if min_s1 < max_s2 - INVARIANT_TOL:
+        if min_s1 < max_s2:
             problems.append(
                 f"coverage path reward {max_s2} outranks redundancy path reward {min_s1}")
     return problems

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rmop.bench import PLANNER_NAMES, _derived_seed, plan
-from rmop.graph import Path, generate_scenario, resample_starts
+from rmop.graph import Path, ScenarioError, generate_scenario, resample_starts
 from rmop.reward import RewardModel, eval_team
 from rmop.orienteering import OpSolverConfig, SizeGuardError
 from rmop.planner import Solution, sga, solve_rmop
@@ -219,11 +219,12 @@ class TestRunAttack:
                              ids=["worst", "greedy", "random"])
     def test_paths_labeled_out_of_order_are_refused(self, attack):
         # Robots 3 and 5 planned alone: removing "robot 0" would remove no path at all.
+        # The Solution constructor refuses the plan, so no attack ever scores it.
         scenario = generate_scenario(30, 6, 1, 40.0, seed=3)
         model = RewardModel.from_scenario(scenario)
-        solution = Solution(sga(scenario, model, GCB, robots=[3, 5]))
-        with pytest.raises(ValueError, match=r"^path 0 is labeled for robot 3; "):
-            attack(model, solution, 1)
+        paths = sga(scenario, model, GCB, robots=[3, 5])
+        with pytest.raises(ScenarioError, match=r"^path 0 is labeled for robot 3$"):
+            attack(model, Solution(paths), 1)
 
 
 class TestResidualMonotonicity:

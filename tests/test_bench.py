@@ -12,8 +12,9 @@ from rmop.reward import RewardModel, eval_team, eval_vertex_set
 from rmop.orienteering import OpSolverConfig, SizeGuardError, solve_op_exact
 from rmop.planner import solve_rmop
 from rmop.attack import worst_case_attack
-from rmop.bench import (ExperimentSpec, bound_report, naive_greedy_baseline, plan,
-                        records_to_csv, rmop_bound, run_experiment, sga_bound, summarize)
+from rmop.bench import (ExperimentSpec, naive_greedy_baseline, plan, records_to_csv, rmop_bound,
+                        run_experiment, sga_bound, summarize)
+from rmop.cli import solution_document
 
 from helpers import (line_instance, line_scenario, oracle_max_min, random_tiny_scenario,
                      vertex_cells)
@@ -85,24 +86,30 @@ class TestBoundFormulas:
 
 
 class TestBoundReport:
+    # The one writer of a bound report is the solution document; `data` only feeds its digest.
     def test_report_carries_surrogate_note(self):
         scenario = line_scenario()
         solution = solve_rmop(scenario, EXACT)
-        model = RewardModel.from_scenario(scenario)
         # Both robots end on the same path here, so k_f degenerates to 1.
-        with pytest.raises(ValueError, match="strictly less than 1"):
-            bound_report(model, solution, 1.0, scenario.alpha, scenario.n_robots)
+        doc = solution_document(scenario, b"", solution, "rmop", EXACT)
+        assert doc["bound_report"] is None
+        assert doc["bound_note"] == (
+            "bound fractions unavailable: k_f must be non-negative and strictly less than 1, "
+            "got 1.0; at curvature 1 the guarantee degenerates")
 
     def test_report_on_separated_instance(self):
         # Seed 52 gives distinct paths, so the path-curvature stays below 1.
         scenario = random_tiny_scenario(52, robots_range=(3, 3), alpha=1)
         solution = solve_rmop(scenario, EXACT)
-        model = RewardModel.from_scenario(scenario)
-        report = bound_report(model, solution, 1.0, scenario.alpha, scenario.n_robots)
-        assert 0.0 < report.robust_fraction <= 1.0
-        assert 0.0 < report.sga_fraction <= 1.0
-        assert report.k_g == 0.0
-        assert "ground set" in report.k_f_ground_set_note
+        report = solution_document(scenario, b"", solution, "rmop", EXACT)["bound_report"]
+        assert list(report) == ["k_f", "k_g", "eta", "alpha", "n_robots", "robust_fraction",
+                                "sga_fraction", "k_f_ground_set_note"]
+        assert 0.0 < report["robust_fraction"] <= 1.0
+        assert 0.0 < report["sga_fraction"] <= 1.0
+        assert report["robust_fraction"] == rmop_bound(report["k_f"], 0.0, 1.0, 1, 3)
+        assert report["sga_fraction"] == sga_bound(report["k_f"], 0.0, 1.0)
+        assert report["k_g"] == 0.0
+        assert "ground set" in report["k_f_ground_set_note"]
 
 
 class TestBruteForceOracles:

@@ -20,10 +20,11 @@ import rmop.graph
 import rmop.planner
 from rmop.attack import ATTACK_MODELS, run_attack
 from rmop.bench import PLANNER_NAMES
-from rmop.cli import build_parser, main, read_solution
-from rmop.graph import (LAYOUTS, REWARD_KINDS, dump_scenario, generate_scenario, load_scenario,
-                        scenario_to_document)
-from rmop.orienteering import SUBROUTINES
+from rmop.cli import build_parser, main, read_solution, solution_document
+from rmop.graph import (LAYOUTS, REWARD_KINDS, Path, dump_scenario, generate_scenario,
+                        load_scenario, scenario_to_document)
+from rmop.orienteering import SUBROUTINES, OpSolverConfig
+from rmop.planner import Solution
 from rmop.reward import RewardModel
 
 
@@ -303,7 +304,8 @@ class TestAttack:
         assert code == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.splitlines() == [f"error: {relabelled}: path 1 is labeled for robot 0"]
+        assert err.splitlines() == [
+            f"error: {relabelled}: paths[1].robot is 0; rmop solve writes 1"]
 
 
 def rmop_exceptions():
@@ -619,6 +621,33 @@ class TestVerify:
         assert capsys.readouterr().out.splitlines() == [
             f"FAIL: {relabelled}: bound_report.eta is {doc['bound_report']['eta']}; "
             f"rmop solve writes 1.0"]
+
+    def test_a_plan_over_budget_by_a_rounding_is_refused_by_verify_and_attack(self, tmp_path,
+                                                                              capsys):
+        # `rmop solve --planner sga` collects 0.0 here: vertex 1 lies 1 + 5e-10 away, beyond
+        # the budget of 1.0. A hand-built plan that walks there anyway scores 7.0.
+        d = 1.0 + 5e-10
+        doc = {"vertices": [{"id": 0, "x": 0.0, "y": 0.0, "reward": 0.0},
+                            {"id": 1, "x": d, "y": 0.0, "reward": 7.0}],
+               "distance_matrix": [[0.0, d], [d, 0.0]],
+               "starts": [0], "budget": 1.0, "alpha": 0, "reward_kind": "modular"}
+        scenario_file, plan_file = tmp_path / "s.json", tmp_path / "over.json"
+        scenario_file.write_text(json.dumps(doc))
+        data = scenario_file.read_bytes()
+        scenario = load_scenario(data)
+        over = Solution((Path(0, (0, 1), d),))
+        plan_file.write_text(json.dumps(solution_document(scenario, data, over, "sga",
+                                                          OpSolverConfig("gcb"))))
+        problem = f"{plan_file}: robot 0 path cost {d} exceeds budget 1.0 by {d - 1.0}"
+        assert problem.startswith(f"{plan_file}: robot 0 path cost 1.0000000005 exceeds budget "
+                                  "1.0 by ")
+        capsys.readouterr()
+        assert run_cli("verify", "--scenario", str(scenario_file),
+                       "--solution", str(plan_file)) == 1
+        assert capsys.readouterr().out.splitlines() == [f"FAIL: {problem}"]
+        assert run_cli("attack", str(plan_file), "--scenario", str(scenario_file),
+                       "--model", "worst", "--size", "0") == 1
+        assert capsys.readouterr() == ("", f"error: {problem}\n")
 
     def test_json_report_shape(self, solved, capsys):
         scenario_file, solution_file = solved

@@ -16,9 +16,6 @@ import sys
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "rmop"
 ALLOWED = {"numpy"} | set(sys.stdlib_module_names)
 CACHES = {"cache", "lru_cache", "cached_property"}
-# cli.solution_document, the one solution writer, writes a BoundReport whole, through
-# dataclasses.asdict.
-READ_WHOLE = {"BoundReport"}
 
 
 def foreign_imports(source):
@@ -58,13 +55,12 @@ def unread_fields(sources):
 
     The match is by name alone, across all of `sources`: a field passes when any
     attribute of that name is read, so `SgaTrace.gains` once passed because
-    `IncrementalEval.gains` is read. Classes in READ_WHOLE are skipped.
+    `IncrementalEval.gains` is read.
     """
     fields, loaded = [], set()
     for source in sources:
         for node in ast.walk(ast.parse(source)):
-            if (isinstance(node, ast.ClassDef) and node.name not in READ_WHOLE
-                    and any(is_dataclass(d) for d in node.decorator_list)):
+            if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list)):
                 fields += [f"{node.name}.{stmt.target.id}" for stmt in node.body
                            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
@@ -140,7 +136,7 @@ def test_an_unread_field_is_caught():
               "class Plain:\n    ignored: int\n"
               "@dataclass\nclass BoundReport:\n    written_whole: float\n"
               "def f(kept): kept.stray = 1\n")
-    assert unread_fields([source]) == ["Kept.stray", "Also.unused"]
+    assert unread_fields([source]) == ["Kept.stray", "Also.unused", "BoundReport.written_whole"]
 
 
 def test_package_calls_every_definition():

@@ -82,8 +82,9 @@ SOLUTION_CASES = [
     ("bound-report-with-exact-eta", ("bound_report",), BOUND_REPORT),
     ("int-bound-note", ("bound_note",), 3),
     ("missing-bound-note", ("bound_note",), DELETE),
-    # Within check_solution's INVARIANT_TOL of the value written, or a note that `rmop solve`
-    # writes for another plan: only the rebuilt document tells them apart.
+    # A stored value that check_solution never reads (the rebuilt plan's costs and rewards
+    # are recomputed), or a note that `rmop solve` writes for another plan: only the
+    # rebuilt document tells them apart.
     ("cost-one-ulp-up", ("paths", 0, "cost"), math.nextafter(2.0, math.inf)),
     ("team-reward-within-tolerance", ("team_reward",), 3.0 + 1e-10),
     ("another-bound-note", ("bound_note",),

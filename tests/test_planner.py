@@ -1,18 +1,20 @@
 import dataclasses
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rmop.planner
 from rmop.bench import PLANNER_NAMES, _derived_seed, plan
-from rmop.graph import (REWARD_KINDS, MetricGraph, Path, Scenario, Vertex, generate_scenario,
-                        path_cost, resample_starts, verify_metric)
+from rmop.graph import (LAYOUTS, METRIC_TOL, REWARD_KINDS, MetricGraph, Path, Scenario,
+                        ScenarioError, Vertex, generate_scenario, path_cost, resample_starts,
+                        verify_metric)
 from rmop.reward import RewardModel, eval_team, eval_vertex_set
-from rmop.orienteering import OpSolverConfig, solve_op, solve_op_exact
-from rmop.planner import (INVARIANT_TOL, Solution, check_solution, sga, solve_rmop,
-                          solve_sga)
+from rmop.orienteering import SUBROUTINES, OpSolverConfig, solve_op, solve_op_exact
+from rmop.planner import Solution, check_solution, sga, solve_rmop, solve_sga
 from rmop.attack import worst_case_attack
 
 from helpers import (line_instance, line_scenario, oracle_max_min, oracle_rooted_paths,
@@ -211,6 +213,57 @@ def test_stored_costs_are_the_path_cost_fold(planner, solver):
                 assert path.cost == path_cost(graph, path.vertices)
 
 
+@st.composite
+def planned_problems(draw):
+    """(planner, scenario, solver) for every planner and subroutine, `exact` on at most 8
+    vertices, with modular or coverage rewards.
+
+    A map is generated, or its vertices are moved onto a 4 x 4 grid, where some coincide,
+    and given their Euclidean or Manhattan matrix less an offset of up to METRIC_TOL / 2
+    for the leaving vertex and another for the entering one. Entries then reach down to
+    -METRIC_TOL and asymmetry up to it, and the map stays within the metric check's
+    tolerance. The budget is drawn, or is the folded cost of a random rooted route, so
+    that route fits to the last bit.
+    """
+    method = draw(st.sampled_from(SUBROUTINES))
+    n = draw(st.integers(1, 8 if method == "exact" else 24))
+    robots = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    scenario = generate_scenario(n, robots, draw(st.integers(0, robots - 1)), 1.0,
+                                 layout=draw(st.sampled_from(LAYOUTS)), seed=seed,
+                                 reward_kind=draw(st.sampled_from(REWARD_KINDS)))
+    graph, rng = scenario.graph, np.random.default_rng(seed)
+    matrix = draw(st.sampled_from(["generated", "euclidean", "manhattan"]))
+    if matrix != "generated":
+        pos = rng.integers(0, 4, size=(n, 2)).astype(float)
+        verts = [dataclasses.replace(v, x=x, y=y) for v, (x, y) in zip(graph.vertices, pos)]
+        d = (MetricGraph(verts).distance if matrix == "euclidean"
+             else abs(pos[:, None] - pos).sum(axis=2))
+        leave, enter = rng.uniform(0.0, METRIC_TOL / 2, size=(2, n))
+        d = d - leave[:, None] - enter
+        np.fill_diagonal(d, 0.0)
+        graph = MetricGraph(verts, d)
+    if draw(st.booleans()):
+        budget = rng.uniform(0.0, 1.5) * float(graph.distance.max())
+    else:
+        start = scenario.starts[0]
+        route = [start] + [v for v in rng.permutation(n).tolist() if v != start]
+        budget = max(0.0, graph.route_cost(route[:rng.integers(min(n, 2), n + 1)]))
+    return (draw(st.sampled_from(PLANNER_NAMES)),
+            dataclasses.replace(scenario, graph=graph, budget=budget), OpSolverConfig(method))
+
+
+@settings(max_examples=300, deadline=None)
+@given(planned_problems())
+def test_every_plan_passes_the_exact_check(problem):
+    # Planners add costs from 0.0 left to right, as path_cost does, and rank paths by the
+    # eval_vertex_set values that the outrank check reads, so no check needs a tolerance.
+    planner, scenario, solver = problem
+    solution = plan(planner, scenario, solver)  # its constructor checks its shape
+    assert verify_metric(scenario.graph).ok
+    assert check_solution(scenario, solution) == []
+
+
 def test_reassignment_loops_are_pinned():
     # The one-trial output pins never loop, so they never reach the swap branch of
     # solve_rmop. These benchmark plans do (seed 7, starts as `run_experiment` resamples
@@ -244,11 +297,11 @@ class TestCheckSolution:
         problems = check_solution(scenario, bad)
         assert any("robot 1" in p and "exceeds budget" in p for p in problems)
 
-    @pytest.mark.parametrize("over, flagged", [(INVARIANT_TOL, False), (3 * INVARIANT_TOL, True)])
-    def test_budget_tolerance_boundary(self, over, flagged):
-        # The cost comes straight from an explicit matrix, so the path lands
-        # exactly on budget + INVARIANT_TOL, or beyond it.
-        d = 1.0 + over
+    @pytest.mark.parametrize("d, flagged", [(1.0, False), (math.nextafter(1.0, math.inf), True)],
+                             ids=["on-budget", "one-ulp-over"])
+    def test_budget_check_is_exact(self, d, flagged):
+        # The cost comes straight from an explicit matrix, so the path lands exactly on the
+        # budget, or one ulp beyond it.
         graph = MetricGraph((Vertex(0, 0.0, 0.0, 0.0), Vertex(1, d, 0.0, 1.0)),
                             np.array([[0.0, d], [d, 0.0]]))
         scenario = Scenario(graph=graph, starts=(0,), budget=1.0, alpha=0)
@@ -259,17 +312,17 @@ class TestCheckSolution:
         else:
             assert problems == []
 
-    @pytest.mark.parametrize("field", ["cost"])  # a path's cost is the one value it stores
-    @pytest.mark.parametrize("off, flagged", [(INVARIANT_TOL, False), (2 * INVARIANT_TOL, True)])
-    def test_stored_value_tolerance_boundary(self, field, off, flagged):
-        # One robot stays on its start: the true cost is 0.0, so the stored cost is off by
-        # exactly INVARIANT_TOL, or by twice it.
+    @pytest.mark.parametrize("stored, flagged", [(0.0, False), (math.ulp(0.0), True)],
+                             ids=["equal", "one-ulp-off"])
+    def test_stored_cost_check_is_exact(self, stored, flagged):
+        # One robot stays on its start: the true cost is 0.0, so the stored cost equals it,
+        # or is off by one ulp.
         scenario = Scenario(MetricGraph([Vertex(0, 0.0, 0.0, 0.0)]), starts=(0,), budget=1.0,
                             alpha=0)
-        solution = Solution((Path(0, (0,), off),))
+        solution = Solution((Path(0, (0,), stored),))
         problems = check_solution(scenario, solution)
         if flagged:
-            assert len(problems) == 1 and f"stored {field} {off} differs" in problems[0], problems
+            assert problems == [f"robot 0 stored cost {stored} differs from recomputed 0.0"]
         else:
             assert problems == []
 
@@ -279,6 +332,20 @@ class TestCheckSolution:
         problems = check_solution(scenario, bad)
         assert any("outranks" in p for p in problems)
 
+    @pytest.mark.parametrize("reward, flagged",
+                             [(1.0, False), (math.nextafter(1.0, math.inf), True)],
+                             ids=["tie", "one-ulp-above"])
+    def test_outrank_check_is_exact(self, reward, flagged):
+        # Robot 0's redundancy path collects 1.0; robot 1's coverage path ties it, or
+        # collects one ulp more.
+        graph = MetricGraph((Vertex(0, 0.0, 0.0, 0.0), Vertex(1, 1.0, 0.0, 1.0),
+                             Vertex(2, -1.0, 0.0, reward)))
+        scenario = Scenario(graph=graph, starts=(0, 0), budget=1.0, alpha=1)
+        solution = Solution((Path(0, (0, 1), 1.0), Path(1, (0, 2), 1.0)), frozenset({0}), 1)
+        assert check_solution(scenario, solution) == (
+            [f"coverage path reward {reward} outranks redundancy path reward 1.0"] if flagged
+            else [])
+
     def test_wrong_root_reported(self):
         scenario = line_scenario()
         bad = Solution((Path(0, (1, 0), 1.0), Path(1, (0,), 0.0)), frozenset({0}), 1)
@@ -286,7 +353,7 @@ class TestCheckSolution:
         assert any("starts at 1" in p for p in problems)
 
     def test_nan_stored_values_are_reported(self):
-        # abs(nan - x) > tol is false, so the comparison must ask for <= tol instead.
+        # nan compares unequal to every cost, so the exact comparison flags it.
         scenario = line_scenario()
         solution = solve_rmop(scenario, EXACT)
         doctored = dataclasses.replace(solution, paths=(
@@ -306,12 +373,25 @@ class TestCheckSolution:
         paths = (solution.paths[0], Path(robot=1, vertices=vertices, cost=0.0))
         assert check_solution(scenario, dataclasses.replace(solution, paths=paths)) == [problem]
 
-    def test_robot_ids_outside_the_team_reported_without_reward_order(self):
-        # At seed 0 robot 2 scores least, so a -1 that wrapped to it would
-        # also raise a bogus "outranks" complaint.
-        scenario = random_tiny_scenario(0, robots_range=(3, 3), alpha=1)
-        solution = solve_rmop(scenario, EXACT)
-        for bad in (99, -1):
-            doctored = dataclasses.replace(solution, s1_robots=frozenset({bad}))
-            assert check_solution(scenario, doctored) == [
-                f"robot sets name robot {bad}, outside 0..2"]
+
+class TestSolution:
+    """The constructor refuses every shape that no planner returns."""
+
+    def test_mislabelled_path_is_refused(self):
+        # Robots 3 and 5 planned alone: removing "robot 0" would remove no path at all.
+        scenario = generate_scenario(30, 6, 1, 40.0, seed=3)
+        paths = sga(scenario, RewardModel.from_scenario(scenario), GCB, robots=[3, 5])
+        with pytest.raises(ScenarioError, match=r"^path 0 is labeled for robot 3$"):
+            Solution(paths)
+
+    @pytest.mark.parametrize("bad", [99, 3, -1])
+    def test_s1_robot_outside_the_team_is_refused(self, bad):
+        solution = solve_rmop(random_tiny_scenario(0, robots_range=(3, 3), alpha=1), EXACT)
+        refusal = rf"^s1_robots names robot {bad}, outside 0\.\.2$"
+        with pytest.raises(ScenarioError, match=refusal):
+            dataclasses.replace(solution, s1_robots=frozenset({0, bad}))
+
+    def test_negative_loop_count_is_refused(self):
+        solution = solve_rmop(line_scenario(), EXACT)
+        with pytest.raises(ScenarioError, match=r"^loop_iterations must be >= 0, got -1$"):
+            dataclasses.replace(solution, loop_iterations=-1)
